@@ -280,11 +280,12 @@ def run_eval(config: dict, out_dir: Path) -> list[str]:
 def run_gradcheck(config: dict, out_dir: Path) -> list[str]:
     import numpy as np
 
-    from . import numerics as nt
     from .data import synth_corpus
     from .masking import MaskingConfig, mask_pair
     from .model import InterBert, ModelConfig
     from .numerics import finite_diff_check
+    from .training import TrainConfig, total_loss
+    from .training.loop import _batch_losses
 
     corpus = synth_corpus(seed=config["seed"], num_images=4, num_classes=6,
                           feature_dim=8, min_objects=config["objects"],
@@ -308,18 +309,11 @@ def run_gradcheck(config: dict, out_dir: Path) -> list[str]:
     negative = mask_pair(corpus.pairs[1], corpus.vocab, gen, MaskingConfig(anchor_prob=0.4),
                          itm_label=0, tokens_override=corpus.pairs[2].tokens)
 
-    def loss_fn():
-        logits = []
-        msm_parts, mrm_parts = [], []
-        for sample in (positive, negative):
-            out = model.forward(**sample.model_inputs())
-            logits.append(model.itm_score(out.pooled_image, out.pooled_text))
-            msm_parts.append(nt.cross_entropy_logits(model.msm_logits(out.h_text), sample.msm_targets))
-            mrm_parts.append(nt.cross_entropy_logits(model.mrm_logits(out.h_image), sample.mrm_targets))
-        itm = nt.binary_cross_entropy_logits(
-            nt.reshape(nt.concat(logits, axis=0), (2,)), [1.0, 0.0])
-        return nt.add(nt.add(nt.add(msm_parts[0], msm_parts[1]),
-                             nt.add(mrm_parts[0], mrm_parts[1])), itm)
+    train_cfg = TrainConfig()
+
+    def loss_fn():  # the trainer's own batch loss over a padded two-sample batch
+        l_msm, l_mrm, l_itm, _ = _batch_losses(model, [positive, negative], train_cfg)
+        return total_loss(l_msm, l_mrm, l_itm)
 
     error = finite_diff_check(loss_fn, model.params, step=config["step"],
                               sample_count=config["samples"], seed=config["seed"])
@@ -469,15 +463,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")
     _add_common(p)
-    p.add_argument("--hidden-size", type=int, default=8)
-    p.add_argument("--num-heads", type=int, default=2)
-    p.add_argument("--interaction-layers", type=int, default=2)
-    p.add_argument("--extraction-layers", type=int, default=1)
-    p.add_argument("--objects", type=int, default=4)
-    p.add_argument("--init-std", type=float, default=0.5)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    # defaults live in _dispatch, so a --config file can set every one of these
+    p.add_argument("--hidden-size", type=int)
+    p.add_argument("--num-heads", type=int)
+    p.add_argument("--interaction-layers", type=int)
+    p.add_argument("--extraction-layers", type=int)
+    p.add_argument("--objects", type=int)
+    p.add_argument("--init-std", type=float)
+    p.add_argument("--step", type=float)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--tolerance", type=float)
 
     p = sub.add_parser("knn", help="nearest neighbours over exported embeddings")
     _add_common(p)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model.config import SequenceLayout, build_layout
+from .model.config import PaddedBatch, build_layout
 from .numerics import IGNORE_INDEX
 
 
@@ -336,75 +336,54 @@ def synth_corpus(
 # batching
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PaddedBatch:
-    tokens: np.ndarray        # (B, T) int64, pad_id at padding
-    text_valid: np.ndarray    # (B, T) bool
-    features: np.ndarray      # (B, M, feature_dim), zeros at padding
-    bboxes: np.ndarray        # (B, M, 4), (0,0,1,1) at padding
-    labels: np.ndarray        # (B, M) int64, IGNORE_INDEX at padding
-    object_valid: np.ndarray  # (B, M) bool
-    widths: np.ndarray        # (B,)
-    heights: np.ndarray       # (B,)
-    layouts: list[SequenceLayout]
-
-    def __len__(self) -> int:
-        return self.tokens.shape[0]
-
-    def sample(self, i: int) -> dict:
-        """Keyword arguments for a single-sample model forward."""
-        return {
-            "tokens": self.tokens[i],
-            "features": self.features[i],
-            "bboxes": self.bboxes[i],
-            "width": int(self.widths[i]),
-            "height": int(self.heights[i]),
-            "text_valid": self.text_valid[i],
-            "object_valid": self.object_valid[i],
-        }
+def check_limits(items, max_text_len: int | None = None, max_objects: int | None = None) -> None:
+    """Refuse any sample over the model's length limits, naming its id."""
+    for item in items:
+        if max_text_len is not None and len(item.tokens) > max_text_len:
+            raise CorpusError(f"caption {item.caption_id} has {len(item.tokens)} tokens > limit {max_text_len}")
+        if max_objects is not None and len(item.features) > max_objects:
+            raise CorpusError(f"image {item.image_id} has {len(item.features)} objects > limit {max_objects}")
 
 
-def make_batch(pairs, vocab: Vocabulary,
+def make_batch(items, vocab: Vocabulary | None = None,
                max_text_len: int | None = None,
                max_objects: int | None = None) -> PaddedBatch:
-    """Pad a list of pairs to the batch maxima. Truncation is forbidden:
-    a sample over the stated limits is an error."""
-    if not pairs:
+    """Pad pairs or masked samples to the batch maxima. Truncation is
+    forbidden: a sample over the stated limits is an error. Text padding
+    carries ``vocab.pad_id`` (id 0 without a vocabulary: padded positions are
+    invisible to attention, so the id only has to exist)."""
+    if not items:
         raise CorpusError("cannot batch zero samples")
-    for pair in pairs:
-        if max_text_len is not None and pair.num_tokens > max_text_len:
-            raise CorpusError(f"caption {pair.caption_id} has {pair.num_tokens} tokens > limit {max_text_len}")
-        if max_objects is not None and pair.num_objects > max_objects:
-            raise CorpusError(f"image {pair.image_id} has {pair.num_objects} objects > limit {max_objects}")
+    check_limits(items, max_text_len, max_objects)
 
-    batch = len(pairs)
-    t_max = max(p.num_tokens for p in pairs)
-    m_max = max(p.num_objects for p in pairs)
-    feature_dim = pairs[0].features.shape[1]
+    batch = len(items)
+    t_max = max(len(p.tokens) for p in items)
+    m_max = max(len(p.features) for p in items)
+    feature_dim = items[0].features.shape[1]
 
-    tokens = np.full((batch, t_max), vocab.pad_id, dtype=np.int64)
+    tokens = np.full((batch, t_max), 0 if vocab is None else vocab.pad_id, dtype=np.int64)
     text_valid = np.zeros((batch, t_max), dtype=bool)
     features = np.zeros((batch, m_max, feature_dim))
     bboxes = np.tile(np.array([0.0, 0.0, 1.0, 1.0]), (batch, m_max, 1))
     labels = np.full((batch, m_max), IGNORE_INDEX, dtype=np.int64)
     object_valid = np.zeros((batch, m_max), dtype=bool)
     layouts = []
-    for i, pair in enumerate(pairs):
-        if pair.features.shape[1] != feature_dim:
+    for i, item in enumerate(items):
+        if item.features.shape[1] != feature_dim:
             raise CorpusError("feature dimensions differ across the batch")
-        n, m = pair.num_tokens, pair.num_objects
-        tokens[i, :n] = pair.tokens
+        n, m = len(item.tokens), len(item.features)
+        tokens[i, :n] = item.tokens
         text_valid[i, :n] = True
-        features[i, :m] = pair.features
-        bboxes[i, :m] = pair.bboxes
-        labels[i, :m] = pair.labels
+        features[i, :m] = item.features
+        bboxes[i, :m] = item.bboxes
+        labels[i, :m] = item.labels
         object_valid[i, :m] = True
         layouts.append(build_layout(m_max, t_max, object_valid[i], text_valid[i]))
 
     return PaddedBatch(
         tokens=tokens, text_valid=text_valid,
-        features=features, bboxes=bboxes, labels=labels, object_valid=object_valid,
-        widths=np.array([p.width for p in pairs]),
-        heights=np.array([p.height for p in pairs]),
-        layouts=layouts,
+        features=features, bboxes=bboxes, object_valid=object_valid,
+        widths=np.array([p.width for p in items]),
+        heights=np.array([p.height for p in items]),
+        layouts=layouts, labels=labels,
     )

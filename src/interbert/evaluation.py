@@ -106,13 +106,24 @@ def itm_accuracy(model: InterBert, corpus: Corpus, rng, num_samples: int = 200) 
     return correct / num_samples
 
 
+def choice_credit(logits) -> np.ndarray:
+    """Per row of multiple-choice logits with the gold choice in column 0:
+    1 when gold scores strictly highest, 1/k when it shares the top score
+    with k-1 others, else 0. Counting ties as wins would let a constant
+    scorer reach accuracy 1."""
+    rows = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    top = rows.max(axis=1, keepdims=True)
+    return (rows[:, 0] == top[:, 0]) / (rows == top).sum(axis=1)
+
+
 def multiple_choice_accuracy(model: InterBert, corpus: Corpus, rng,
                              num_examples: int = 100, num_distractors: int = 3) -> float:
-    """Fraction of captions whose true image out-scores sampled distractors."""
+    """Mean credit (see ``choice_credit``) of the true image against sampled
+    distractors."""
     image_index = np.array(corpus.image_ids())
     if image_index.size < num_distractors + 1:
         raise ValueError("not enough images for the requested choice size")
-    correct = 0
+    correct = 0.0
     with nt.no_grad():
         for _ in range(num_examples):
             pair = corpus.pairs[int(rng.integers(0, len(corpus.pairs)))]
@@ -124,8 +135,7 @@ def multiple_choice_accuracy(model: InterBert, corpus: Corpus, rng,
                 out = model.forward(tokens=pair.tokens, features=entry.features,
                                     bboxes=entry.bboxes, width=entry.width, height=entry.height)
                 logits.append(model.itm_score(out.pooled_image, out.pooled_text).item())
-            if int(np.argmax(logits)) == 0:
-                correct += 1
+            correct += float(choice_credit(logits)[0])
     return correct / num_examples
 
 

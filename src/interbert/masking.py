@@ -204,15 +204,6 @@ class MaskedSample:
             "height": self.height,
         }
 
-    def raw_model_inputs(self) -> dict:
-        return {
-            "tokens": self.raw_tokens,
-            "features": self.raw_features,
-            "bboxes": self.bboxes,
-            "width": self.width,
-            "height": self.height,
-        }
-
 
 def mask_pair(pair: ImageTextPair, vocab: Vocabulary, rng, config: MaskingConfig,
               itm_label: int = 1, tokens_override=None, caption_id_override=None) -> MaskedSample:

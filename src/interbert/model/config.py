@@ -1,4 +1,4 @@
-"""Architecture hyperparameters and fused-sequence layout bookkeeping."""
+"""Architecture hyperparameters, fused-sequence layouts and padded batches."""
 
 from __future__ import annotations
 
@@ -89,14 +89,6 @@ class SequenceLayout:
     def total_length(self) -> int:
         return self.image_length + self.text_length
 
-    @property
-    def image_span(self) -> range:
-        return range(0, self.image_length)
-
-    @property
-    def text_span(self) -> range:
-        return range(self.image_length, self.total_length)
-
     def key_bias(self) -> np.ndarray:
         """Additive attention bias per key: 0 at real positions, a huge
         negative number at padding."""
@@ -111,3 +103,21 @@ def build_layout(num_objects: int, num_tokens: int,
         raise ValueError("validity masks do not match the declared lengths")
     valid = np.concatenate([[True], ov, tv])
     return SequenceLayout(image_length=num_objects + 1, text_length=num_tokens, valid=valid)
+
+
+@dataclass
+class PaddedBatch:
+    """Samples padded to the batch maxima; every layout has the same lengths."""
+
+    tokens: np.ndarray        # (B, T) int64, pad id at padding
+    text_valid: np.ndarray    # (B, T) bool
+    features: np.ndarray      # (B, M, feature_dim), zeros at padding
+    bboxes: np.ndarray        # (B, M, 4), (0,0,1,1) at padding
+    object_valid: np.ndarray  # (B, M) bool
+    widths: np.ndarray        # (B,)
+    heights: np.ndarray       # (B,)
+    layouts: list[SequenceLayout]
+    labels: np.ndarray | None = None  # (B, M) int64, IGNORE_INDEX at padding
+
+    def __len__(self) -> int:
+        return self.tokens.shape[0]

@@ -2,9 +2,11 @@
 concatenated image+text sequence, per-modality extraction stacks on top,
 and the three pretraining heads.
 
-Forward passes are per sample (rank-2 tensors throughout); batching is a
-loop at the training level, which keeps the tape simple and the gradients
-easy to verify coordinate by coordinate.
+The forward pass takes a padded batch of B samples. Activations stay rank-2,
+one row per position of every sample, (B*L, hidden), so every projection
+and FFN is one matrix product. Attention alone reshapes to (B, heads, L, d)
+and adds a (B, 1, 1, L) key bias that hides padding. A single sample is the
+B=1 case of the same path.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .config import (
     VARIANT_INTERBERT,
     VARIANT_SINGLE_STREAM,
     ModelConfig,
+    PaddedBatch,
     SequenceLayout,
     build_layout,
 )
@@ -103,21 +106,66 @@ def init_parameters(config: ModelConfig, seed: int, dtype=np.float64) -> Paramet
 
 @dataclass
 class ModelOutputs:
-    h_image: Tensor       # (m+1, hidden), summary row first
-    h_text: Tensor        # (n_tokens, hidden)
-    pooled_image: Tensor  # (1, hidden)
-    pooled_text: Tensor   # (1, hidden)
+    h_image: Tensor       # (B*(m+1), hidden), each sample's summary row first
+    h_text: Tensor        # (B*n_tokens, hidden)
+    pooled_image: Tensor  # (B, hidden)
+    pooled_text: Tensor   # (B, hidden)
 
 
-def image_geometry(bboxes: np.ndarray, width: float, height: float) -> np.ndarray:
+def image_geometry(bboxes: np.ndarray, width, height) -> np.ndarray:
     """Per-row geometry vectors with the whole-image row for the summary
-    slot prepended."""
+    slot prepended; ``bboxes`` is (m, 4) with scalar sizes or (B, m, 4)
+    with one size per sample."""
     boxes = np.asarray(bboxes, dtype=np.float64)
-    x1, y1, x2, y2 = boxes.T
-    area = (x2 - x1) * (y2 - y1) / (width * height)
-    rows = np.stack([x1 / width, y1 / height, x2 / width, y2 / height, area], axis=1)
-    summary = np.array([[0.0, 0.0, 1.0, 1.0, 1.0]])
-    return np.concatenate([summary, rows], axis=0)
+    w = np.asarray(width, dtype=np.float64)[..., None]
+    h = np.asarray(height, dtype=np.float64)[..., None]
+    x1, y1, x2, y2 = np.moveaxis(boxes, -1, 0)
+    area = (x2 - x1) * (y2 - y1) / (w * h)
+    rows = np.stack([x1 / w, y1 / h, x2 / w, y2 / h, area], axis=-1)
+    summary = np.broadcast_to([0.0, 0.0, 1.0, 1.0, 1.0], rows.shape[:-2] + (1, GEOMETRY_DIM))
+    return np.concatenate([summary, rows], axis=-2)
+
+
+def _key_bias(layouts) -> np.ndarray:
+    """(B, 1, 1, L) additive attention bias of one layout or a batch of them."""
+    if isinstance(layouts, SequenceLayout):
+        layouts = [layouts]
+    return np.array([layout.key_bias() for layout in layouts])[:, None, None, :]
+
+
+def _split_streams(fused: Tensor, layout: SequenceLayout, batch: int) -> tuple[Tensor, Tensor]:
+    """Fused (B*L, hidden) rows -> image rows (B*Li, hidden) and text rows
+    (B*Lt, hidden), sample-major."""
+    rows = np.arange(batch * layout.total_length).reshape(batch, layout.total_length)
+    return (nt.embedding_lookup(fused, rows[:, :layout.image_length].reshape(-1)),
+            nt.embedding_lookup(fused, rows[:, layout.image_length:].reshape(-1)))
+
+
+def _outputs(h_image: Tensor, h_text: Tensor, layout: SequenceLayout, batch: int) -> ModelOutputs:
+    """Pool each sample's first image row (the summary) and first text row."""
+    return ModelOutputs(
+        h_image=h_image,
+        h_text=h_text,
+        pooled_image=nt.embedding_lookup(h_image, np.arange(batch) * layout.image_length),
+        pooled_text=nt.embedding_lookup(h_text, np.arange(batch) * layout.text_length),
+    )
+
+
+def _sample_batch(tokens, features, bboxes, width, height, text_valid, object_valid) -> PaddedBatch:
+    """One sample, with optional validity masks, as a padded batch of one."""
+    ids = np.asarray(tokens, dtype=np.int64)
+    feats = np.asarray(features, dtype=np.float64)
+    layout = build_layout(feats.shape[0], ids.size, object_valid, text_valid)
+    return PaddedBatch(
+        tokens=ids[None],
+        text_valid=layout.valid[None, layout.image_length:],
+        features=feats[None],
+        bboxes=np.asarray(bboxes, dtype=np.float64)[None],
+        object_valid=layout.valid[None, 1:layout.image_length],
+        widths=np.array([width]),
+        heights=np.array([height]),
+        layouts=[layout],
+    )
 
 
 class InterBert:
@@ -140,76 +188,82 @@ class InterBert:
 
     # -- embeddings ----------------------------------------------------
 
-    def embed_text(self, token_ids, positions=None, segment: int = TEXT_SEGMENT) -> Tensor:
-        """Token + learned positional + segment embedding, normalized."""
-        ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.size > self.config.max_text_len:
-            raise ValueError(f"text length {ids.size} exceeds max_text_len {self.config.max_text_len}")
-        if positions is None:
-            positions = np.arange(ids.size)
+    def embed_text(self, token_ids, segment: int = TEXT_SEGMENT) -> Tensor:
+        """Token + learned positional + segment embedding, normalized; ids
+        are (n,) or (B, n), rows come out (B*n, hidden)."""
+        ids = np.atleast_2d(np.asarray(token_ids, dtype=np.int64))
+        batch, length = ids.shape
+        if length > self.config.max_text_len:
+            raise ValueError(f"text length {length} exceeds max_text_len {self.config.max_text_len}")
         p = self.params
         x = nt.add(
             nt.add(
-                nt.embedding_lookup(p["embed.token_table"], ids),
-                nt.embedding_lookup(p["embed.position_table"], positions),
+                nt.embedding_lookup(p["embed.token_table"], ids.reshape(-1)),
+                nt.embedding_lookup(p["embed.position_table"], np.tile(np.arange(length), batch)),
             ),
-            nt.embedding_lookup(p["embed.segment_table"], np.full(ids.size, segment)),
+            nt.embedding_lookup(p["embed.segment_table"], [segment]),
         )
         return nt.layer_norm(x, p["embed.text_ln.gain"], p["embed.text_ln.bias"], self.config.ln_eps)
 
-    def embed_image(self, features, bboxes, width: float, height: float,
+    def embed_image(self, features, bboxes, width, height,
                     segment: int = IMAGE_SEGMENT, object_valid=None) -> Tensor:
         """Project region features to the hidden size and add box-geometry
         and segment embeddings. The summary row is the mean of the real
-        object features, pooled in feature space before projection."""
+        object features, pooled in feature space before projection. Inputs
+        are one sample, (m, ...) with scalar sizes, or a batch, (B, m, ...)
+        with one size per sample; rows come out (B*(m+1), hidden)."""
         feats = np.asarray(features, dtype=np.float64)
         boxes = np.asarray(bboxes, dtype=np.float64)
-        m = feats.shape[0]
+        if feats.ndim == 2:
+            feats, boxes = feats[None], boxes[None]
+            object_valid = None if object_valid is None else np.asarray(object_valid)[None]
+        batch, m = feats.shape[:2]
         if m < 1:
             raise ValueError("image must contribute at least one object")
-        if feats.ndim != 2 or feats.shape[1] != self.config.object_feature_dim:
-            raise ValueError(f"expected features of width {self.config.object_feature_dim}, got {feats.shape}")
-        valid = np.ones(m, dtype=bool) if object_valid is None else np.asarray(object_valid, dtype=bool)
-        if not valid.any():
+        if feats.shape[2] != self.config.object_feature_dim:
+            raise ValueError(f"expected features of width {self.config.object_feature_dim}, got {feats.shape[1:]}")
+        valid = np.ones((batch, m), dtype=bool) if object_valid is None else np.asarray(object_valid, dtype=bool)
+        if not valid.any(axis=1).all():
             raise ValueError("image must have at least one valid object")
+        sizes = np.zeros((batch, 2))
+        sizes[:] = np.array([width, height], dtype=np.float64).T  # scalars or one size per sample
         real = boxes[valid]
+        real_sizes = np.repeat(sizes, valid.sum(axis=1), axis=0)
         if np.any(real[:, 2] <= real[:, 0]) or np.any(real[:, 3] <= real[:, 1]):
             raise ValueError("degenerate bounding box")
-        if real.min() < 0 or real[:, 2].max() > width or real[:, 3].max() > height:
+        if real.min() < 0 or np.any(real[:, 2:] > real_sizes):
             raise ValueError("bounding box outside image bounds")
 
-        summary = feats[valid].mean(axis=0, keepdims=True)
-        stacked = np.concatenate([summary, feats], axis=0)
+        summary = (feats * valid[..., None]).sum(axis=1, keepdims=True) / valid.sum(axis=1)[:, None, None]
+        stacked = np.concatenate([summary, feats], axis=1).reshape(batch * (m + 1), -1)
+        geometry = image_geometry(boxes, sizes[:, 0], sizes[:, 1]).reshape(batch * (m + 1), GEOMETRY_DIM)
         p = self.params
         dtype = p["embed.feature_proj.w"].values.dtype  # keep float32 runs in float32
         projected = nt.add(nt.matmul(Tensor(stacked.astype(dtype)), p["embed.feature_proj.w"]),
                            p["embed.feature_proj.b"])
-        geometry = nt.add(
-            nt.matmul(Tensor(image_geometry(boxes, width, height).astype(dtype)), p["embed.box_proj.w"]),
-            p["embed.box_proj.b"],
-        )
-        seg = nt.embedding_lookup(p["embed.segment_table"], np.full(m + 1, segment))
-        x = nt.add(nt.add(projected, geometry), seg)
+        placed = nt.add(nt.matmul(Tensor(geometry.astype(dtype)), p["embed.box_proj.w"]), p["embed.box_proj.b"])
+        seg = nt.embedding_lookup(p["embed.segment_table"], [segment])
+        x = nt.add(nt.add(projected, placed), seg)
         return nt.layer_norm(x, p["embed.image_ln.gain"], p["embed.image_ln.bias"], self.config.ln_eps)
 
     # -- transformer blocks ---------------------------------------------
 
     def _attention(self, x: Tensor, prefix: str, key_bias: np.ndarray) -> Tensor:
+        """Multi-head attention over (B*L, hidden) rows: heads come from a
+        reshape to (B, heads, L, d), not from slicing."""
         p, cfg = self.params, self.config
-        q = nt.add(nt.matmul(x, p[prefix + "attn.wq"]), p[prefix + "attn.bq"])
-        k = nt.matmul(x, p[prefix + "attn.wk"])
-        v = nt.add(nt.matmul(x, p[prefix + "attn.wv"]), p[prefix + "attn.bv"])
+        batch, length = key_bias.shape[0], key_bias.shape[-1]
         head_dim = cfg.hidden_size // cfg.num_heads
-        scale = 1.0 / math.sqrt(head_dim)
-        heads = []
-        for h in range(cfg.num_heads):
-            start = h * head_dim
-            qh = nt.narrow(q, 1, start, head_dim)
-            kh = nt.narrow(k, 1, start, head_dim)
-            vh = nt.narrow(v, 1, start, head_dim)
-            scores = nt.add(nt.mul(nt.matmul(qh, nt.transpose(kh)), scale), key_bias)
-            heads.append(nt.matmul(nt.softmax(scores, axis=-1), vh))
-        merged = heads[0] if len(heads) == 1 else nt.concat(heads, axis=1)
+
+        def heads(t: Tensor, axes) -> Tensor:
+            return nt.transpose(nt.reshape(t, (batch, length, cfg.num_heads, head_dim)), axes)
+
+        q = heads(nt.add(nt.matmul(x, p[prefix + "attn.wq"]), p[prefix + "attn.bq"]), (0, 2, 1, 3))
+        k_t = heads(nt.matmul(x, p[prefix + "attn.wk"]), (0, 2, 3, 1))  # (B, heads, d, L)
+        v = heads(nt.add(nt.matmul(x, p[prefix + "attn.wv"]), p[prefix + "attn.bv"]), (0, 2, 1, 3))
+        scores = nt.add(nt.mul(nt.batch_matmul(q, k_t), 1.0 / math.sqrt(head_dim)), key_bias.astype(x.dtype))
+        context = nt.batch_matmul(nt.softmax(scores, axis=-1), v)
+        merged = nt.reshape(nt.transpose(context, (0, 2, 1, 3)), (batch * length, cfg.hidden_size))
         return nt.add(nt.matmul(merged, p[prefix + "attn.wo"]), p[prefix + "attn.bo"])
 
     def _encoder_layer(self, x: Tensor, prefix: str, key_bias: np.ndarray) -> Tensor:
@@ -220,79 +274,78 @@ class InterBert:
         ff = nt.add(nt.matmul(inner, p[prefix + "ffn.w2"]), p[prefix + "ffn.b2"])
         return nt.layer_norm(nt.add(mid, ff), p[prefix + "ln2.gain"], p[prefix + "ln2.bias"], eps)
 
-    def interaction_forward(self, fused: Tensor, layout: SequenceLayout) -> Tensor:
-        """Full-context encoder over the concatenated image+text sequence;
-        padded positions contribute nothing to attention."""
-        if fused.shape[0] != layout.total_length:
-            raise ValueError(f"fused length {fused.shape[0]} does not match layout {layout.total_length}")
-        bias = layout.key_bias()
+    def interaction_forward(self, fused: Tensor, layouts) -> Tensor:
+        """Full-context encoder over the concatenated image+text sequences,
+        (B*L, hidden) for B layouts (or one); padded positions contribute
+        nothing to attention."""
+        bias = _key_bias(layouts)
+        if fused.shape[0] != bias.shape[0] * bias.shape[-1]:
+            raise ValueError(f"fused length {fused.shape[0]} does not match {bias.shape[0]} "
+                             f"layouts of length {bias.shape[-1]}")
         x = fused
         for i in range(self.config.num_interaction_layers):
             x = self._encoder_layer(x, f"interaction.layer{i}.", bias)
         return x
 
-    def extraction_forward(self, fused: Tensor, layout: SequenceLayout) -> ModelOutputs:
-        """Split the fused sequence back into streams and encode each with
+    def extraction_forward(self, fused: Tensor, layouts) -> ModelOutputs:
+        """Split the fused sequences back into streams and encode each with
         its own stack; attention never crosses the stream boundary."""
         if self.config.architecture_variant != VARIANT_INTERBERT:
             raise ValueError("extraction module is absent under the single_stream variant")
-        bias = layout.key_bias()
-        image = nt.narrow(fused, 0, 0, layout.image_length)
-        text = nt.narrow(fused, 0, layout.image_length, layout.text_length)
-        image_bias = bias[: layout.image_length]
-        text_bias = bias[layout.image_length:]
+        bias = _key_bias(layouts)
+        layout = layouts if isinstance(layouts, SequenceLayout) else layouts[0]
+        image, text = _split_streams(fused, layout, bias.shape[0])
         for i in range(self.config.num_extraction_layers):
-            image = self._encoder_layer(image, f"extract_image.layer{i}.", image_bias)
+            image = self._encoder_layer(image, f"extract_image.layer{i}.", bias[..., :layout.image_length])
         for i in range(self.config.num_extraction_layers):
-            text = self._encoder_layer(text, f"extract_text.layer{i}.", text_bias)
-        return ModelOutputs(
-            h_image=image,
-            h_text=text,
-            pooled_image=nt.narrow(image, 0, 0, 1),
-            pooled_text=nt.narrow(text, 0, 0, 1),
-        )
+            text = self._encoder_layer(text, f"extract_text.layer{i}.", bias[..., layout.image_length:])
+        return _outputs(image, text, layout, bias.shape[0])
 
     # -- composition -----------------------------------------------------
 
-    def forward(self, tokens, features, bboxes, width, height,
-                text_valid=None, object_valid=None) -> ModelOutputs:
-        ids = np.asarray(tokens, dtype=np.int64)
-        feats = np.asarray(features, dtype=np.float64)
-        image = self.embed_image(feats, bboxes, width, height, object_valid=object_valid)
-        text = self.embed_text(ids)
-        layout = build_layout(feats.shape[0], ids.size, object_valid, text_valid)
-        fused = nt.concat([image, text], axis=0)
-        encoded = self.interaction_forward(fused, layout)
+    def forward(self, tokens=None, features=None, bboxes=None, width=None, height=None,
+                text_valid=None, object_valid=None, batch: PaddedBatch | None = None) -> ModelOutputs:
+        """Forward a padded batch (see ``data.make_batch``) or, given one
+        sample's arrays instead, that sample as the B=1 case of the same path."""
+        if batch is None:
+            batch = _sample_batch(tokens, features, bboxes, width, height, text_valid, object_valid)
+        size, layout = len(batch), batch.layouts[0]
+        image = self.embed_image(batch.features, batch.bboxes, batch.widths, batch.heights,
+                                 object_valid=batch.object_valid)
+        text = self.embed_text(batch.tokens)
+        # stacked rows are [every image row; every text row]; fused rows go sample by sample
+        image_rows = np.arange(size * layout.image_length).reshape(size, -1)
+        text_rows = size * layout.image_length + np.arange(size * layout.text_length).reshape(size, -1)
+        fused = nt.embedding_lookup(nt.concat([image, text], axis=0),
+                                    np.concatenate([image_rows, text_rows], axis=1).reshape(-1))
+        encoded = self.interaction_forward(fused, batch.layouts)
         if self.config.architecture_variant == VARIANT_SINGLE_STREAM:
-            h_image = nt.narrow(encoded, 0, 0, layout.image_length)
-            h_text = nt.narrow(encoded, 0, layout.image_length, layout.text_length)
-            return ModelOutputs(
-                h_image=h_image,
-                h_text=h_text,
-                pooled_image=nt.narrow(h_image, 0, 0, 1),
-                pooled_text=nt.narrow(h_text, 0, 0, 1),
-            )
-        return self.extraction_forward(encoded, layout)
+            return _outputs(*_split_streams(encoded, layout, size), layout, size)
+        return self.extraction_forward(encoded, batch.layouts)
 
     # -- heads ------------------------------------------------------------
 
     def itm_score(self, pooled_image: Tensor, pooled_text: Tensor) -> Tensor:
         """Matching logit from the elementwise product of the two pooled
-        representations; shape (1, 1)."""
+        representations; shape (B, 1)."""
         p = self.params
         gated = nt.mul(pooled_image, pooled_text)
         hidden = nt.gelu(nt.add(nt.matmul(gated, p["heads.itm.w1"]), p["heads.itm.b1"]))
         return nt.add(nt.matmul(hidden, p["heads.itm.w2"]), p["heads.itm.b2"])
 
-    def msm_logits(self, h_text: Tensor) -> Tensor:
-        """Vocabulary logits at every text position."""
+    def msm_logits(self, h_text: Tensor, rows=None) -> Tensor:
+        """Vocabulary logits at the given rows of ``h_text`` (all rows by default)."""
+        if rows is not None:
+            h_text = nt.embedding_lookup(h_text, rows)
         if self.config.tie_msm_weights:
             weight = nt.transpose(self.params["embed.token_table"])
         else:
             weight = self.params["heads.msm.w"]
         return nt.add(nt.matmul(h_text, weight), self.params["heads.msm.b"])
 
-    def mrm_logits(self, h_image: Tensor) -> Tensor:
-        """Object-class logits for the m object rows (summary excluded)."""
-        objects = nt.narrow(h_image, 0, 1, h_image.shape[0] - 1)
+    def mrm_logits(self, h_image: Tensor, rows=None) -> Tensor:
+        """Object-class logits at the given rows of ``h_image``; by default
+        the m object rows of one sample (summary excluded)."""
+        rows = np.arange(1, h_image.shape[0]) if rows is None else rows
+        objects = nt.embedding_lookup(h_image, rows)
         return nt.add(nt.matmul(objects, self.params["heads.mrm.w"]), self.params["heads.mrm.b"])

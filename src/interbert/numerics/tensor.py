@@ -84,8 +84,10 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            # a copy, never ``g`` itself: one array may flow to several parents
+            self.grad = np.array(np.broadcast_to(g, self.values.shape), dtype=self.values.dtype)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -205,16 +207,35 @@ def matmul(a, b) -> Tensor:
     ])
 
 
-def transpose(a) -> Tensor:
+def batch_matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes, batched over the leading ones,
+    which must agree exactly (no broadcasting)."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.values.ndim < 3 or a.values.shape[:-2] != b.values.shape[:-2]:
+        raise NumericsError(f"batch_matmul needs equal batch axes, got {a.values.shape} @ {b.values.shape}")
+    if a.values.shape[-1] != b.values.shape[-2]:
+        raise NumericsError(f"batch_matmul inner dimensions disagree: {a.values.shape} @ {b.values.shape}")
+    out = np.matmul(a.values, b.values)
+    return _make(out, [
+        (a, lambda g: np.matmul(g, np.swapaxes(b.values, -1, -2))),
+        (b, lambda g: np.matmul(np.swapaxes(a.values, -1, -2), g)),
+    ])
+
+
+def transpose(a, axes=None) -> Tensor:
+    """Permute the axes; by default reverse them (the matrix transpose)."""
     a = as_tensor(a)
-    if a.values.ndim != 2:
-        raise NumericsError("transpose expects a rank-2 tensor")
-    return _make(a.values.T.copy(), [(a, lambda g: g.T)])
+    axes = tuple(reversed(range(a.values.ndim))) if axes is None else tuple(axes)
+    if sorted(axes) != list(range(a.values.ndim)):
+        raise NumericsError(f"axes {axes} are not a permutation of {a.values.ndim} axes")
+    inverse = tuple(np.argsort(axes))
+    return _make(np.ascontiguousarray(a.values.transpose(axes)), [(a, lambda g: g.transpose(inverse))])
 
 
 def reshape(a, shape) -> Tensor:
+    """A view where numpy can give one: values are never written in place."""
     a = as_tensor(a)
-    out = a.values.reshape(shape).copy()
+    out = a.values.reshape(shape)
     return _make(out, [(a, lambda g: g.reshape(a.values.shape))])
 
 
@@ -329,7 +350,10 @@ def embedding_lookup(table, ids) -> Tensor:
 
     def to_parent(g: np.ndarray) -> np.ndarray:
         full = np.zeros_like(table.values)
-        np.add.at(full, idx, g)
+        if np.bincount(idx, minlength=1).max() <= 1:
+            full[idx] = g  # a pure row gather: assignment, far cheaper than add.at
+        else:
+            np.add.at(full, idx, g)
         return full
 
     return _make(table.values[idx], [(table, to_parent)])
@@ -426,7 +450,3 @@ def backward(loss: Tensor, params=None) -> None:
         for _, p in params.items():
             if p.grad is None:
                 p.grad = np.zeros_like(p.values)
-
-
-def contains_nonfinite(arr: np.ndarray) -> bool:
-    return not bool(np.all(np.isfinite(arr)))

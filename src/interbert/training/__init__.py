@@ -1,6 +1,6 @@
 """Loss assembly, optimization, and the training loops."""
 
-from .losses import itm_loss, masked_token_loss, mrm_loss, msm_loss, total_loss
+from .losses import itm_loss, mrm_loss, msm_loss, total_loss
 from .loop import (
     FinetuneMetrics,
     FinetuneResult,
@@ -28,7 +28,6 @@ __all__ = [
     "finetune_retrieval",
     "itm_loss",
     "lr_at",
-    "masked_token_loss",
     "mrm_loss",
     "msm_loss",
     "pretrain",

@@ -7,15 +7,17 @@ checkpoints included.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .. import numerics as nt
-from ..data import Corpus
+from ..data import Corpus, check_limits, make_batch
+from ..evaluation import choice_credit
 from ..masking import MaskedSample, MaskingConfig
 from ..model import InterBert, ModelConfig
 from ..negatives import make_itm_batch
+from ..numerics import IGNORE_INDEX
 from .losses import itm_loss, mrm_loss, msm_loss, total_loss
 from .optim import AdamWState, adamw_step, ema_update, lr_at
 
@@ -118,30 +120,33 @@ def write_metrics_csv(path, rows: list[StepMetrics]) -> None:
 
 
 def _batch_losses(model: InterBert, batch: list[MaskedSample], cfg: TrainConfig):
-    """Forward the batch and assemble the three loss components."""
-    itm_logits = []
-    itm_labels = []
-    token_logits, token_targets = [], []
-    region_logits, region_targets = [], []
-    for sample in batch:
-        wants_mgm = sample.itm_label == 1 or cfg.mgm_on_negatives
-        masked_out = model.forward(**sample.model_inputs()) if (cfg.itm_on_masked or wants_mgm) else None
-        if cfg.itm_on_masked:
-            itm_out = masked_out
-        else:
-            itm_out = model.forward(**sample.raw_model_inputs())
-        itm_logits.append(model.itm_score(itm_out.pooled_image, itm_out.pooled_text))
-        itm_labels.append(float(sample.itm_label))
-        if wants_mgm:
-            token_logits.append(model.msm_logits(masked_out.h_text))
-            token_targets.append(sample.msm_targets)
-            region_logits.append(model.mrm_logits(masked_out.h_image))
-            region_targets.append(sample.mrm_targets)
+    """Forward the batch as one padded batch (plus its unmasked inputs when
+    matching reads those) and assemble the three loss components."""
+    limits = {"max_text_len": model.config.max_text_len, "max_objects": model.config.max_objects}
+    padded = make_batch(batch, **limits)
+    out = model.forward(batch=padded)
+    if cfg.itm_on_masked:
+        itm_out = out
+    else:
+        raw = [replace(s, tokens=s.raw_tokens, features=s.raw_features) for s in batch]
+        itm_out = model.forward(batch=make_batch(raw, **limits))
+    itm_labels = [float(sample.itm_label) for sample in batch]
+    logit_vec = nt.reshape(model.itm_score(itm_out.pooled_image, itm_out.pooled_text), (len(batch),))
 
-    logit_vec = nt.reshape(nt.concat(itm_logits, axis=0), (len(itm_logits),))
+    # MGM targets laid out like the padded rows; an object's row follows its summary row
+    layout = padded.layouts[0]
+    text_targets = np.full((len(batch), layout.text_length), IGNORE_INDEX)
+    image_targets = np.full((len(batch), layout.image_length), IGNORE_INDEX)
+    for i, sample in enumerate(batch):
+        if sample.itm_label == 1 or cfg.mgm_on_negatives:
+            text_targets[i, :len(sample.msm_targets)] = sample.msm_targets
+            image_targets[i, 1:1 + len(sample.mrm_targets)] = sample.mrm_targets
+    token_rows = np.flatnonzero(text_targets != IGNORE_INDEX)
+    region_rows = np.flatnonzero(image_targets != IGNORE_INDEX)
+
     l_itm = itm_loss(logit_vec, itm_labels)
-    l_msm = msm_loss(token_logits, token_targets)
-    l_mrm = mrm_loss(region_logits, region_targets)
+    l_msm = msm_loss(model.msm_logits(out.h_text, token_rows), text_targets.reshape(-1)[token_rows])
+    l_mrm = mrm_loss(model.mrm_logits(out.h_image, region_rows), image_targets.reshape(-1)[region_rows])
     predictions = logit_vec.values > 0.0
     accuracy = float(np.mean(predictions == (np.asarray(itm_labels) > 0.5)))
     return l_msm, l_mrm, l_itm, accuracy
@@ -158,11 +163,14 @@ def pretrain(corpus: Corpus, table: dict, model_cfg: ModelConfig, train_cfg: Tra
     """Run the masked-group + matching pretraining loop.
 
     Per step: assemble a half-positive batch with mined negatives in the
-    mix, forward every sample, combine the weighted losses, backpropagate,
-    and apply one scheduled AdamW update. Aborts on non-finite loss.
+    mix, forward it as one padded batch, combine the weighted losses,
+    backpropagate, and apply one scheduled AdamW update. Aborts on
+    non-finite loss; refuses a corpus over the model's length limits before
+    the first step.
     """
     model_cfg.validate()
     train_cfg.validate()
+    check_limits(corpus.pairs, model_cfg.max_text_len, model_cfg.max_objects)
     model = InterBert.create(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
     state = AdamWState.for_params(model.params)
     rng = np.random.default_rng(train_cfg.seed)
@@ -183,6 +191,7 @@ def pretrain(corpus: Corpus, table: dict, model_cfg: ModelConfig, train_cfg: Tra
                    eps=train_cfg.eps, weight_decay=train_cfg.weight_decay)
         row = StepMetrics(step=step, lr=lr, msm_loss=l_msm.item(), mrm_loss=l_mrm.item(),
                           itm_loss=l_itm.item(), total=value, itm_acc=accuracy)
+        del loss, l_msm, l_mrm, l_itm  # drop this step's tape before the next forward
         metrics.append(row)
         if step_callback is not None:
             step_callback(row)
@@ -221,13 +230,16 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
     """Multiple-choice retrieval finetuning on top of pretrained weights.
 
     Each example scores the true image and sampled distractor images
-    against the caption with the reused matching head; softmax
-    cross-entropy over the choice logits trains the full network. No
-    masking is applied. An exponential moving average of the parameters is
-    maintained and returned alongside the raw weights.
+    against the caption with the reused matching head, all examples of a
+    step in one padded batch; softmax cross-entropy over the choice logits
+    trains the full network. No masking is applied. An exponential moving
+    average of the parameters is maintained and returned alongside the raw
+    weights. The accuracy column counts a tie for the top logit as a
+    fractional win (see ``evaluation.choice_credit``).
     """
     model_cfg.validate()
     train_cfg.validate()
+    check_limits(corpus.pairs, model_cfg.max_text_len, model_cfg.max_objects)
     image_ids = corpus.image_ids()
     if len(image_ids) < train_cfg.num_distractors + 1:
         raise ValueError(f"need at least {train_cfg.num_distractors + 1} images for multiple choice")
@@ -237,34 +249,33 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
     shadow = model.params.clone_values()
     rng = np.random.default_rng(train_cfg.seed)
     image_index = np.array(image_ids)
+    choices = 1 + train_cfg.num_distractors
+    limits = {"max_text_len": model_cfg.max_text_len, "max_objects": model_cfg.max_objects}
     metrics: list[FinetuneMetrics] = []
     for step in range(1, train_cfg.total_steps + 1):
         picks = rng.integers(0, len(corpus.pairs), size=train_cfg.batch_size)
-        choice_logits = []
+        items = []
         for pick in picks:
             pair = corpus.pairs[int(pick)]
             pool = image_index[image_index != pair.image_id]
             distractors = rng.choice(pool, size=train_cfg.num_distractors, replace=False)
-            logits = []
-            for image_id in (pair.image_id, *distractors.tolist()):
-                entry = corpus.image_entry(int(image_id))
-                out = model.forward(tokens=pair.tokens, features=entry.features,
-                                    bboxes=entry.bboxes, width=entry.width, height=entry.height)
-                logits.append(model.itm_score(out.pooled_image, out.pooled_text))
-            choice_logits.append(nt.concat(logits, axis=1))  # (1, 1 + distractors)
-        stacked = nt.concat(choice_logits, axis=0)
-        targets = np.zeros(len(choice_logits), dtype=np.int64)  # true image sits at slot 0
+            items += [replace(corpus.image_entry(int(image_id)), caption_id=pair.caption_id, tokens=pair.tokens)
+                      for image_id in (pair.image_id, *distractors.tolist())]
+        out = model.forward(batch=make_batch(items, corpus.vocab, **limits))
+        stacked = nt.reshape(model.itm_score(out.pooled_image, out.pooled_text), (len(picks), choices))
+        targets = np.zeros(len(picks), dtype=np.int64)  # true image sits at slot 0
         loss = nt.cross_entropy_logits(stacked, targets)
         value = loss.item()
         if not np.isfinite(value):
             raise TrainingDiverged(f"non-finite loss at step {step}")
-        accuracy = float(np.mean(np.argmax(stacked.values, axis=1) == 0))
+        accuracy = float(np.mean(choice_credit(stacked.values)))
         model.params.zero_grad()
         nt.backward(loss, model.params)
         lr = lr_at(step, train_cfg.learning_rate, train_cfg.warmup_steps, train_cfg.total_steps)
         adamw_step(model.params, state, lr, beta1=train_cfg.beta1, beta2=train_cfg.beta2,
                    eps=train_cfg.eps, weight_decay=train_cfg.weight_decay)
         ema_update(shadow, model.params, train_cfg.ema_rate)
+        del loss, stacked, out  # drop this step's tape before the next forward
         row = FinetuneMetrics(step=step, lr=lr, loss=value, accuracy=accuracy)
         metrics.append(row)
         if step_callback is not None:

@@ -2,34 +2,23 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .. import numerics as nt
 from ..numerics import Tensor
 
 
-def masked_token_loss(logits_list: Sequence[Tensor], targets_list: Sequence[np.ndarray]) -> Tensor:
-    """Cross-entropy averaged over every non-ignored position in the batch;
-    exactly zero when nothing is masked."""
-    if len(logits_list) != len(targets_list):
-        raise ValueError("one target array per logits block required")
-    if not logits_list:
-        return Tensor(0.0)
-    logits = logits_list[0] if len(logits_list) == 1 else nt.concat(list(logits_list), axis=0)
-    targets = np.concatenate([np.asarray(t, dtype=np.int64) for t in targets_list])
-    return nt.cross_entropy_logits(logits, targets)
+def msm_loss(token_logits: Tensor, token_targets) -> Tensor:
+    """Masked-segment prediction loss: cross-entropy averaged over every
+    non-ignored row of the batch's flat (rows, vocab) logits; exactly zero
+    when nothing is masked."""
+    return nt.cross_entropy_logits(token_logits, token_targets)
 
 
-def msm_loss(token_logits: Sequence[Tensor], token_targets: Sequence[np.ndarray]) -> Tensor:
-    """Masked-segment prediction loss over text positions."""
-    return masked_token_loss(token_logits, token_targets)
-
-
-def mrm_loss(region_logits: Sequence[Tensor], region_targets: Sequence[np.ndarray]) -> Tensor:
-    """Masked-region classification loss over object positions."""
-    return masked_token_loss(region_logits, region_targets)
+def mrm_loss(region_logits: Tensor, region_targets) -> Tensor:
+    """Masked-region classification loss over flat (rows, classes) logits,
+    averaged like ``msm_loss``."""
+    return nt.cross_entropy_logits(region_logits, region_targets)
 
 
 def itm_loss(logits: Tensor, labels) -> Tensor:

@@ -126,8 +126,3 @@ def test_finite_diff_restores_values(rng):
     finite_diff_check(lambda: nt.sum_all(nt.mul(ps["p"], ps["p"])), ps, sample_count=3)
     np.testing.assert_array_equal(p.values, before)
 
-
-def test_contains_nonfinite():
-    assert nt.contains_nonfinite(np.array([1.0, np.nan]))
-    assert nt.contains_nonfinite(np.array([np.inf]))
-    assert not nt.contains_nonfinite(np.array([1.0, -2.0]))

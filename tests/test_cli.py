@@ -246,6 +246,18 @@ def test_gradcheck_command(tmp_path, capsys):
     assert report["max_relative_error"] < 1e-4
 
 
+def test_gradcheck_config_file_sets_defaults_and_flags_win(tmp_path):
+    config = tmp_path / "gradcheck.json"
+    config.write_text(json.dumps({"tolerance": 0.5, "samples": 10, "init_std": 0.4}))
+    out = tmp_path / "gc"
+    assert run_cli("gradcheck", "--out", out, "--config", config, "--samples", 12) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["tolerance"] == 0.5
+    assert report["samples"] == 12
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["init_std"] == 0.4
+
+
 def test_eval_replay_bit_identical(tmp_path, data_dir, pretrain_dir):
     first = tmp_path / "ev1"
     assert run_cli("eval", "--corpus", data_dir / "corpus.jsonl",

@@ -7,6 +7,7 @@ import pytest
 from interbert.data import synth_corpus
 from interbert.evaluation import (
     ScoreMatrix,
+    choice_credit,
     corpus_retrieval_pools,
     item_embeddings,
     itm_accuracy,
@@ -218,3 +219,15 @@ def test_item_embeddings_shape():
     model = toy_model(corpus)
     emb = item_embeddings(model, corpus)
     assert emb.shape == (len(corpus.pairs), model.config.hidden_size)
+
+
+def test_choice_credit_splits_ties():
+    logits = np.array([[2.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [3.0, 3.0, 3.0, 3.0]])
+    np.testing.assert_array_equal(choice_credit(logits), [1.0, 0.5, 0.0, 0.25])
+
+
+def test_multiple_choice_accuracy_of_constant_scorer_is_chance():
+    corpus = synth_corpus(seed=6, num_images=8)
+    model = toy_model(corpus)
+    model.params["heads.itm.w2"].values[:] = 0.0  # every logit equals the output bias
+    assert multiple_choice_accuracy(model, corpus, np.random.default_rng(0), num_examples=12) == 0.25

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import interbert.numerics as nt
-from interbert.data import make_batch, synth_corpus
+from interbert.data import ImageTextPair, make_batch, synth_corpus
 from interbert.masking import MaskingConfig, mask_pair
 from interbert.model import (
     InterBert,
@@ -491,6 +491,57 @@ def test_masked_feature_blackout(rng):
                           width=sample.width, height=sample.height)
     assert np.array_equal(out_a.h_image.values, out_b.h_image.values)
     assert np.array_equal(out_a.h_text.values, out_b.h_text.values)
+
+
+# ---------------------------------------------------------------------------
+# padded batches
+# ---------------------------------------------------------------------------
+
+def ragged_pairs(rng, cfg, shapes):
+    """Pairs with the given (objects, tokens) counts, ids 0, 1, ..."""
+    pairs = []
+    for i, (m, n) in enumerate(shapes):
+        inputs = tiny_inputs(rng, m=m, n_tokens=n, config=cfg)
+        pairs.append(ImageTextPair(image_id=i, caption_id=i, tokens=inputs["tokens"], width=100 + 10 * i,
+                                   height=90 + 5 * i, features=inputs["features"], bboxes=inputs["bboxes"],
+                                   labels=np.zeros(m, dtype=np.int64)))
+    return pairs
+
+
+def sample_rows(out, batch, i, pair):
+    """Sample i's valid rows of a batched forward."""
+    li, lt = batch.layouts[0].image_length, batch.layouts[0].text_length
+    return (out.h_image.values[i * li: i * li + pair.num_objects + 1],
+            out.h_text.values[i * lt: i * lt + pair.num_tokens],
+            out.pooled_image.values[i], out.pooled_text.values[i])
+
+
+@pytest.mark.parametrize("variant", ["interbert", VARIANT_SINGLE_STREAM])
+def test_batched_forward_matches_single_sample_forwards(rng, variant):
+    cfg = tiny_config(architecture_variant=variant)
+    model = InterBert.create(cfg, seed=3)
+    pairs = ragged_pairs(rng, cfg, [(2, 5), (4, 7), (3, 4), (1, 6)])
+    batch = make_batch(pairs)
+    out = model.forward(batch=batch)
+    for i, pair in enumerate(pairs):
+        one = model.forward(tokens=pair.tokens, features=pair.features, bboxes=pair.bboxes,
+                            width=pair.width, height=pair.height)
+        want = (one.h_image.values, one.h_text.values, one.pooled_image.values[0], one.pooled_text.values[0])
+        for got, expected in zip(sample_rows(out, batch, i, pair), want):
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_sample_outputs_ignore_batch_companions(rng):
+    cfg = tiny_config()
+    model = InterBert.create(cfg, seed=4)
+    target, *companions = ragged_pairs(rng, cfg, [(3, 5), (2, 4), (6, 11), (1, 3)])
+    first = make_batch([target, companions[0]])  # the target sets the padded lengths
+    second = make_batch([companions[1], target, companions[2]])  # longer padding, other slot
+    rows_a = sample_rows(model.forward(batch=first), first, 0, target)
+    rows_b = sample_rows(model.forward(batch=second), second, 1, target)
+    for a, b in zip(rows_a, rows_b):
+        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,23 @@ def test_matmul_gradcheck(rng):
     gradcheck(lambda: nt.sum_all(nt.mul(nt.matmul(ps["a"], ps["b"]), w)), ps)
 
 
+
+def test_batch_matmul_matches_per_slice_matmul(rng):
+    a, b = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(2, 3, 5, 2))
+    out = nt.batch_matmul(Tensor(a), Tensor(b)).values
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_array_equal(out[i, j], nt.matmul(Tensor(a[i, j]), Tensor(b[i, j])).values)
+    with pytest.raises(NumericsError):
+        nt.batch_matmul(Tensor(a), Tensor(b[:1]))  # no broadcasting over batch axes
+
+
+def test_batch_matmul_gradcheck(rng):
+    ps = make_params(rng, a=(2, 3, 4, 5), b=(2, 3, 5, 2))
+    w = rng.normal(size=(2, 3, 4, 2))
+    gradcheck(lambda: nt.sum_all(nt.mul(nt.batch_matmul(ps["a"], ps["b"]), w)), ps)
+
+
 # ---------------------------------------------------------------------------
 # softmax
 # ---------------------------------------------------------------------------
@@ -296,6 +313,16 @@ def test_narrow_concat_transpose_reshape_gradcheck(rng):
 
     gradcheck(loss_fn, ps)
     gradcheck(lambda: nt.sum_all(nt.mul(nt.reshape(ps["x"], (4, 6)), w)), ps)
+
+
+def test_transpose_axes_gradcheck(rng):
+    ps = make_params(rng, x=(2, 3, 4))
+    w = rng.normal(size=(4, 2, 3))
+    out = nt.transpose(ps["x"], (2, 0, 1))
+    np.testing.assert_array_equal(out.values, np.transpose(ps["x"].values, (2, 0, 1)))
+    gradcheck(lambda: nt.sum_all(nt.mul(nt.transpose(ps["x"], (2, 0, 1)), w)), ps)
+    with pytest.raises(NumericsError):
+        nt.transpose(ps["x"], (0, 0, 1))
 
 
 def test_narrow_bounds():

@@ -2,15 +2,16 @@
 determinism of the training loops."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import interbert.numerics as nt
-from interbert.data import synth_corpus
-from interbert.masking import MaskingConfig
-from interbert.model import InterBert, ModelConfig
-from interbert.negatives import build_hard_negative_table, build_tfidf
+from interbert.data import CorpusError, synth_corpus
+from interbert.masking import MaskingConfig, mask_pair
+from interbert.model import InterBert, ModelConfig, init_parameters
+from interbert.negatives import build_hard_negative_table, build_tfidf, make_itm_batch
 from interbert.numerics import NumericsError, ParameterSet, Tensor, backward, finite_diff_check
 from interbert.training import (
     AdamWState,
@@ -25,6 +26,7 @@ from interbert.training import (
     pretrain,
     total_loss,
 )
+from interbert.training.loop import _batch_losses
 
 
 def toy_model_config(corpus, **overrides):
@@ -51,21 +53,22 @@ def toy_model_config(corpus, **overrides):
 def test_msm_loss_no_masks_is_zero(rng):
     logits = Tensor(rng.normal(size=(4, 9)))
     targets = np.full(4, -1)
-    assert msm_loss([logits], [targets]).item() == 0.0
-    assert msm_loss([], []).item() == 0.0
+    assert msm_loss(logits, targets).item() == 0.0
+    # a batch without a masked position gathers no rows at all
+    assert msm_loss(Tensor(np.zeros((0, 9))), np.zeros(0, dtype=np.int64)).item() == 0.0
 
 
 def test_msm_loss_uniform_logits():
     vocab = 200
     logits = Tensor(np.zeros((3, vocab)))
-    loss = msm_loss([logits], [np.array([5, -1, 17])])
+    loss = msm_loss(logits, np.array([5, -1, 17]))
     assert abs(loss.item() - math.log(vocab)) < 1e-12
 
 
 def test_msm_loss_hand_two_positions():
     # two masked rows: [2, 0] target 0 and [0, 1] target 1
     logits = Tensor(np.array([[2.0, 0.0], [0.0, 1.0]]))
-    loss = msm_loss([logits], [np.array([0, 1])])
+    loss = msm_loss(logits, np.array([0, 1]))
     want = 0.5 * (math.log(1 + math.exp(-2.0)) + math.log(1 + math.exp(-1.0)))
     assert abs(loss.item() - want) < 1e-12
 
@@ -73,14 +76,15 @@ def test_msm_loss_hand_two_positions():
 def test_msm_loss_spans_samples(rng):
     a = Tensor(rng.normal(size=(2, 5)))
     b = Tensor(rng.normal(size=(3, 5)))
-    merged = msm_loss([a, b], [np.array([1, -1]), np.array([-1, 2, -1])])
-    joined = msm_loss([nt.concat([a, b], axis=0)], [np.array([1, -1, -1, 2, -1])])
-    assert abs(merged.item() - joined.item()) < 1e-12
+    # flat rows of two samples average over masked positions, not per sample
+    per_sample = [msm_loss(a, np.array([1, -1])).item(), msm_loss(b, np.array([-1, 2, -1])).item()]
+    joined = msm_loss(nt.concat([a, b], axis=0), np.array([1, -1, -1, 2, -1]))
+    assert abs(joined.item() - 0.5 * sum(per_sample)) < 1e-12
 
 
 def test_mrm_loss_uniform_over_33_classes():
     logits = Tensor(np.zeros((4, 33)))
-    loss = mrm_loss([logits], [np.array([0, 7, -1, 32])])
+    loss = mrm_loss(logits, np.array([0, 7, -1, 32]))
     assert abs(loss.item() - math.log(33.0)) < 1e-12
 
 
@@ -270,9 +274,6 @@ def test_zero_step_size_leaves_params_unchanged():
     before = model.params.clone_values()
     state = AdamWState.for_params(model.params)
     gen = np.random.default_rng(1)
-    from interbert.negatives import make_itm_batch
-    from interbert.training.loop import _batch_losses
-
     for _ in range(3):
         batch = make_itm_batch(corpus, table, gen, 4, train_cfg.masking)
         l_msm, l_mrm, l_itm, _ = _batch_losses(model, batch, train_cfg)
@@ -362,3 +363,111 @@ def test_finetune_needs_enough_images():
 
     with pytest.raises(ValueError):
         finetune_retrieval(corpus, model_cfg, cfg, init_parameters(model_cfg, seed=0).clone_values())
+
+
+# ---------------------------------------------------------------------------
+# the padded training batch
+# ---------------------------------------------------------------------------
+
+def count_tape_nodes(loss) -> int:
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def ragged_masked_batch():
+    """A tiny model and a batch of positives and a negative with unequal
+    object and token counts, every loss non-zero."""
+    corpus = synth_corpus(seed=5, num_images=8, num_classes=6, feature_dim=8, min_objects=2, max_objects=5)
+    model_cfg = toy_model_config(corpus, hidden_size=8, ffn_size=16, num_interaction_layers=2,
+                                 num_object_classes=6, init_std=0.5)
+    model = InterBert.create(model_cfg, seed=7)
+    gen = np.random.default_rng(3)
+    mask_cfg = MaskingConfig(anchor_prob=0.5)
+    pairs = corpus.pairs
+    batch = [mask_pair(pairs[0], corpus.vocab, gen, mask_cfg),
+             mask_pair(pairs[1], corpus.vocab, gen, mask_cfg),
+             mask_pair(pairs[2], corpus.vocab, gen, mask_cfg, itm_label=0, tokens_override=pairs[5].tokens)]
+    assert len({len(s.features) for s in batch}) > 1 and len({len(s.tokens) for s in batch}) > 1
+    return model, batch
+
+
+@pytest.mark.parametrize("itm_on_masked", [True, False])
+def test_batch_losses_match_per_sample_reference(itm_on_masked):
+    model, batch = ragged_masked_batch()
+    cfg = TrainConfig(itm_on_masked=itm_on_masked)
+    # reference: one unpadded forward per sample, masked rows picked per sample
+    logits, token_logits, token_targets, region_logits, region_targets = [], [], [], [], []
+    for sample in batch:
+        out = model.forward(**sample.model_inputs())
+        itm_out = out if itm_on_masked else model.forward(
+            tokens=sample.raw_tokens, features=sample.raw_features, bboxes=sample.bboxes,
+            width=sample.width, height=sample.height)
+        logits.append(model.itm_score(itm_out.pooled_image, itm_out.pooled_text).item())
+        if sample.itm_label == 1:
+            token_logits.append(model.msm_logits(out.h_text).values)
+            token_targets.append(sample.msm_targets)
+            region_logits.append(model.mrm_logits(out.h_image).values)
+            region_targets.append(sample.mrm_targets)
+    want = [nt.cross_entropy_logits(np.concatenate(token_logits), np.concatenate(token_targets)).item(),
+            nt.cross_entropy_logits(np.concatenate(region_logits), np.concatenate(region_targets)).item(),
+            itm_loss(Tensor(np.array(logits)), [s.itm_label for s in batch]).item()]
+    got = [loss.item() for loss in _batch_losses(model, batch, cfg)[:3]]
+    assert min(want) > 0
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_batch_losses_gradcheck_on_ragged_batch():
+    model, batch = ragged_masked_batch()
+
+    def loss_fn():
+        return total_loss(*_batch_losses(model, batch, TrainConfig())[:3])
+
+    err = finite_diff_check(loss_fn, model.params, step=1e-5, sample_count=200, seed=11)
+    assert err < 1e-4, f"batched training loss gradient mismatch: {err}"
+
+
+def test_tape_size_does_not_grow_with_batch():
+    corpus, table, model_cfg = small_fixture()
+    model = InterBert.create(model_cfg, seed=0)
+    counts = []
+    for size in (2, 8):
+        batch = make_itm_batch(corpus, table, np.random.default_rng(size), size, MaskingConfig())
+        counts.append(count_tape_nodes(total_loss(*_batch_losses(model, batch, TrainConfig())[:3])))
+    assert counts[0] == counts[1]
+
+
+def test_pretrain_refuses_oversized_caption_before_step_one():
+    corpus, table, model_cfg = small_fixture()
+    limit = max(p.num_tokens for p in corpus.pairs) - 1
+    first = next(p for p in corpus.pairs if p.num_tokens > limit)
+    steps = []
+    with pytest.raises(CorpusError, match=f"caption {first.caption_id} "):
+        pretrain(corpus, table, replace(model_cfg, max_text_len=limit),
+                 TrainConfig(total_steps=2, warmup_steps=1, batch_size=4), step_callback=steps.append)
+    assert steps == []
+
+
+def test_finetune_refuses_oversized_image_before_step_one():
+    corpus, _, model_cfg = small_fixture()
+    limit = max(p.num_objects for p in corpus.pairs) - 1
+    first = next(p for p in corpus.pairs if p.num_objects > limit)
+    steps = []
+    with pytest.raises(CorpusError, match=f"image {first.image_id} "):
+        finetune_retrieval(corpus, replace(model_cfg, max_objects=limit),
+                           TrainConfig(total_steps=2, warmup_steps=1, batch_size=2),
+                           init_parameters(model_cfg, seed=0).clone_values(), step_callback=steps.append)
+    assert steps == []
+
+
+def test_finetune_accuracy_of_constant_scorer_is_chance():
+    corpus, _, model_cfg = small_fixture()
+    values = init_parameters(model_cfg, seed=0).clone_values()
+    values["heads.itm.w2"][:] = 0.0  # every choice logit equals the output bias
+    fine = finetune_retrieval(corpus, model_cfg, TrainConfig(total_steps=1, warmup_steps=1, batch_size=4),
+                              values)
+    assert fine.metrics[0].accuracy == 0.25
