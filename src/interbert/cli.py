@@ -457,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--model-config")
-    p.add_argument("--split", default="eval", help="label printed in the metrics table")
-    p.add_argument("--export-embeddings", action="store_true",
+    p.add_argument("--split", help="label printed in the metrics table (default: eval)")
+    p.add_argument("--export-embeddings", action="store_true", default=None,
                    help="also write fused item embeddings (embeddings.bin)")
 
     p = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")
@@ -477,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("knn", help="nearest neighbours over exported embeddings")
     _add_common(p)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--trigger", type=int, required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--trigger", type=int, help="row of the trigger item (required here or in --config)")
+    p.add_argument("--k", type=int, help="neighbours to return (default: 5)")
 
     p = sub.add_parser("replay", help="re-run a command from its manifest")
     p.add_argument("--manifest", required=True)
@@ -588,15 +588,12 @@ def _dispatch(args: argparse.Namespace) -> None:
             "train": _train_section(file_cfg, args, False),
         }
     elif args.command == "eval":
-        config = {
-            "corpus": str(Path(args.corpus).resolve()),
-            "vocab": str(Path(args.vocab).resolve()),
-            "checkpoint": str(Path(args.checkpoint).resolve()),
-            "model_config": None if args.model_config is None else str(Path(args.model_config).resolve()),
-            "split": args.split,
-            "export_embeddings": bool(args.export_embeddings),
-            "seed": _seed_default(args.seed, file_cfg.get("seed")),
-        }
+        defaults = {"corpus": None, "vocab": None, "checkpoint": None, "model_config": None,
+                    "split": "eval", "export_embeddings": False, "seed": 0}
+        config = _merge(defaults, file_cfg, {key: getattr(args, key) for key in defaults if key != "seed"})
+        paths = ("corpus", "vocab", "checkpoint", "model_config")
+        config.update({key: str(Path(config[key]).resolve()) for key in paths if config[key]})
+        config["seed"] = _seed_default(args.seed, file_cfg.get("seed"))
     elif args.command == "gradcheck":
         defaults = {
             "hidden_size": 8, "num_heads": 2, "interaction_layers": 2,
@@ -612,12 +609,12 @@ def _dispatch(args: argparse.Namespace) -> None:
         })
         config["seed"] = _seed_default(args.seed, file_cfg.get("seed"))
     elif args.command == "knn":
-        config = {
-            "embeddings": str(Path(args.embeddings).resolve()),
-            "trigger": args.trigger,
-            "k": args.k,
-            "seed": _seed_default(args.seed, file_cfg.get("seed")),
-        }
+        defaults = {"embeddings": None, "trigger": None, "k": 5, "seed": 0}
+        config = _merge(defaults, file_cfg, {key: getattr(args, key) for key in defaults if key != "seed"})
+        if config["trigger"] is None:
+            raise CommandError("knn needs a trigger: --trigger or 'trigger' in the config file")
+        config["embeddings"] = str(Path(config["embeddings"]).resolve())
+        config["seed"] = _seed_default(args.seed, file_cfg.get("seed"))
     else:  # pragma: no cover - argparse rejects unknown commands
         raise CommandError(f"unknown command {args.command!r}")
 

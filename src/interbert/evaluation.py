@@ -4,14 +4,18 @@ lookup over exported item embeddings."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import numerics as nt
-from .data import Corpus, ImageTextPair
+from .data import Corpus, ImageTextPair, make_batch
 from .model import InterBert
+
+# Pairs per inference forward: a larger batch buys little speed and raises
+# the forward's peak memory in proportion.
+SCORE_BATCH = 16
 
 
 @dataclass
@@ -34,16 +38,35 @@ class ScoreMatrix:
         return int(self.scores.shape[1])
 
 
+def score_pairs(model: InterBert, captions: Sequence[np.ndarray],
+                images: Sequence[ImageTextPair]) -> tuple[np.ndarray, np.ndarray]:
+    """Matching logit (N,) and pooled image x text product (N, hidden), the
+    matching head's input, of each caption paired with the image at the same
+    position, unmasked and without the tape. Pairs run in order, in padded
+    batches of at most ``SCORE_BATCH``."""
+    if len(captions) != len(images):
+        raise ValueError(f"{len(captions)} captions for {len(images)} images")
+    logits = np.empty(len(captions))
+    products = np.empty((len(captions), model.config.hidden_size))
+    with nt.no_grad():
+        for start in range(0, len(captions), SCORE_BATCH):
+            rows = slice(start, start + SCORE_BATCH)
+            out = model.forward(batch=make_batch([replace(image, tokens=tokens) for tokens, image
+                                                  in zip(captions[rows], images[rows])]))
+            products[rows] = out.pooled_image.values * out.pooled_text.values
+            logits[rows] = model.itm_score(out.pooled_image, out.pooled_text).values[:, 0]
+    return logits, products
+
+
 def score_all(model: InterBert, captions: Sequence[tuple[np.ndarray, int]],
               images: Sequence[ImageTextPair]) -> ScoreMatrix:
-    """Matching logit for every (caption, image) combination, unmasked."""
+    """Matching logit for every (caption, image) combination, unmasked. Each
+    batch holds one image against a run of captions, so a cell's score does
+    not depend on the order of the image pool."""
+    tokens = [caption for caption, _ in captions]
     scores = np.empty((len(captions), len(images)))
-    with nt.no_grad():
-        for row, (tokens, _) in enumerate(captions):
-            for col, entry in enumerate(images):
-                out = model.forward(tokens=tokens, features=entry.features,
-                                    bboxes=entry.bboxes, width=entry.width, height=entry.height)
-                scores[row, col] = model.itm_score(out.pooled_image, out.pooled_text).item()
+    for col, entry in enumerate(images):
+        scores[:, col] = score_pairs(model, tokens, [entry] * len(tokens))[0]
     return ScoreMatrix(scores=scores, gold=np.array([gold for _, gold in captions]))
 
 
@@ -89,21 +112,17 @@ def zero_shot_eval(model: InterBert, corpus: Corpus,
 def itm_accuracy(model: InterBert, corpus: Corpus, rng, num_samples: int = 200) -> float:
     """Accuracy of the matching head on a balanced matched/mismatched set,
     evaluated without masking."""
-    correct = 0
-    with nt.no_grad():
-        for i in range(num_samples):
-            pair = corpus.pairs[int(rng.integers(0, len(corpus.pairs)))]
-            label = i % 2
-            tokens = pair.tokens
-            if label == 0:
-                others = corpus.other_caption_ids(pair.image_id)
-                tokens = corpus.pair_by_caption(int(others[int(rng.integers(0, others.size))])).tokens
-            out = model.forward(tokens=tokens, features=pair.features, bboxes=pair.bboxes,
-                                width=pair.width, height=pair.height)
-            logit = model.itm_score(out.pooled_image, out.pooled_text).item()
-            if (logit > 0.0) == (label == 1):
-                correct += 1
-    return correct / num_samples
+    captions, images = [], []
+    for i in range(num_samples):
+        pair = corpus.pairs[int(rng.integers(0, len(corpus.pairs)))]
+        tokens = pair.tokens
+        if i % 2 == 0:  # even draws are mismatched
+            others = corpus.other_caption_ids(pair.image_id)
+            tokens = corpus.pair_by_caption(int(others[int(rng.integers(0, others.size))])).tokens
+        captions.append(tokens)
+        images.append(pair)
+    logits = score_pairs(model, captions, images)[0]
+    return int(np.sum((logits > 0.0) == (np.arange(num_samples) % 2 == 1))) / num_samples
 
 
 def choice_credit(logits) -> np.ndarray:
@@ -116,6 +135,15 @@ def choice_credit(logits) -> np.ndarray:
     return (rows[:, 0] == top[:, 0]) / (rows == top).sum(axis=1)
 
 
+def choice_images(corpus: Corpus, image_index: np.ndarray, gold: int, rng,
+                  num_distractors: int) -> list[ImageTextPair]:
+    """The gold image's entry, then ``num_distractors`` other images drawn
+    without replacement: one multiple-choice example, gold in slot 0."""
+    pool = image_index[image_index != gold]
+    drawn = rng.choice(pool, size=num_distractors, replace=False)
+    return [corpus.image_entry(int(image_id)) for image_id in (gold, *drawn.tolist())]
+
+
 def multiple_choice_accuracy(model: InterBert, corpus: Corpus, rng,
                              num_examples: int = 100, num_distractors: int = 3) -> float:
     """Mean credit (see ``choice_credit``) of the true image against sampled
@@ -123,20 +151,13 @@ def multiple_choice_accuracy(model: InterBert, corpus: Corpus, rng,
     image_index = np.array(corpus.image_ids())
     if image_index.size < num_distractors + 1:
         raise ValueError("not enough images for the requested choice size")
-    correct = 0.0
-    with nt.no_grad():
-        for _ in range(num_examples):
-            pair = corpus.pairs[int(rng.integers(0, len(corpus.pairs)))]
-            pool = image_index[image_index != pair.image_id]
-            distractors = rng.choice(pool, size=num_distractors, replace=False)
-            logits = []
-            for image_id in (pair.image_id, *distractors.tolist()):
-                entry = corpus.image_entry(int(image_id))
-                out = model.forward(tokens=pair.tokens, features=entry.features,
-                                    bboxes=entry.bboxes, width=entry.width, height=entry.height)
-                logits.append(model.itm_score(out.pooled_image, out.pooled_text).item())
-            correct += float(choice_credit(logits)[0])
-    return correct / num_examples
+    captions, images = [], []
+    for _ in range(num_examples):
+        pair = corpus.pairs[int(rng.integers(0, len(corpus.pairs)))]
+        images += choice_images(corpus, image_index, pair.image_id, rng, num_distractors)
+        captions += [pair.tokens] * (num_distractors + 1)
+    logits = score_pairs(model, captions, images)[0]
+    return sum(choice_credit(logits.reshape(num_examples, -1)).tolist()) / num_examples
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +167,7 @@ def multiple_choice_accuracy(model: InterBert, corpus: Corpus, rng,
 def item_embeddings(model: InterBert, corpus: Corpus) -> np.ndarray:
     """One fused embedding per pair: the elementwise product of the pooled
     image and text representations (the matching head's input)."""
-    rows = np.empty((len(corpus.pairs), model.config.hidden_size))
-    with nt.no_grad():
-        for i, pair in enumerate(corpus.pairs):
-            out = model.forward(tokens=pair.tokens, features=pair.features, bboxes=pair.bboxes,
-                                width=pair.width, height=pair.height)
-            rows[i] = (out.pooled_image.values * out.pooled_text.values)[0]
-    return rows
+    return score_pairs(model, [pair.tokens for pair in corpus.pairs], corpus.pairs)[1]
 
 
 def knn_items(embeddings: np.ndarray, trigger_id: int, k: int) -> list[int]:

@@ -261,7 +261,8 @@ class InterBert:
         q = heads(nt.add(nt.matmul(x, p[prefix + "attn.wq"]), p[prefix + "attn.bq"]), (0, 2, 1, 3))
         k_t = heads(nt.matmul(x, p[prefix + "attn.wk"]), (0, 2, 3, 1))  # (B, heads, d, L)
         v = heads(nt.add(nt.matmul(x, p[prefix + "attn.wv"]), p[prefix + "attn.bv"]), (0, 2, 1, 3))
-        scores = nt.add(nt.mul(nt.batch_matmul(q, k_t), 1.0 / math.sqrt(head_dim)), key_bias.astype(x.dtype))
+        scale = x.dtype.type(1.0 / math.sqrt(head_dim))  # a float64 scalar would promote float32 runs
+        scores = nt.add(nt.mul(nt.batch_matmul(q, k_t), scale), key_bias.astype(x.dtype))
         context = nt.batch_matmul(nt.softmax(scores, axis=-1), v)
         merged = nt.reshape(nt.transpose(context, (0, 2, 1, 3)), (batch * length, cfg.hidden_size))
         return nt.add(nt.matmul(merged, p[prefix + "attn.wo"]), p[prefix + "attn.bo"])

@@ -7,15 +7,12 @@ tf = count / length and idf = ln(N / df) + 1; the 0.5 ceiling and top-30
 cut are interpreted against exactly this formula, so changing it moves the
 thresholds' meaning.
 
-Corpora carry token ids, so index terms are the content token ids. The
-``tokenize_text`` helper (lowercase, split on non-alphanumerics) covers
-raw-string captions for standalone use.
+Corpora carry token ids, so index terms are the content token ids.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -26,16 +23,9 @@ import numpy as np
 from .data import Corpus
 from .masking import MaskedSample, MaskingConfig, mask_pair
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-
 DEFAULT_SIM_THRESHOLD = 0.5
 DEFAULT_MAX_NEGATIVES = 30
 DEFAULT_HARD_PROB = 0.2
-
-
-def tokenize_text(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumerics; no stemming, no stopwords."""
-    return _TOKEN_RE.findall(text.lower())
 
 
 @dataclass
@@ -102,11 +92,6 @@ def build_tfidf(corpus: Corpus) -> TfIdfIndex:
         for p in corpus.pairs
     }
     return TfIdfIndex.build(terms, {p.caption_id: p.image_id for p in corpus.pairs})
-
-
-def build_tfidf_from_texts(captions: Mapping[int, str],
-                           caption_image: Mapping[int, int]) -> TfIdfIndex:
-    return TfIdfIndex.build({cid: tokenize_text(text) for cid, text in captions.items()}, caption_image)
 
 
 def mine_hard_negatives(index: TfIdfIndex, image_id: int,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import numerics as nt
 from ..data import Corpus, check_limits, make_batch
-from ..evaluation import choice_credit
+from ..evaluation import choice_credit, choice_images
 from ..masking import MaskedSample, MaskingConfig
 from ..model import InterBert, ModelConfig
 from ..negatives import make_itm_batch
@@ -257,10 +257,8 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
         items = []
         for pick in picks:
             pair = corpus.pairs[int(pick)]
-            pool = image_index[image_index != pair.image_id]
-            distractors = rng.choice(pool, size=train_cfg.num_distractors, replace=False)
-            items += [replace(corpus.image_entry(int(image_id)), caption_id=pair.caption_id, tokens=pair.tokens)
-                      for image_id in (pair.image_id, *distractors.tolist())]
+            items += [replace(entry, caption_id=pair.caption_id, tokens=pair.tokens)
+                      for entry in choice_images(corpus, image_index, pair.image_id, rng, train_cfg.num_distractors)]
         out = model.forward(batch=make_batch(items, corpus.vocab, **limits))
         stacked = nt.reshape(model.itm_score(out.pooled_image, out.pooled_text), (len(picks), choices))
         targets = np.zeros(len(picks), dtype=np.int64)  # true image sits at slot 0

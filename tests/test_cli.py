@@ -199,6 +199,54 @@ def test_knn_command(tmp_path, data_dir, pretrain_dir, capsys):
     assert 0 not in stored["neighbours"]
 
 
+def test_eval_config_file_sets_defaults_and_flags_win(tmp_path, data_dir, pretrain_dir, capsys):
+    config = tmp_path / "eval.json"
+    config.write_text(json.dumps({"split": "from-file", "export_embeddings": True}))
+    inputs = ("--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.json",
+              "--checkpoint", pretrain_dir / "checkpoint.ibt", "--config", config)
+    out = tmp_path / "eval-file"
+    assert run_cli("eval", *inputs, "--out", out) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("from-file\t12")
+    assert (out / "embeddings.bin").exists()
+    assert json.loads((out / "metrics.json").read_text())["split"] == "from-file"
+    flagged = tmp_path / "eval-flag"
+    assert run_cli("eval", *inputs, "--split", "from-flag", "--out", flagged) == 0
+    assert json.loads((flagged / "metrics.json").read_text())["split"] == "from-flag"
+
+
+def test_knn_config_file_sets_defaults_and_flags_win(tmp_path, data_dir, pretrain_dir):
+    eval_dir = tmp_path / "eval-emb"
+    assert run_cli("eval", "--corpus", data_dir / "corpus.jsonl",
+                   "--vocab", data_dir / "vocab.json",
+                   "--checkpoint", pretrain_dir / "checkpoint.ibt",
+                   "--out", eval_dir, "--export-embeddings") == 0
+    config = tmp_path / "knn.json"
+    config.write_text(json.dumps({"k": 2, "trigger": 4}))
+    embeddings = ("--embeddings", eval_dir / "embeddings.bin", "--config", config)
+    assert run_cli("knn", *embeddings, "--out", tmp_path / "knn-file") == 0
+    stored = json.loads((tmp_path / "knn-file" / "neighbours.json").read_text())
+    assert (stored["trigger"], stored["k"], len(stored["neighbours"])) == (4, 2, 2)
+    assert run_cli("knn", *embeddings, "--k", 3, "--trigger", 1, "--out", tmp_path / "knn-flag") == 0
+    stored = json.loads((tmp_path / "knn-flag" / "neighbours.json").read_text())
+    assert (stored["trigger"], stored["k"], len(stored["neighbours"])) == (1, 3, 3)
+
+
+@pytest.mark.parametrize("command", ["eval", "knn"])
+def test_eval_and_knn_refuse_unknown_config_keys(tmp_path, command, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"bogus_key": 1}))
+    inputs = {"eval": ("--corpus", "c", "--vocab", "v", "--checkpoint", "x"),
+              "knn": ("--embeddings", "e", "--trigger", 0)}[command]
+    capsys.readouterr()
+    assert run_cli(command, *inputs, "--config", config, "--out", tmp_path / "out") == 1
+    assert "bogus_key" in capsys.readouterr().err
+
+
+def test_knn_without_trigger_is_an_error(tmp_path, capsys):
+    assert run_cli("knn", "--embeddings", "e", "--out", tmp_path / "out") == 1
+    assert "trigger" in capsys.readouterr().err
+
+
 def test_pretrain_masking_knob_flags(tmp_path, data_dir, negatives_dir):
     out = tmp_path / "knobs"
     code = run_cli("pretrain", "--corpus", data_dir / "corpus.jsonl",

@@ -4,10 +4,13 @@ nearest-neighbour lookup."""
 import numpy as np
 import pytest
 
+from interbert import numerics as nt
 from interbert.data import synth_corpus
 from interbert.evaluation import (
+    SCORE_BATCH,
     ScoreMatrix,
     choice_credit,
+    choice_images,
     corpus_retrieval_pools,
     item_embeddings,
     itm_accuracy,
@@ -17,6 +20,7 @@ from interbert.evaluation import (
     recall_at_k,
     retrieval_metrics,
     score_all,
+    score_pairs,
     write_embeddings,
     zero_shot_eval,
 )
@@ -32,6 +36,26 @@ def toy_model(corpus, seed=0):
         max_text_len=16, max_objects=8, num_object_classes=12,
     )
     return InterBert.create(cfg, seed=seed)
+
+
+def pair_reference(model, tokens, image):
+    """Matching logit and pooled product of one pair from its own B=1 forward."""
+    with nt.no_grad():
+        out = model.forward(tokens=tokens, features=image.features, bboxes=image.bboxes,
+                            width=image.width, height=image.height)
+        logit = model.itm_score(out.pooled_image, out.pooled_text).item()
+    return logit, (out.pooled_image.values * out.pooled_text.values)[0]
+
+
+def mixed_pool(num_images=SCORE_BATCH + 5):
+    """More captions than the batch cap and not a multiple of it, with
+    captions of several lengths and images of several object counts."""
+    corpus = synth_corpus(seed=11, num_images=num_images, num_classes=6, feature_dim=8,
+                          min_objects=1, max_objects=6)
+    assert len(corpus.pairs) % SCORE_BATCH != 0
+    assert len({p.num_tokens for p in corpus.pairs}) > 1
+    assert len({p.num_objects for p in corpus.pairs}) > 1
+    return corpus
 
 
 def brute_force_recall(scores, gold, k):
@@ -140,6 +164,90 @@ def test_score_all_column_permutation_equivariance():
     base = score_all(model, captions, images)
     swapped = score_all(model, captions, [images[1], images[0]] + images[2:])
     np.testing.assert_array_equal(base.scores[:, [1, 0, 2, 3]], swapped.scores)
+
+
+def test_score_pairs_matches_per_pair_forwards():
+    corpus = mixed_pool()
+    model = toy_model(corpus, seed=2)
+    captions = [p.tokens for p in corpus.pairs][::-1]  # mismatched pairs too
+    logits, products = score_pairs(model, captions, corpus.pairs)
+    for tokens, image, logit, product in zip(captions, corpus.pairs, logits, products):
+        want_logit, want_product = pair_reference(model, tokens, image)
+        assert abs(logit - want_logit) <= 1e-12
+        np.testing.assert_allclose(product, want_product, rtol=0, atol=1e-12)
+
+
+def test_score_pairs_rejects_unaligned_inputs():
+    corpus = synth_corpus(seed=1, num_images=2, num_classes=6, feature_dim=8)
+    with pytest.raises(ValueError, match="captions"):
+        score_pairs(toy_model(corpus), [corpus.pairs[0].tokens], corpus.pairs)
+
+
+def test_score_all_scores_every_cell_past_the_batch_cap():
+    corpus = mixed_pool()
+    model = toy_model(corpus, seed=3)
+    captions = [(pair.tokens, 0) for pair in corpus.pairs]
+    images = [corpus.image_entry(i) for i in corpus.image_ids()[:3]]
+    assert len(captions) > SCORE_BATCH
+    matrix = score_all(model, captions, images)
+    assert matrix.scores.shape == (len(captions), 3)
+    for row, (tokens, _) in enumerate(captions):
+        for col, image in enumerate(images):
+            assert abs(matrix.scores[row, col] - pair_reference(model, tokens, image)[0]) <= 1e-12
+
+
+def test_item_embeddings_match_per_pair_forwards():
+    corpus = mixed_pool()
+    model = toy_model(corpus, seed=4)
+    emb = item_embeddings(model, corpus)
+    for row, pair in zip(emb, corpus.pairs):
+        np.testing.assert_allclose(row, pair_reference(model, pair.tokens, pair)[1], rtol=0, atol=1e-12)
+
+
+def reference_itm_accuracy(model, corpus, rng, num_samples):
+    """One B=1 forward per draw, in the sampling loop."""
+    correct = 0
+    for i in range(num_samples):
+        pair = corpus.pairs[int(rng.integers(0, len(corpus.pairs)))]
+        tokens = pair.tokens
+        if i % 2 == 0:
+            others = corpus.other_caption_ids(pair.image_id)
+            tokens = corpus.pair_by_caption(int(others[int(rng.integers(0, others.size))])).tokens
+        correct += (pair_reference(model, tokens, pair)[0] > 0.0) == (i % 2 == 1)
+    return correct / num_samples
+
+
+def reference_choice_accuracy(model, corpus, rng, num_examples, num_distractors=3):
+    image_index = np.array(corpus.image_ids())
+    credit = 0.0
+    for _ in range(num_examples):
+        pair = corpus.pairs[int(rng.integers(0, len(corpus.pairs)))]
+        distractors = rng.choice(image_index[image_index != pair.image_id], size=num_distractors, replace=False)
+        logits = [pair_reference(model, pair.tokens, corpus.image_entry(int(i)))[0]
+                  for i in (pair.image_id, *distractors.tolist())]
+        credit += float(choice_credit(logits)[0])
+    return credit / num_examples
+
+
+def test_accuracies_match_per_pair_forwards_and_repeat():
+    corpus = mixed_pool()
+    model = toy_model(corpus, seed=5)
+    itm = itm_accuracy(model, corpus, np.random.default_rng(7), num_samples=37)
+    assert abs(itm - reference_itm_accuracy(model, corpus, np.random.default_rng(7), 37)) <= 1e-12
+    assert itm_accuracy(model, corpus, np.random.default_rng(7), num_samples=37) == itm
+    choice = multiple_choice_accuracy(model, corpus, np.random.default_rng(8), num_examples=9)
+    assert abs(choice - reference_choice_accuracy(model, corpus, np.random.default_rng(8), 9)) <= 1e-12
+    assert multiple_choice_accuracy(model, corpus, np.random.default_rng(8), num_examples=9) == choice
+
+
+def test_choice_images_puts_gold_first_and_draws_distinct_others():
+    corpus = synth_corpus(seed=7, num_images=9, num_classes=6, feature_dim=8)
+    image_index = np.array(corpus.image_ids())
+    rng = np.random.default_rng(0)
+    for gold in corpus.image_ids():
+        ids = [entry.image_id for entry in choice_images(corpus, image_index, gold, rng, 3)]
+        assert ids[0] == gold
+        assert len(set(ids)) == 4
 
 
 def test_score_all_deterministic():

@@ -532,6 +532,20 @@ def test_batched_forward_matches_single_sample_forwards(rng, variant):
             assert np.max(np.abs(got - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("variant", ["interbert", VARIANT_SINGLE_STREAM])
+def test_float32_forward_stays_float32(rng, variant):
+    cfg = tiny_config(architecture_variant=variant)
+    single, double = (InterBert.create(cfg, seed=5, dtype=dtype) for dtype in (np.float32, np.float64))
+    batch = make_batch(ragged_pairs(rng, cfg, [(2, 5), (4, 7), (3, 4)]))
+    out32, out64 = single.forward(batch=batch), double.forward(batch=batch)
+    logit32 = single.itm_score(out32.pooled_image, out32.pooled_text)
+    produced = (out32.h_image, out32.h_text, out32.pooled_image, out32.pooled_text, logit32,
+                single.msm_logits(out32.h_text), single.mrm_logits(out32.h_image, [1, 2]))
+    assert [t.dtype for t in produced] == [np.float32] * len(produced)
+    np.testing.assert_allclose(logit32.values, double.itm_score(out64.pooled_image, out64.pooled_text).values,
+                               rtol=0, atol=1e-4)
+
+
 def test_sample_outputs_ignore_batch_companions(rng):
     cfg = tiny_config()
     model = InterBert.create(cfg, seed=4)

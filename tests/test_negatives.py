@@ -12,13 +12,11 @@ from interbert.negatives import (
     TfIdfIndex,
     build_hard_negative_table,
     build_tfidf,
-    build_tfidf_from_texts,
     load_table,
     make_itm_batch,
     mine_hard_negatives,
     sample_negative,
     save_table,
-    tokenize_text,
 )
 
 
@@ -43,31 +41,26 @@ def reference_similarity(va, vb):
     return sum(w * vb.get(t, 0.0) for t, w in va.items())
 
 
-def test_tokenize_text():
-    assert tokenize_text("A red-DRESS, size 42!") == ["a", "red", "dress", "size", "42"]
-    assert tokenize_text("...") == []
+def index_of(captions: dict[int, str]) -> TfIdfIndex:
+    """Index whitespace-split captions, caption i showing image i."""
+    return TfIdfIndex.build({cid: text.split() for cid, text in captions.items()},
+                            {cid: cid for cid in captions})
 
 
 def test_identical_captions_have_similarity_one():
-    index = build_tfidf_from_texts(
-        {0: "a red dress", 1: "a red dress", 2: "something else entirely"},
-        {0: 0, 1: 1, 2: 2},
-    )
+    index = index_of({0: "a red dress", 1: "a red dress", 2: "something else entirely"})
     assert abs(index.similarity(0, 1) - 1.0) < 1e-12
 
 
 def test_disjoint_captions_have_similarity_zero():
-    index = build_tfidf_from_texts(
-        {0: "red dress", 1: "blue sky"},
-        {0: 0, 1: 1},
-    )
+    index = index_of({0: "red dress", 1: "blue sky"})
     assert index.similarity(0, 1) == 0.0
 
 
 def test_three_caption_corpus_matches_hand_oracle():
     captions = {0: "a red dress", 1: "a red shoe", 2: "blue sky photo"}
-    index = build_tfidf_from_texts(captions, {0: 0, 1: 1, 2: 2})
-    expected = reference_tfidf({cid: tokenize_text(text) for cid, text in captions.items()})
+    index = index_of(captions)
+    expected = reference_tfidf({cid: text.split() for cid, text in captions.items()})
     for a in captions:
         for b in captions:
             got = index.similarity(a, b)
@@ -77,10 +70,7 @@ def test_three_caption_corpus_matches_hand_oracle():
 
 def test_empty_caption_skipped_with_warning():
     with pytest.warns(UserWarning, match="caption 1"):
-        index = build_tfidf_from_texts(
-            {0: "red dress", 1: "!!!", 2: "blue sky"},
-            {0: 0, 1: 1, 2: 2},
-        )
+        index = index_of({0: "red dress", 1: "", 2: "blue sky"})
     assert 1 not in index.vectors
     assert index.num_documents == 2
 
@@ -104,18 +94,12 @@ def test_vectors_are_unit_length():
 # ---------------------------------------------------------------------------
 
 def test_mining_all_similar_gives_empty_row():
-    index = build_tfidf_from_texts(
-        {0: "red dress", 1: "red dress", 2: "red dress"},
-        {0: 0, 1: 1, 2: 2},
-    )
+    index = index_of({0: "red dress", 1: "red dress", 2: "red dress"})
     assert mine_hard_negatives(index, 0) == []
 
 
 def test_mining_returns_fewer_when_few_eligible():
-    index = build_tfidf_from_texts(
-        {0: "red dress photo", 1: "red shoe", 2: "blue sky", 3: "red dress photo"},
-        {0: 0, 1: 1, 2: 2, 3: 3},
-    )
+    index = index_of({0: "red dress photo", 1: "red shoe", 2: "blue sky", 3: "red dress photo"})
     row = mine_hard_negatives(index, 0)
     ids = [cid for cid, _ in row]
     assert 3 not in ids  # similarity 1.0 is over the ceiling
