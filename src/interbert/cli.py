@@ -187,9 +187,9 @@ def run_mine_negatives(config: dict, out_dir: Path) -> list[str]:
 
 
 def run_pretrain(config: dict, out_dir: Path) -> list[str]:
-    from .data import load_corpus
+    from .data import CorpusError, load_corpus
     from .model import ModelConfig
-    from .negatives import load_table
+    from .negatives import check_table, load_table
     from .numerics import save_checkpoint
     from .training import TrainConfig, pretrain, write_metrics_csv
 
@@ -197,6 +197,10 @@ def run_pretrain(config: dict, out_dir: Path) -> list[str]:
     if not corpus.pairs:
         raise CommandError("empty corpus")
     table = load_table(config["negatives"])
+    try:
+        check_table(table, corpus)
+    except CorpusError as exc:
+        raise CommandError(f"{config['negatives']}: {exc}") from None
     config["model"] = _resolve_model_config(config["model"], corpus)
     model_cfg = ModelConfig.from_dict(config["model"])
     train_cfg = TrainConfig.from_dict(config["train"])
@@ -245,7 +249,7 @@ def run_finetune(config: dict, out_dir: Path) -> list[str]:
 
 
 def run_eval(config: dict, out_dir: Path) -> list[str]:
-    from .data import load_corpus
+    from .data import CorpusError, check_limits, load_corpus
     from .evaluation import item_embeddings, write_embeddings, zero_shot_eval
     from .model import InterBert
 
@@ -255,6 +259,10 @@ def run_eval(config: dict, out_dir: Path) -> list[str]:
     model_cfg = _model_config_for_checkpoint(config, corpus)
     config["model"] = model_cfg.to_dict()
     model = InterBert.from_checkpoint(model_cfg, config["checkpoint"])
+    try:
+        check_limits(corpus.pairs, **model_cfg.limits)
+    except CorpusError as exc:
+        raise CommandError(f"{config['corpus']}: {exc}") from None
     report = zero_shot_eval(model, corpus)
     recalls = report["recall"]
     header = "split\tN_images\t" + "\t".join(f"R@{k}" for k in sorted(recalls))

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nt
-from .data import Corpus, ImageTextPair, make_batch
+from .data import Corpus, CorpusError, ImageTextPair, check_limits, make_batch
 from .model import InterBert
 
 # Pairs per inference forward: a larger batch buys little speed and raises
@@ -38,21 +38,33 @@ class ScoreMatrix:
         return int(self.scores.shape[1])
 
 
+def _check_pool_limits(model: InterBert, captions: Sequence[np.ndarray], images: Sequence[ImageTextPair]) -> None:
+    """Refuse a caption (named by its position, as captions carry no id here)
+    or an image (named by id) over the model's limits."""
+    limit = model.config.max_text_len
+    for position, tokens in enumerate(captions):
+        if len(tokens) > limit:
+            raise CorpusError(f"caption at position {position} has {len(tokens)} tokens > limit {limit}")
+    check_limits(images, max_objects=model.config.max_objects)
+
+
 def score_pairs(model: InterBert, captions: Sequence[np.ndarray],
                 images: Sequence[ImageTextPair]) -> tuple[np.ndarray, np.ndarray]:
     """Matching logit (N,) and pooled image x text product (N, hidden), the
     matching head's input, of each caption paired with the image at the same
     position, unmasked and without the tape. Pairs run in order, in padded
-    batches of at most ``SCORE_BATCH``."""
+    batches of at most ``SCORE_BATCH``; inputs over the model's limits are
+    refused before the first forward."""
     if len(captions) != len(images):
         raise ValueError(f"{len(captions)} captions for {len(images)} images")
+    _check_pool_limits(model, captions, images)
     logits = np.empty(len(captions))
     products = np.empty((len(captions), model.config.hidden_size))
     with nt.no_grad():
         for start in range(0, len(captions), SCORE_BATCH):
             rows = slice(start, start + SCORE_BATCH)
-            out = model.forward(batch=make_batch([replace(image, tokens=tokens) for tokens, image
-                                                  in zip(captions[rows], images[rows])]))
+            batch = make_batch([replace(image, tokens=tokens) for tokens, image in zip(captions[rows], images[rows])])
+            out = model.forward(batch=batch, image_rows=[], text_rows=[])
             products[rows] = out.pooled_image.values * out.pooled_text.values
             logits[rows] = model.itm_score(out.pooled_image, out.pooled_text).values[:, 0]
     return logits, products
@@ -62,8 +74,10 @@ def score_all(model: InterBert, captions: Sequence[tuple[np.ndarray, int]],
               images: Sequence[ImageTextPair]) -> ScoreMatrix:
     """Matching logit for every (caption, image) combination, unmasked. Each
     batch holds one image against a run of captions, so a cell's score does
-    not depend on the order of the image pool."""
+    not depend on the order of the image pool. The whole pool is checked
+    against the model's limits before the first forward."""
     tokens = [caption for caption, _ in captions]
+    _check_pool_limits(model, tokens, images)
     scores = np.empty((len(captions), len(images)))
     for col, entry in enumerate(images):
         scores[:, col] = score_pairs(model, tokens, [entry] * len(tokens))[0]
@@ -100,6 +114,7 @@ def corpus_retrieval_pools(corpus: Corpus) -> tuple[list[tuple[np.ndarray, int]]
 def zero_shot_eval(model: InterBert, corpus: Corpus,
                    ks: Sequence[int] = (1, 5, 10)) -> dict:
     """Caption-to-image retrieval with pretrained weights only."""
+    check_limits(corpus.pairs, **model.config.limits)
     captions, images = corpus_retrieval_pools(corpus)
     matrix = score_all(model, captions, images)
     return {
@@ -112,6 +127,7 @@ def zero_shot_eval(model: InterBert, corpus: Corpus,
 def itm_accuracy(model: InterBert, corpus: Corpus, rng, num_samples: int = 200) -> float:
     """Accuracy of the matching head on a balanced matched/mismatched set,
     evaluated without masking."""
+    check_limits(corpus.pairs, **model.config.limits)
     captions, images = [], []
     for i in range(num_samples):
         pair = corpus.pairs[int(rng.integers(0, len(corpus.pairs)))]
@@ -148,6 +164,7 @@ def multiple_choice_accuracy(model: InterBert, corpus: Corpus, rng,
                              num_examples: int = 100, num_distractors: int = 3) -> float:
     """Mean credit (see ``choice_credit``) of the true image against sampled
     distractors."""
+    check_limits(corpus.pairs, **model.config.limits)
     image_index = np.array(corpus.image_ids())
     if image_index.size < num_distractors + 1:
         raise ValueError("not enough images for the requested choice size")
@@ -167,6 +184,7 @@ def multiple_choice_accuracy(model: InterBert, corpus: Corpus, rng,
 def item_embeddings(model: InterBert, corpus: Corpus) -> np.ndarray:
     """One fused embedding per pair: the elementwise product of the pooled
     image and text representations (the matching head's input)."""
+    check_limits(corpus.pairs, **model.config.limits)
     return score_pairs(model, [pair.tokens for pair in corpus.pairs], corpus.pairs)[1]
 
 

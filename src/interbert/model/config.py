@@ -53,6 +53,11 @@ class ModelConfig:
         if self.ln_eps <= 0 or self.init_std <= 0:
             raise ValueError("ln_eps and init_std must be positive")
 
+    @property
+    def limits(self) -> dict:
+        """The length limits, as keywords of ``data.check_limits`` and ``make_batch``."""
+        return {"max_text_len": self.max_text_len, "max_objects": self.max_objects}
+
     def to_dict(self) -> dict:
         return asdict(self)
 

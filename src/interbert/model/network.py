@@ -2,11 +2,13 @@
 concatenated image+text sequence, per-modality extraction stacks on top,
 and the three pretraining heads.
 
-The forward pass takes a padded batch of B samples. Activations stay rank-2,
-one row per position of every sample, (B*L, hidden), so every projection
-and FFN is one matrix product. Attention alone reshapes to (B, heads, L, d)
-and adds a (B, 1, 1, L) key bias that hides padding. A single sample is the
-B=1 case of the same path.
+The forward pass takes a padded batch of B samples. Past the embeddings it
+computes only the N real positions: one gather packs them into rank-2 rows,
+(N, hidden), so every encoder projection, FFN and norm is one matrix product
+or row-wise op over real rows. Attention alone scatters Q, K and V into the padded (B, heads, L, d)
+grid, adds a (B, 1, 1, L) key bias that hides padding, and gathers the
+context back. The last extraction layer computes only the rows the caller
+reads. A single sample is the B=1 case of the same path.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ def init_parameters(config: ModelConfig, seed: int, dtype=np.float64) -> Paramet
 
 @dataclass
 class ModelOutputs:
-    h_image: Tensor       # (B*(m+1), hidden), each sample's summary row first
-    h_text: Tensor        # (B*n_tokens, hidden)
+    h_image: Tensor       # (B*(m+1), hidden), each sample's summary row first; or the read rows
+    h_text: Tensor        # (B*n_tokens, hidden); or the read rows
     pooled_image: Tensor  # (B, hidden)
     pooled_text: Tensor   # (B, hidden)
 
@@ -126,29 +128,67 @@ def image_geometry(bboxes: np.ndarray, width, height) -> np.ndarray:
     return np.concatenate([summary, rows], axis=-2)
 
 
-def _key_bias(layouts) -> np.ndarray:
-    """(B, 1, 1, L) additive attention bias of one layout or a batch of them."""
-    if isinstance(layouts, SequenceLayout):
-        layouts = [layouts]
-    return np.array([layout.key_bias() for layout in layouts])[:, None, None, :]
+@dataclass
+class _Rows:
+    """Packed rows of a padded grid of B sequences of length L: row r of a
+    packed (N, hidden) tensor sits at flat grid position ``positions[r]``."""
+
+    bias: np.ndarray       # (B, 1, 1, L) additive attention bias of the grid's keys
+    positions: np.ndarray  # (N,) ascending flat indices into the B*L grid
+
+    @classmethod
+    def of(cls, layouts) -> "_Rows":
+        """Every real position of one layout or a batch of them."""
+        layouts = [layouts] if isinstance(layouts, SequenceLayout) else layouts
+        return cls(np.array([layout.key_bias() for layout in layouts])[:, None, None, :],
+                   np.flatnonzero([layout.valid for layout in layouts]))
+
+    @property
+    def first_rows(self) -> np.ndarray:
+        """Flat grid row of each sequence's first position."""
+        return np.arange(self.bias.shape[0]) * self.bias.shape[-1]
+
+    def index(self, flat_rows) -> np.ndarray:
+        """Packed index of each flat grid row; padded rows are refused."""
+        rows = np.asarray(flat_rows, dtype=np.int64)
+        found = np.minimum(np.searchsorted(self.positions, rows), self.positions.size - 1)
+        if np.any(self.positions[found] != rows):
+            raise ValueError("requested rows include padded or out-of-range positions")
+        return found
+
+    def reading(self, wanted) -> "_Rows":
+        """The same grid with only the flat rows ``wanted`` and each
+        sequence's first row packed."""
+        return _Rows(self.bias, self.positions[np.unique(self.index(np.concatenate([self.first_rows, wanted])))])
 
 
-def _split_streams(fused: Tensor, layout: SequenceLayout, batch: int) -> tuple[Tensor, Tensor]:
-    """Fused (B*L, hidden) rows -> image rows (B*Li, hidden) and text rows
-    (B*Lt, hidden), sample-major."""
-    rows = np.arange(batch * layout.total_length).reshape(batch, layout.total_length)
-    return (nt.embedding_lookup(fused, rows[:, :layout.image_length].reshape(-1)),
-            nt.embedding_lookup(fused, rows[:, layout.image_length:].reshape(-1)))
+def _split_streams(fused: Tensor, layouts) -> list[tuple[Tensor, _Rows]]:
+    """Packed fused rows -> the packed image rows and the packed text rows,
+    each with its own grid."""
+    grid = _Rows.of(layouts)
+    at = (layouts if isinstance(layouts, SequenceLayout) else layouts[0]).image_length
+    length = grid.bias.shape[-1]
+    seq, col = np.divmod(grid.positions, length)
+    image = col < at
+    return [(nt.embedding_lookup(fused, np.flatnonzero(keep)), _Rows(bias, positions[keep]))
+            for keep, bias, positions in ((image, grid.bias[..., :at], seq * at + col),
+                                          (~image, grid.bias[..., at:], seq * (length - at) + col - at))]
 
 
-def _outputs(h_image: Tensor, h_text: Tensor, layout: SequenceLayout, batch: int) -> ModelOutputs:
-    """Pool each sample's first image row (the summary) and first text row."""
-    return ModelOutputs(
-        h_image=h_image,
-        h_text=h_text,
-        pooled_image=nt.embedding_lookup(h_image, np.arange(batch) * layout.image_length),
-        pooled_text=nt.embedding_lookup(h_text, np.arange(batch) * layout.text_length),
-    )
+def _outputs(image, text) -> ModelOutputs:
+    """Each stream is (packed rows, their grid, the flat grid rows the caller
+    reads). Without rows to read, every grid row comes out, zero at padding."""
+
+    def read(rows: Tensor, grid: _Rows, wanted) -> Tensor:
+        if wanted is None:
+            return nt.scatter_rows(rows, grid.positions, grid.bias.shape[0] * grid.bias.shape[-1])
+        return nt.embedding_lookup(rows, grid.index(wanted))
+
+    def pooled(rows: Tensor, grid: _Rows, _) -> Tensor:
+        return nt.embedding_lookup(rows, grid.index(grid.first_rows))
+
+    return ModelOutputs(h_image=read(*image), h_text=read(*text),
+                        pooled_image=pooled(*image), pooled_text=pooled(*text))
 
 
 def _sample_batch(tokens, features, bboxes, width, height, text_valid, object_valid) -> PaddedBatch:
@@ -248,81 +288,102 @@ class InterBert:
 
     # -- transformer blocks ---------------------------------------------
 
-    def _attention(self, x: Tensor, prefix: str, key_bias: np.ndarray) -> Tensor:
-        """Multi-head attention over (B*L, hidden) rows: heads come from a
-        reshape to (B, heads, L, d), not from slicing."""
+    def _attention(self, rows: Tensor, x: Tensor, prefix: str, keys: _Rows, queries: _Rows) -> Tensor:
+        """Multi-head attention of the packed query ``rows`` (at ``queries``)
+        over the packed rows ``x`` (at ``keys``). Q, K and V are scattered
+        into the padded (B, heads, L, d) grid, where the key bias gives padded
+        keys exactly zero weight, and the context is gathered back at the
+        query rows; heads come from a reshape, not from slicing."""
         p, cfg = self.params, self.config
-        batch, length = key_bias.shape[0], key_bias.shape[-1]
+        batch, length = keys.bias.shape[0], keys.bias.shape[-1]
         head_dim = cfg.hidden_size // cfg.num_heads
 
-        def heads(t: Tensor, axes) -> Tensor:
-            return nt.transpose(nt.reshape(t, (batch, length, cfg.num_heads, head_dim)), axes)
+        def heads(t: Tensor, grid: _Rows, axes) -> Tensor:
+            full = nt.scatter_rows(t, grid.positions, batch * length)
+            return nt.transpose(nt.reshape(full, (batch, length, cfg.num_heads, head_dim)), axes)
 
-        q = heads(nt.add(nt.matmul(x, p[prefix + "attn.wq"]), p[prefix + "attn.bq"]), (0, 2, 1, 3))
-        k_t = heads(nt.matmul(x, p[prefix + "attn.wk"]), (0, 2, 3, 1))  # (B, heads, d, L)
-        v = heads(nt.add(nt.matmul(x, p[prefix + "attn.wv"]), p[prefix + "attn.bv"]), (0, 2, 1, 3))
+        q = heads(nt.add(nt.matmul(rows, p[prefix + "attn.wq"]), p[prefix + "attn.bq"]), queries, (0, 2, 1, 3))
+        k_t = heads(nt.matmul(x, p[prefix + "attn.wk"]), keys, (0, 2, 3, 1))  # (B, heads, d, L)
+        v = heads(nt.add(nt.matmul(x, p[prefix + "attn.wv"]), p[prefix + "attn.bv"]), keys, (0, 2, 1, 3))
         scale = x.dtype.type(1.0 / math.sqrt(head_dim))  # a float64 scalar would promote float32 runs
-        scores = nt.add(nt.mul(nt.batch_matmul(q, k_t), scale), key_bias.astype(x.dtype))
+        scores = nt.add(nt.mul(nt.batch_matmul(q, k_t), scale), keys.bias.astype(x.dtype))
         context = nt.batch_matmul(nt.softmax(scores, axis=-1), v)
         merged = nt.reshape(nt.transpose(context, (0, 2, 1, 3)), (batch * length, cfg.hidden_size))
-        return nt.add(nt.matmul(merged, p[prefix + "attn.wo"]), p[prefix + "attn.bo"])
+        return nt.add(nt.matmul(nt.embedding_lookup(merged, queries.positions), p[prefix + "attn.wo"]),
+                      p[prefix + "attn.bo"])
 
-    def _encoder_layer(self, x: Tensor, prefix: str, key_bias: np.ndarray) -> Tensor:
+    def _encoder_layer(self, x: Tensor, prefix: str, grid: _Rows, out: _Rows | None = None) -> Tensor:
+        """One post-LN encoder layer over the packed rows ``x`` of ``grid``.
+        Keys and values come from every row; given ``out``, a subset of the
+        grid's rows, only those rows are computed and returned."""
         p, eps = self.params, self.config.ln_eps
-        attended = self._attention(x, prefix, key_bias)
-        mid = nt.layer_norm(nt.add(x, attended), p[prefix + "ln1.gain"], p[prefix + "ln1.bias"], eps)
+        rows = x if out is None else nt.embedding_lookup(x, grid.index(out.positions))
+        attended = self._attention(rows, x, prefix, grid, grid if out is None else out)
+        mid = nt.layer_norm(nt.add(rows, attended), p[prefix + "ln1.gain"], p[prefix + "ln1.bias"], eps)
         inner = nt.gelu(nt.add(nt.matmul(mid, p[prefix + "ffn.w1"]), p[prefix + "ffn.b1"]))
         ff = nt.add(nt.matmul(inner, p[prefix + "ffn.w2"]), p[prefix + "ffn.b2"])
         return nt.layer_norm(nt.add(mid, ff), p[prefix + "ln2.gain"], p[prefix + "ln2.bias"], eps)
 
     def interaction_forward(self, fused: Tensor, layouts) -> Tensor:
-        """Full-context encoder over the concatenated image+text sequences,
-        (B*L, hidden) for B layouts (or one); padded positions contribute
-        nothing to attention."""
-        bias = _key_bias(layouts)
-        if fused.shape[0] != bias.shape[0] * bias.shape[-1]:
-            raise ValueError(f"fused length {fused.shape[0]} does not match {bias.shape[0]} "
-                             f"layouts of length {bias.shape[-1]}")
+        """Full-context encoder over the concatenated image+text sequences of
+        B layouts (or one); ``fused`` holds only their real positions, sample
+        by sample, one row each."""
+        grid = _Rows.of(layouts)
+        if fused.shape[0] != grid.positions.size:
+            raise ValueError(f"{fused.shape[0]} fused rows for {grid.positions.size} real positions "
+                             f"of {grid.bias.shape[0]} layouts")
         x = fused
         for i in range(self.config.num_interaction_layers):
-            x = self._encoder_layer(x, f"interaction.layer{i}.", bias)
+            x = self._encoder_layer(x, f"interaction.layer{i}.", grid)
         return x
 
-    def extraction_forward(self, fused: Tensor, layouts) -> ModelOutputs:
-        """Split the fused sequences back into streams and encode each with
-        its own stack; attention never crosses the stream boundary."""
+    def extraction_forward(self, fused: Tensor, layouts, image_rows=None, text_rows=None) -> ModelOutputs:
+        """Split the packed fused rows back into streams and encode each with
+        its own stack; attention never crosses the stream boundary. Given
+        flat rows of a padded stream grid to read, that stream's last layer
+        computes queries, the FFN and the norms for those rows and each
+        sample's first row only, and only the rows read come out."""
         if self.config.architecture_variant != VARIANT_INTERBERT:
             raise ValueError("extraction module is absent under the single_stream variant")
-        bias = _key_bias(layouts)
-        layout = layouts if isinstance(layouts, SequenceLayout) else layouts[0]
-        image, text = _split_streams(fused, layout, bias.shape[0])
-        for i in range(self.config.num_extraction_layers):
-            image = self._encoder_layer(image, f"extract_image.layer{i}.", bias[..., :layout.image_length])
-        for i in range(self.config.num_extraction_layers):
-            text = self._encoder_layer(text, f"extract_text.layer{i}.", bias[..., layout.image_length:])
-        return _outputs(image, text, layout, bias.shape[0])
+        last = self.config.num_extraction_layers - 1
+        streams = []
+        for name, (x, grid), wanted in zip(("extract_image", "extract_text"), _split_streams(fused, layouts),
+                                           (image_rows, text_rows)):
+            read = None if wanted is None else grid.reading(wanted)
+            for i in range(last + 1):
+                x = self._encoder_layer(x, f"{name}.layer{i}.", grid, read if i == last else None)
+            streams.append((x, grid if read is None else read, wanted))
+        return _outputs(*streams)
 
     # -- composition -----------------------------------------------------
 
     def forward(self, tokens=None, features=None, bboxes=None, width=None, height=None,
-                text_valid=None, object_valid=None, batch: PaddedBatch | None = None) -> ModelOutputs:
+                text_valid=None, object_valid=None, batch: PaddedBatch | None = None,
+                image_rows=None, text_rows=None) -> ModelOutputs:
         """Forward a padded batch (see ``data.make_batch``) or, given one
-        sample's arrays instead, that sample as the B=1 case of the same path."""
+        sample's arrays instead, that sample as the B=1 case of the same path.
+
+        Only real positions are computed. ``image_rows`` / ``text_rows`` are
+        the flat rows of the padded (B*(m+1)) image or (B*n_tokens) text grid
+        the caller will read, and ``h_image`` / ``h_text`` are those rows in
+        order (empty: pooled rows only); by default every grid row comes out,
+        zero at padding."""
         if batch is None:
             batch = _sample_batch(tokens, features, bboxes, width, height, text_valid, object_valid)
         size, layout = len(batch), batch.layouts[0]
         image = self.embed_image(batch.features, batch.bboxes, batch.widths, batch.heights,
                                  object_valid=batch.object_valid)
         text = self.embed_text(batch.tokens)
-        # stacked rows are [every image row; every text row]; fused rows go sample by sample
-        image_rows = np.arange(size * layout.image_length).reshape(size, -1)
-        text_rows = size * layout.image_length + np.arange(size * layout.text_length).reshape(size, -1)
-        fused = nt.embedding_lookup(nt.concat([image, text], axis=0),
-                                    np.concatenate([image_rows, text_rows], axis=1).reshape(-1))
+        # stacked rows are [every image row; every text row]; packed rows are the real ones, sample by sample
+        stacked = np.concatenate([np.arange(size * layout.image_length).reshape(size, -1),
+                                  size * layout.image_length + np.arange(size * layout.text_length).reshape(size, -1)],
+                                 axis=1).reshape(-1)
+        fused = nt.embedding_lookup(nt.concat([image, text], axis=0), stacked[_Rows.of(batch.layouts).positions])
         encoded = self.interaction_forward(fused, batch.layouts)
         if self.config.architecture_variant == VARIANT_SINGLE_STREAM:
-            return _outputs(*_split_streams(encoded, layout, size), layout, size)
-        return self.extraction_forward(encoded, batch.layouts)
+            return _outputs(*[(x, grid, wanted) for (x, grid), wanted
+                              in zip(_split_streams(encoded, batch.layouts), (image_rows, text_rows))])
+        return self.extraction_forward(encoded, batch.layouts, image_rows, text_rows)
 
     # -- heads ------------------------------------------------------------
 
@@ -334,10 +395,8 @@ class InterBert:
         hidden = nt.gelu(nt.add(nt.matmul(gated, p["heads.itm.w1"]), p["heads.itm.b1"]))
         return nt.add(nt.matmul(hidden, p["heads.itm.w2"]), p["heads.itm.b2"])
 
-    def msm_logits(self, h_text: Tensor, rows=None) -> Tensor:
-        """Vocabulary logits at the given rows of ``h_text`` (all rows by default)."""
-        if rows is not None:
-            h_text = nt.embedding_lookup(h_text, rows)
+    def msm_logits(self, h_text: Tensor) -> Tensor:
+        """Vocabulary logits at every row of ``h_text``."""
         if self.config.tie_msm_weights:
             weight = nt.transpose(self.params["embed.token_table"])
         else:

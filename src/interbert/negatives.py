@@ -20,7 +20,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Corpus
+from .data import Corpus, CorpusError
 from .masking import MaskedSample, MaskingConfig, mask_pair
 
 DEFAULT_SIM_THRESHOLD = 0.5
@@ -139,19 +139,37 @@ def save_table(path, table: dict[int, list[tuple[int, float]]]) -> None:
 
 
 def load_table(path) -> dict[int, list[tuple[int, float]]]:
+    """Read a table written by ``save_table``; a malformed line is a
+    ``CorpusError`` naming the file and line."""
     import json
 
     table: dict[int, list[tuple[int, float]]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            table[int(record["image_id"])] = [
-                (int(e["caption_id"]), float(e["sim"])) for e in record["negatives"]
-            ]
+            try:
+                record = json.loads(line)
+                table[int(record["image_id"])] = [
+                    (int(e["caption_id"]), float(e["sim"])) for e in record["negatives"]
+                ]
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise CorpusError(f"{path}:{lineno}: malformed negatives line ({exc!r})") from None
     return table
+
+
+def check_table(table: dict[int, list[tuple[int, float]]], corpus: Corpus) -> None:
+    """Refuse a table that names an image or caption id the corpus lacks,
+    such as one mined from another corpus."""
+    captions = {pair.caption_id for pair in corpus.pairs}
+    for image_id, row in table.items():
+        if image_id not in corpus.image_captions:
+            raise CorpusError(f"negatives table names image {image_id}, which is not in the corpus")
+        for caption_id, _ in row:
+            if caption_id not in captions:
+                raise CorpusError(f"negatives table row of image {image_id} names caption {caption_id}, "
+                                  "which is not in the corpus")
 
 
 def sample_negative(pair, table: dict[int, list[tuple[int, float]]],

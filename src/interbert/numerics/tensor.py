@@ -82,45 +82,20 @@ class Tensor:
             raise NumericsError(f"item() needs a single-element tensor, got shape {self.values.shape}")
         return float(self.values.reshape(()))
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` into ``grad``. A ``fresh`` array, allocated for this
+        tensor alone, becomes the first gradient as it is; any other is
+        copied, since one array may flow to several parents."""
         if self.grad is None:
-            # a copy, never ``g`` itself: one array may flow to several parents
-            self.grad = np.array(np.broadcast_to(g, self.values.shape), dtype=self.values.dtype)
+            if fresh and type(g) is np.ndarray and g.shape == self.values.shape and g.dtype == self.values.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(np.broadcast_to(g, self.values.shape), dtype=self.values.dtype, order="C")
         else:
             self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
-    def mean(self) -> "Tensor":
-        return mean_all(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={tuple(self.values.shape)}, requires_grad={self.requires_grad})"
@@ -149,7 +124,9 @@ def _make(values: np.ndarray, grads: Sequence[tuple[Tensor, Callable[[np.ndarray
 
     def backward_fn(g: np.ndarray) -> None:
         for parent, fn in tracked:
-            parent.accumulate_grad(fn(g))
+            grad = fn(g)
+            # a closure's own allocation (not ``g`` passed through, not a view) is safe to keep
+            parent.accumulate_grad(grad, fresh=grad is not g and getattr(grad, "base", g) is None)
 
     return Tensor(values, _parents=tuple(p for p, _ in tracked), _backward_fn=backward_fn)
 
@@ -173,15 +150,6 @@ def add(a, b) -> Tensor:
     return _make(out, [
         (a, lambda g: _unbroadcast(g, a.values.shape)),
         (b, lambda g: _unbroadcast(g, b.values.shape)),
-    ])
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.values - b.values
-    return _make(out, [
-        (a, lambda g: _unbroadcast(g, a.values.shape)),
-        (b, lambda g: _unbroadcast(-g, b.values.shape)),
     ])
 
 
@@ -229,7 +197,8 @@ def transpose(a, axes=None) -> Tensor:
     if sorted(axes) != list(range(a.values.ndim)):
         raise NumericsError(f"axes {axes} are not a permutation of {a.values.ndim} axes")
     inverse = tuple(np.argsort(axes))
-    return _make(np.ascontiguousarray(a.values.transpose(axes)), [(a, lambda g: g.transpose(inverse))])
+    return _make(np.ascontiguousarray(a.values.transpose(axes)),
+                 [(a, lambda g: np.ascontiguousarray(g.transpose(inverse)))])
 
 
 def reshape(a, shape) -> Tensor:
@@ -351,12 +320,30 @@ def embedding_lookup(table, ids) -> Tensor:
     def to_parent(g: np.ndarray) -> np.ndarray:
         full = np.zeros_like(table.values)
         if np.bincount(idx, minlength=1).max() <= 1:
-            full[idx] = g  # a pure row gather: assignment, far cheaper than add.at
-        else:
-            np.add.at(full, idx, g)
+            full[idx] = g  # a pure row gather: assignment
+        else:  # add.at's sums in add.at's order, from one bincount over (id, column) cells
+            ids, inverse = np.unique(idx, return_inverse=True)
+            width = full.size // rows
+            cells = (inverse[:, None] * width + np.arange(width)).reshape(-1)
+            sums = np.bincount(cells, weights=g.reshape(-1), minlength=ids.size * width)
+            full[ids] = sums.reshape((ids.size,) + full.shape[1:])
         return full
 
     return _make(table.values[idx], [(table, to_parent)])
+
+
+def scatter_rows(rows, ids, num_rows: int) -> Tensor:
+    """Place ``rows`` at the distinct row ``ids`` of a zero (num_rows, ...)
+    array: the inverse of ``embedding_lookup``, whose gather is the backward."""
+    rows = as_tensor(rows)
+    idx = np.asarray(ids, dtype=np.int64)
+    if idx.shape != rows.values.shape[:1]:
+        raise NumericsError(f"{idx.shape} row ids for {rows.values.shape[0]} rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= num_rows or np.bincount(idx).max() > 1):
+        raise NumericsError(f"row ids must be distinct and inside [0, {num_rows})")
+    out = np.zeros((num_rows,) + rows.values.shape[1:], dtype=rows.values.dtype)
+    out[idx] = rows.values
+    return _make(out, [(rows, lambda g: g[idx])])
 
 
 def cross_entropy_logits(logits, targets, ignore_index: int = IGNORE_INDEX) -> Tensor:

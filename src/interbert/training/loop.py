@@ -16,7 +16,7 @@ from ..data import Corpus, check_limits, make_batch
 from ..evaluation import choice_credit, choice_images
 from ..masking import MaskedSample, MaskingConfig
 from ..model import InterBert, ModelConfig
-from ..negatives import make_itm_batch
+from ..negatives import check_table, make_itm_batch
 from ..numerics import IGNORE_INDEX
 from .losses import itm_loss, mrm_loss, msm_loss, total_loss
 from .optim import AdamWState, adamw_step, ema_update, lr_at
@@ -121,17 +121,9 @@ def write_metrics_csv(path, rows: list[StepMetrics]) -> None:
 
 def _batch_losses(model: InterBert, batch: list[MaskedSample], cfg: TrainConfig):
     """Forward the batch as one padded batch (plus its unmasked inputs when
-    matching reads those) and assemble the three loss components."""
-    limits = {"max_text_len": model.config.max_text_len, "max_objects": model.config.max_objects}
-    padded = make_batch(batch, **limits)
-    out = model.forward(batch=padded)
-    if cfg.itm_on_masked:
-        itm_out = out
-    else:
-        raw = [replace(s, tokens=s.raw_tokens, features=s.raw_features) for s in batch]
-        itm_out = model.forward(batch=make_batch(raw, **limits))
-    itm_labels = [float(sample.itm_label) for sample in batch]
-    logit_vec = nt.reshape(model.itm_score(itm_out.pooled_image, itm_out.pooled_text), (len(batch),))
+    matching reads those), computing only the rows the losses read, and
+    assemble the three loss components."""
+    padded = make_batch(batch, **model.config.limits)
 
     # MGM targets laid out like the padded rows; an object's row follows its summary row
     layout = padded.layouts[0]
@@ -144,9 +136,19 @@ def _batch_losses(model: InterBert, batch: list[MaskedSample], cfg: TrainConfig)
     token_rows = np.flatnonzero(text_targets != IGNORE_INDEX)
     region_rows = np.flatnonzero(image_targets != IGNORE_INDEX)
 
+    out = model.forward(batch=padded, image_rows=region_rows, text_rows=token_rows)
+    if cfg.itm_on_masked:
+        itm_out = out
+    else:
+        raw = [replace(s, tokens=s.raw_tokens, features=s.raw_features) for s in batch]
+        itm_out = model.forward(batch=make_batch(raw, **model.config.limits), image_rows=[], text_rows=[])
+    itm_labels = [float(sample.itm_label) for sample in batch]
+    logit_vec = nt.reshape(model.itm_score(itm_out.pooled_image, itm_out.pooled_text), (len(batch),))
+
     l_itm = itm_loss(logit_vec, itm_labels)
-    l_msm = msm_loss(model.msm_logits(out.h_text, token_rows), text_targets.reshape(-1)[token_rows])
-    l_mrm = mrm_loss(model.mrm_logits(out.h_image, region_rows), image_targets.reshape(-1)[region_rows])
+    l_msm = msm_loss(model.msm_logits(out.h_text), text_targets.reshape(-1)[token_rows])
+    l_mrm = mrm_loss(model.mrm_logits(out.h_image, np.arange(region_rows.size)),
+                     image_targets.reshape(-1)[region_rows])
     predictions = logit_vec.values > 0.0
     accuracy = float(np.mean(predictions == (np.asarray(itm_labels) > 0.5)))
     return l_msm, l_mrm, l_itm, accuracy
@@ -165,12 +167,13 @@ def pretrain(corpus: Corpus, table: dict, model_cfg: ModelConfig, train_cfg: Tra
     Per step: assemble a half-positive batch with mined negatives in the
     mix, forward it as one padded batch, combine the weighted losses,
     backpropagate, and apply one scheduled AdamW update. Aborts on
-    non-finite loss; refuses a corpus over the model's length limits before
-    the first step.
+    non-finite loss; refuses a corpus over the model's length limits, or a
+    negatives table naming ids the corpus lacks, before the first step.
     """
     model_cfg.validate()
     train_cfg.validate()
-    check_limits(corpus.pairs, model_cfg.max_text_len, model_cfg.max_objects)
+    check_limits(corpus.pairs, **model_cfg.limits)
+    check_table(table, corpus)
     model = InterBert.create(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
     state = AdamWState.for_params(model.params)
     rng = np.random.default_rng(train_cfg.seed)
@@ -239,7 +242,7 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
     """
     model_cfg.validate()
     train_cfg.validate()
-    check_limits(corpus.pairs, model_cfg.max_text_len, model_cfg.max_objects)
+    check_limits(corpus.pairs, **model_cfg.limits)
     image_ids = corpus.image_ids()
     if len(image_ids) < train_cfg.num_distractors + 1:
         raise ValueError(f"need at least {train_cfg.num_distractors + 1} images for multiple choice")
@@ -250,7 +253,6 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
     rng = np.random.default_rng(train_cfg.seed)
     image_index = np.array(image_ids)
     choices = 1 + train_cfg.num_distractors
-    limits = {"max_text_len": model_cfg.max_text_len, "max_objects": model_cfg.max_objects}
     metrics: list[FinetuneMetrics] = []
     for step in range(1, train_cfg.total_steps + 1):
         picks = rng.integers(0, len(corpus.pairs), size=train_cfg.batch_size)
@@ -259,7 +261,7 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
             pair = corpus.pairs[int(pick)]
             items += [replace(entry, caption_id=pair.caption_id, tokens=pair.tokens)
                       for entry in choice_images(corpus, image_index, pair.image_id, rng, train_cfg.num_distractors)]
-        out = model.forward(batch=make_batch(items, corpus.vocab, **limits))
+        out = model.forward(batch=make_batch(items, corpus.vocab, **model_cfg.limits), image_rows=[], text_rows=[])
         stacked = nt.reshape(model.itm_score(out.pooled_image, out.pooled_text), (len(picks), choices))
         targets = np.zeros(len(picks), dtype=np.int64)  # true image sits at slot 0
         loss = nt.cross_entropy_logits(stacked, targets)

@@ -62,6 +62,28 @@ def test_shared_subexpression_grads_add():
     np.testing.assert_array_equal(p.grad, [2.0])
 
 
+def test_reused_tensor_gets_unaliased_grads(rng):
+    """First gradients are kept without a copy only when an op allocated them
+    for one parent; a tensor used twice, directly or through a residual
+    branch, still gets the summed gradient in an array of its own."""
+    ps = ParameterSet()
+    a = ps.add("a", Tensor(rng.normal(size=(3, 4))))
+    w = ps.add("w", Tensor(rng.normal(size=(4, 4))))
+    doubled = nt.add(a, a)
+    residual = nt.add(doubled, nt.matmul(doubled, w))  # x + x @ w
+    weights = rng.normal(size=(3, 4))
+    backward(nt.sum_all(nt.mul(residual, weights)), ps)
+    np.testing.assert_allclose(a.grad, 2.0 * (weights + weights @ w.values.T), rtol=1e-13)
+    np.testing.assert_allclose(w.grad, (2.0 * a.values).T @ weights, rtol=1e-13)
+    grads = [a.grad, w.grad, doubled.grad, residual.grad]
+    for i, one in enumerate(grads):
+        for other in grads[i + 1:]:
+            assert not np.shares_memory(one, other)
+    err = finite_diff_check(lambda: nt.sum_all(nt.mul(nt.add(nt.add(a, a), nt.matmul(nt.add(a, a), w)), weights)),
+                            ps, step=1e-5, sample_count=50, seed=3)
+    assert err < 1e-6
+
+
 def test_backward_deterministic(rng):
     def run():
         gen = np.random.default_rng(99)

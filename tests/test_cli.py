@@ -111,6 +111,40 @@ def test_pretrain_outputs(pretrain_dir):
     assert stored["train"]["total_steps"] == 6
 
 
+def test_pretrain_refuses_a_table_from_another_corpus(tmp_path, negatives_dir, capsys):
+    small = tmp_path / "small"
+    assert run_cli("synth-data", "--out", small, "--seed", 4, "--num-images", 8,
+                   "--num-classes", 6, "--feature-dim", 8) == 0
+    table = negatives_dir / "negatives.jsonl"
+    capsys.readouterr()
+    code = run_cli("pretrain", "--corpus", small / "corpus.jsonl", "--vocab", small / "vocab.json",
+                   "--negatives", table, "--out", tmp_path / "run", "--steps", 2, "--warmup", 1,
+                   "--batch-size", 4, "--hidden-size", 16, "--num-heads", 2, "--ffn-size", 32)
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {table}: negatives table ") and "\n" not in err
+    assert err.endswith("which is not in the corpus")
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+def test_eval_refuses_images_over_the_object_limit(tmp_path, data_dir, pretrain_dir, capsys):
+    stored = json.loads((pretrain_dir / "config.json").read_text())
+    stored["model"]["max_objects"] = 2
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps(stored))
+    corpus = load_corpus(data_dir / "corpus.jsonl", data_dir / "vocab.json")
+    first = next(p for p in corpus.pairs if p.num_objects > 2)
+    capsys.readouterr()
+    code = run_cli("eval", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.json",
+                   "--checkpoint", pretrain_dir / "checkpoint.ibt", "--model-config", config,
+                   "--out", tmp_path / "eval")
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err == (f"error: {data_dir / 'corpus.jsonl'}: image {first.image_id} has "
+                   f"{first.num_objects} objects > limit 2")
+    assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
 def test_config_file_and_flag_precedence(tmp_path, data_dir, negatives_dir):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from interbert import numerics as nt
-from interbert.data import synth_corpus
+from interbert.data import CorpusError, synth_corpus
 from interbert.evaluation import (
     SCORE_BATCH,
     ScoreMatrix,
@@ -181,6 +181,47 @@ def test_score_pairs_rejects_unaligned_inputs():
     corpus = synth_corpus(seed=1, num_images=2, num_classes=6, feature_dim=8)
     with pytest.raises(ValueError, match="captions"):
         score_pairs(toy_model(corpus), [corpus.pairs[0].tokens], corpus.pairs)
+
+
+def forbid_forward(model, monkeypatch):
+    def forward(*args, **kwargs):
+        raise AssertionError("forward ran before the inputs were checked")
+
+    monkeypatch.setattr(model, "forward", forward)
+
+
+def test_evaluation_refuses_images_over_the_object_limit(monkeypatch):
+    corpus = mixed_pool()
+    model = toy_model(corpus)
+    model.config.max_objects = 3
+    first = next(p for p in corpus.pairs if p.num_objects > 3)
+    forbid_forward(model, monkeypatch)
+    captions, images = corpus_retrieval_pools(corpus)
+    pool = [image for image in images if image.num_objects <= 3] + [first]  # only the last column is over
+    with pytest.raises(CorpusError, match=f"image {first.image_id} has {first.num_objects} objects > limit 3"):
+        score_all(model, captions, pool)
+    for run in (zero_shot_eval, item_embeddings):
+        with pytest.raises(CorpusError, match=f"image {first.image_id} "):
+            run(model, corpus)
+
+
+def test_evaluation_refuses_captions_over_the_length_limit(monkeypatch):
+    corpus = mixed_pool()
+    model = toy_model(corpus)
+    limit = max(p.num_tokens for p in corpus.pairs) - 1
+    model.config.max_text_len = limit
+    first = next(p for p in corpus.pairs if p.num_tokens > limit)
+    forbid_forward(model, monkeypatch)
+    for run in (zero_shot_eval, item_embeddings):
+        with pytest.raises(CorpusError, match=f"caption {first.caption_id} has {first.num_tokens} tokens"):
+            run(model, corpus)
+    captions, images = corpus_retrieval_pools(corpus)
+    position = next(i for i, (tokens, _) in enumerate(captions) if len(tokens) > limit)
+    with pytest.raises(CorpusError, match=f"caption at position {position} "):
+        score_all(model, captions, images)
+    for accuracy in (itm_accuracy, multiple_choice_accuracy):
+        with pytest.raises(CorpusError, match=f"caption {first.caption_id} "):
+            accuracy(model, corpus, np.random.default_rng(0))
 
 
 def test_score_all_scores_every_cell_past_the_batch_cap():

@@ -600,3 +600,117 @@ def test_checkpoint_round_trip_through_model(tmp_path, rng):
     a = model.forward(**inputs)
     b = clone.forward(**inputs)
     assert np.array_equal(a.pooled_text.values, b.pooled_text.values)
+
+
+# ---------------------------------------------------------------------------
+# packed rows and read rows
+# ---------------------------------------------------------------------------
+
+def real_rows(batch, pairs, keep):
+    """Flat padded image and text rows of the real positions (summary and
+    first token included) for which ``keep(sample, position)`` holds."""
+    li, lt = batch.layouts[0].image_length, batch.layouts[0].text_length
+    image = [i * li + j for i, p in enumerate(pairs) for j in range(p.num_objects + 1) if keep(i, j)]
+    text = [i * lt + j for i, p in enumerate(pairs) for j in range(p.num_tokens) if keep(i, j)]
+    return np.array(image, dtype=np.int64), np.array(text, dtype=np.int64)
+
+
+@pytest.mark.parametrize("variant", ["interbert", VARIANT_SINGLE_STREAM])
+def test_read_rows_match_full_and_single_sample_forwards(rng, variant):
+    cfg = tiny_config(architecture_variant=variant)
+    model = InterBert.create(cfg, seed=6)
+    pairs = ragged_pairs(rng, cfg, [(2, 5), (5, 8), (3, 4), (1, 6)])
+    batch = make_batch(pairs)
+    li, lt = batch.layouts[0].image_length, batch.layouts[0].text_length
+    image_rows, text_rows = real_rows(batch, pairs, lambda i, j: j > 0 and (i + j) % 2 == 1)
+    full = model.forward(batch=batch)
+    read = model.forward(batch=batch, image_rows=image_rows, text_rows=text_rows)
+    pooled_only = model.forward(batch=batch, image_rows=[], text_rows=[])
+    assert read.h_image.shape == (image_rows.size, cfg.hidden_size)
+    assert read.h_text.shape == (text_rows.size, cfg.hidden_size)
+    assert pooled_only.h_image.shape == pooled_only.h_text.shape == (0, cfg.hidden_size)
+    assert np.max(np.abs(read.h_image.values - full.h_image.values[image_rows])) <= 1e-12
+    assert np.max(np.abs(read.h_text.values - full.h_text.values[text_rows])) <= 1e-12
+    for out in (read, pooled_only):
+        assert np.max(np.abs(out.pooled_image.values - full.pooled_image.values)) <= 1e-12
+        assert np.max(np.abs(out.pooled_text.values - full.pooled_text.values)) <= 1e-12
+    ones = [model.forward(tokens=p.tokens, features=p.features, bboxes=p.bboxes, width=p.width,
+                          height=p.height) for p in pairs]
+    for got, rows, length, field in ((read.h_image, image_rows, li, "h_image"), (read.h_text, text_rows, lt, "h_text")):
+        for k, row in enumerate(rows):
+            sample, position = divmod(int(row), length)
+            assert np.max(np.abs(got.values[k] - getattr(ones[sample], field).values[position])) <= 1e-12
+
+
+def test_read_rows_refuse_padding(rng):
+    cfg = tiny_config()
+    model = InterBert.create(cfg, seed=6)
+    pairs = ragged_pairs(rng, cfg, [(2, 5), (5, 8)])
+    batch = make_batch(pairs)
+    with pytest.raises(ValueError, match="padded"):
+        model.forward(batch=batch, image_rows=[], text_rows=[5])  # sample 0 has 5 tokens of 8
+    with pytest.raises(ValueError, match="padded"):
+        model.forward(batch=batch, image_rows=[3], text_rows=[])  # sample 0 has 2 objects of 5
+
+
+def test_projections_receive_only_real_rows(rng, monkeypatch):
+    cfg = tiny_config()
+    model = InterBert.create(cfg, seed=2)
+    pairs = ragged_pairs(rng, cfg, [(2, 5), (5, 8), (3, 4)])
+    batch = make_batch(pairs)
+    names = {id(t): name for name, t in model.params.items()}
+    seen = []
+    matmul = nt.matmul
+
+    def spy(a, b):
+        seen.append((names.get(id(b), ""), a.shape[0]))
+        return matmul(a, b)
+
+    monkeypatch.setattr(nt, "matmul", spy)
+    n_image = sum(p.num_objects + 1 for p in pairs)
+    n_text = sum(p.num_tokens for p in pairs)
+    assert n_image + n_text < len(batch) * batch.layouts[0].total_length  # the batch has padding
+
+    def layer_rows():
+        rows = {(name.split(".")[0], name.rsplit(".", 1)[1]): n for name, n in seen if ".layer" in name}
+        seen.clear()
+        return rows
+
+    model.forward(batch=batch)
+    expected = {"interaction": n_image + n_text, "extract_image": n_image, "extract_text": n_text}
+    got = layer_rows()
+    assert got and all(n == expected[block] for (block, _), n in got.items())
+
+    # read rows: the last layer's keys and values see every real row, the rest only the rows read
+    model.forward(batch=batch, image_rows=[], text_rows=[batch.layouts[0].text_length + 2])
+    got = layer_rows()
+    for block, read in (("extract_image", len(pairs)), ("extract_text", len(pairs) + 1)):
+        assert got[(block, "wk")] == got[(block, "wv")] == expected[block]
+        assert got[(block, "wq")] == got[(block, "wo")] == got[(block, "w1")] == got[(block, "w2")] == read
+
+
+def test_long_companion_leaves_a_sample_loss_unchanged(rng):
+    """A sample's masked-token, masked-region and matching losses, and their
+    gradients, do not change when a long companion pads its batch."""
+    cfg = tiny_config()
+    model = InterBert.create(cfg, seed=7)
+    target, companion = ragged_pairs(rng, cfg, [(2, 4), (6, 11)])
+
+    def loss_and_grads(pairs, slot):
+        batch = make_batch(pairs)
+        li, lt = batch.layouts[0].image_length, batch.layouts[0].text_length
+        out = model.forward(batch=batch, image_rows=[slot * li + 2], text_rows=[slot * lt + 1, slot * lt + 2])
+        logit = nt.reshape(nt.embedding_lookup(model.itm_score(out.pooled_image, out.pooled_text), [slot]), (1,))
+        loss = nt.add(nt.add(nt.cross_entropy_logits(model.msm_logits(out.h_text), [7, 9]),
+                             nt.cross_entropy_logits(model.mrm_logits(out.h_image, [0]), [3])),
+                      nt.binary_cross_entropy_logits(logit, [1.0]))
+        model.params.zero_grad()
+        backward(loss, model.params)
+        return loss.item(), {name: t.grad.copy() for name, t in model.params.items()}
+
+    alone, alone_grads = loss_and_grads([target], 0)
+    for pairs, slot in (([target, companion], 0), ([companion, target], 1)):
+        padded, padded_grads = loss_and_grads(pairs, slot)
+        assert abs(padded - alone) <= 1e-12
+        for name, grad in alone_grads.items():
+            assert np.max(np.abs(padded_grads[name] - grad)) <= 1e-12, name

@@ -6,12 +6,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from interbert.data import synth_corpus
+from interbert.data import CorpusError, synth_corpus
 from interbert.masking import MaskingConfig
 from interbert.negatives import (
     TfIdfIndex,
     build_hard_negative_table,
     build_tfidf,
+    check_table,
     load_table,
     make_itm_batch,
     mine_hard_negatives,
@@ -156,6 +157,27 @@ def test_table_file_round_trip(tmp_path):
     blob = path.read_bytes()
     save_table(path, loaded)
     assert path.read_bytes() == blob
+
+
+def test_load_table_names_the_malformed_line(tmp_path):
+    path = tmp_path / "negatives.jsonl"
+    for bad in ('{"image_id": 1, "negs": []}', "not json", '{"image_id": 1, "negatives": [{"sim": 0.1}]}'):
+        path.write_text('{"image_id": 0, "negatives": []}\n' + bad + "\n")
+        with pytest.raises(CorpusError, match=f"{path}:2: malformed negatives line"):
+            load_table(path)
+
+
+def test_check_table_refuses_ids_outside_the_corpus():
+    corpus = synth_corpus(seed=2, num_images=20)
+    table = build_hard_negative_table(build_tfidf(corpus))
+    check_table(table, corpus)
+    smaller = synth_corpus(seed=2, num_images=12)  # captions 0-11 of images 0-11
+    with pytest.raises(CorpusError, match="not in the corpus"):
+        check_table(table, smaller)
+    with pytest.raises(CorpusError, match="names image 12,"):
+        check_table({0: [(3, 0.1)], 12: []}, smaller)
+    with pytest.raises(CorpusError, match="row of image 0 names caption 15,"):
+        check_table({0: [(3, 0.1), (15, 0.1)]}, smaller)
 
 
 # ---------------------------------------------------------------------------

@@ -206,12 +206,44 @@ def test_embedding_gradient_scatters():
     np.testing.assert_array_equal(table.grad, expected)
 
 
+def test_embedding_repeated_ids_gradient_matches_add_at(rng):
+    ids = rng.integers(0, 5, size=40)
+    ps = make_params(rng, table=(6, 3))
+    weights = rng.normal(size=(40, 3))
+    backward(nt.sum_all(nt.mul(nt.embedding_lookup(ps["table"], ids), weights)), ps)
+    want = np.zeros((6, 3))
+    np.add.at(want, ids, weights)
+    np.testing.assert_array_equal(ps["table"].grad, want)
+
+
 def test_embedding_out_of_range():
     table = Tensor(np.zeros((3, 2)))
     with pytest.raises(NumericsError):
         nt.embedding_lookup(table, [3])
     with pytest.raises(NumericsError):
         nt.embedding_lookup(table, [-1])
+
+
+def test_scatter_rows_inverts_embedding_lookup(rng):
+    rows = rng.normal(size=(3, 4))
+    out = nt.scatter_rows(Tensor(rows), [4, 0, 2], 6).values
+    np.testing.assert_array_equal(out[[4, 0, 2]], rows)
+    np.testing.assert_array_equal(out[[1, 3, 5]], np.zeros((3, 4)))
+    back = nt.embedding_lookup(nt.scatter_rows(Tensor(rows), [4, 0, 2], 6), [4, 0, 2]).values
+    np.testing.assert_array_equal(back, rows)
+
+
+def test_scatter_rows_gradcheck(rng):
+    ps = make_params(rng, rows=(3, 2, 2))
+    w = rng.normal(size=(5, 2, 2))
+    gradcheck(lambda: nt.sum_all(nt.mul(nt.scatter_rows(ps["rows"], [3, 1, 4], 5), w)), ps)
+
+
+def test_scatter_rows_refuses_bad_ids():
+    rows = Tensor(np.ones((2, 3)))
+    for ids in ([1, 1], [0, 5], [-1, 0], [0]):
+        with pytest.raises(NumericsError):
+            nt.scatter_rows(rows, ids, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,17 @@ def test_pretrain_refuses_oversized_caption_before_step_one():
     assert steps == []
 
 
+def test_pretrain_refuses_a_table_from_another_corpus_before_step_one():
+    corpus, _, model_cfg = small_fixture()
+    larger = synth_corpus(seed=12, num_images=14, num_classes=6, feature_dim=8)
+    table = build_hard_negative_table(build_tfidf(larger))
+    steps = []
+    with pytest.raises(CorpusError, match="not in the corpus"):
+        pretrain(corpus, table, model_cfg, TrainConfig(total_steps=2, warmup_steps=1, batch_size=4),
+                 step_callback=steps.append)
+    assert steps == []
+
+
 def test_finetune_refuses_oversized_image_before_step_one():
     corpus, _, model_cfg = small_fixture()
     limit = max(p.num_objects for p in corpus.pairs) - 1
