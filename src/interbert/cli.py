@@ -203,6 +203,7 @@ def run_pretrain(config: dict, out_dir: Path) -> list[str]:
         raise CommandError(f"{config['negatives']}: {exc}") from None
     config["model"] = _resolve_model_config(config["model"], corpus)
     model_cfg = ModelConfig.from_dict(config["model"])
+    _check_corpus(config, corpus, **model_cfg.limits, num_classes=model_cfg.num_object_classes)
     train_cfg = TrainConfig.from_dict(config["train"])
     result = pretrain(corpus, table, model_cfg, train_cfg)
     save_checkpoint(out_dir / "checkpoint.ibt", result.model.params)
@@ -212,6 +213,16 @@ def run_pretrain(config: dict, out_dir: Path) -> list[str]:
                    indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
     return ["checkpoint.ibt", "metrics.csv", "config.json"]
+
+
+def _check_corpus(config: dict, corpus, **limits) -> None:
+    """Refuse a corpus the model cannot take (``data.check_limits``), naming the file."""
+    from .data import CorpusError, check_limits
+
+    try:
+        check_limits(corpus.pairs, **limits)
+    except CorpusError as exc:
+        raise CommandError(f"{config['corpus']}: {exc}") from None
 
 
 def _model_config_for_checkpoint(config: dict, corpus):
@@ -236,6 +247,7 @@ def run_finetune(config: dict, out_dir: Path) -> list[str]:
     corpus = load_corpus(config["corpus"], config["vocab"])
     model_cfg = _model_config_for_checkpoint(config, corpus)
     config["model"] = model_cfg.to_dict()
+    _check_corpus(config, corpus, **model_cfg.limits)
     train_cfg = TrainConfig.from_dict(config["train"])
     result = finetune_retrieval(corpus, model_cfg, train_cfg, load_checkpoint(config["checkpoint"]))
     save_checkpoint(out_dir / "checkpoint_ema.ibt", result.ema_values)
@@ -249,7 +261,7 @@ def run_finetune(config: dict, out_dir: Path) -> list[str]:
 
 
 def run_eval(config: dict, out_dir: Path) -> list[str]:
-    from .data import CorpusError, check_limits, load_corpus
+    from .data import load_corpus
     from .evaluation import item_embeddings, write_embeddings, zero_shot_eval
     from .model import InterBert
 
@@ -258,11 +270,8 @@ def run_eval(config: dict, out_dir: Path) -> list[str]:
         raise CommandError("empty corpus")
     model_cfg = _model_config_for_checkpoint(config, corpus)
     config["model"] = model_cfg.to_dict()
+    _check_corpus(config, corpus, **model_cfg.limits)
     model = InterBert.from_checkpoint(model_cfg, config["checkpoint"])
-    try:
-        check_limits(corpus.pairs, **model_cfg.limits)
-    except CorpusError as exc:
-        raise CommandError(f"{config['corpus']}: {exc}") from None
     report = zero_shot_eval(model, corpus)
     recalls = report["recall"]
     header = "split\tN_images\t" + "\t".join(f"R@{k}" for k in sorted(recalls))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +48,14 @@ class Vocabulary:
     def special_ids(self) -> frozenset[int]:
         return frozenset((self.pad_id, self.cls_id, self.sep_id, self.mask_id))
 
+    @cached_property
     def content_ids(self) -> np.ndarray:
-        special = self.special_ids()
-        return np.array([i for i in range(self.size) if i not in special], dtype=np.int64)
+        """The non-special ids, ascending; built once per vocabulary, read-only."""
+        keep = np.ones(self.size, dtype=bool)
+        keep[list(self.special_ids())] = False
+        ids = np.flatnonzero(keep).astype(np.int64, copy=False)
+        ids.flags.writeable = False
+        return ids
 
 
 @dataclass
@@ -336,25 +342,32 @@ def synth_corpus(
 # batching
 # ---------------------------------------------------------------------------
 
-def check_limits(items, max_text_len: int | None = None, max_objects: int | None = None) -> None:
-    """Refuse any sample over the model's length limits, naming its id."""
+def check_limits(items, max_text_len: int | None = None, max_objects: int | None = None,
+                 feature_dim: int | None = None, num_classes: int | None = None) -> None:
+    """Refuse any sample the model cannot take, naming its id: a caption or
+    an image over the length limits, object features of another width, or
+    an object class label outside the model's classes."""
     for item in items:
         if max_text_len is not None and len(item.tokens) > max_text_len:
             raise CorpusError(f"caption {item.caption_id} has {len(item.tokens)} tokens > limit {max_text_len}")
         if max_objects is not None and len(item.features) > max_objects:
             raise CorpusError(f"image {item.image_id} has {len(item.features)} objects > limit {max_objects}")
+        if feature_dim is not None and item.features.shape[1] != feature_dim:
+            raise CorpusError(f"image {item.image_id} has object features of width {item.features.shape[1]}, "
+                              f"the model takes {feature_dim}")
+        if num_classes is not None and item.labels.max() >= num_classes:
+            raise CorpusError(f"image {item.image_id} has object class {item.labels.max()} outside the "
+                              f"model's {num_classes} classes")
 
 
-def make_batch(items, vocab: Vocabulary | None = None,
-               max_text_len: int | None = None,
-               max_objects: int | None = None) -> PaddedBatch:
+def make_batch(items, vocab: Vocabulary | None = None, **limits) -> PaddedBatch:
     """Pad pairs or masked samples to the batch maxima. Truncation is
-    forbidden: a sample over the stated limits is an error. Text padding
-    carries ``vocab.pad_id`` (id 0 without a vocabulary: padded positions are
-    invisible to attention, so the id only has to exist)."""
+    forbidden: a sample breaking the ``check_limits`` keywords given is an
+    error. Text padding carries ``vocab.pad_id`` (id 0 without a vocabulary:
+    padded positions are invisible to attention, so the id only has to exist)."""
     if not items:
         raise CorpusError("cannot batch zero samples")
-    check_limits(items, max_text_len, max_objects)
+    check_limits(items, **limits)
 
     batch = len(items)
     t_max = max(len(p.tokens) for p in items)

@@ -40,12 +40,12 @@ class ScoreMatrix:
 
 def _check_pool_limits(model: InterBert, captions: Sequence[np.ndarray], images: Sequence[ImageTextPair]) -> None:
     """Refuse a caption (named by its position, as captions carry no id here)
-    or an image (named by id) over the model's limits."""
+    or an image (named by id) over the model's limits or of another feature width."""
     limit = model.config.max_text_len
     for position, tokens in enumerate(captions):
         if len(tokens) > limit:
             raise CorpusError(f"caption at position {position} has {len(tokens)} tokens > limit {limit}")
-    check_limits(images, max_objects=model.config.max_objects)
+    check_limits(images, max_objects=model.config.max_objects, feature_dim=model.config.object_feature_dim)
 
 
 def score_pairs(model: InterBert, captions: Sequence[np.ndarray],

@@ -163,7 +163,7 @@ def apply_masks(tokens, features, plan: MaskPlan, vocab: Vocabulary, rng):
     feats = np.array(features, dtype=np.float64, copy=True)
     msm_targets = np.full(toks.shape, IGNORE_INDEX, dtype=np.int64)
     mrm_targets = np.full(feats.shape[0], IGNORE_INDEX, dtype=np.int64)
-    replacements = vocab.content_ids()
+    replacements = vocab.content_ids
     for position, action, target in zip(plan.text_positions, plan.text_actions, plan.text_targets):
         msm_targets[position] = target
         if action == ACTION_MASK:

@@ -55,8 +55,11 @@ class ModelConfig:
 
     @property
     def limits(self) -> dict:
-        """The length limits, as keywords of ``data.check_limits`` and ``make_batch``."""
-        return {"max_text_len": self.max_text_len, "max_objects": self.max_objects}
+        """What every sample must meet, as keywords of ``data.check_limits``
+        and ``make_batch``: the length limits and the object feature width.
+        Pretraining, which reads the object labels, adds the class count."""
+        return {"max_text_len": self.max_text_len, "max_objects": self.max_objects,
+                "feature_dim": self.object_feature_dim}
 
     def to_dict(self) -> dict:
         return asdict(self)

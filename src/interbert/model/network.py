@@ -4,16 +4,16 @@ and the three pretraining heads.
 
 The forward pass takes a padded batch of B samples. Past the embeddings it
 computes only the N real positions: one gather packs them into rank-2 rows,
-(N, hidden), so every encoder projection, FFN and norm is one matrix product
-or row-wise op over real rows. Attention alone scatters Q, K and V into the padded (B, heads, L, d)
-grid, adds a (B, 1, 1, L) key bias that hides padding, and gathers the
-context back. The last extraction layer computes only the rows the caller
-reads. A single sample is the B=1 case of the same path.
+(N, hidden), so every projection is one ``nt.linear`` and every FFN and norm
+a row-wise op over real rows. Attention alone works on the padded grid,
+inside one ``nt.attention`` node: Q, K and V go into (B, heads, L, d) grids,
+a (B, 1, 1, L) key bias hides padding, and the context comes back as packed
+rows. The last extraction layer computes only the rows the caller reads.
+A single sample is the B=1 case of the same path.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -142,6 +142,11 @@ class _Rows:
         layouts = [layouts] if isinstance(layouts, SequenceLayout) else layouts
         return cls(np.array([layout.key_bias() for layout in layouts])[:, None, None, :],
                    np.flatnonzero([layout.valid for layout in layouts]))
+
+    @property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sequence, position) of every packed row."""
+        return np.divmod(self.positions, self.bias.shape[-1])
 
     @property
     def first_rows(self) -> np.ndarray:
@@ -279,9 +284,8 @@ class InterBert:
         geometry = image_geometry(boxes, sizes[:, 0], sizes[:, 1]).reshape(batch * (m + 1), GEOMETRY_DIM)
         p = self.params
         dtype = p["embed.feature_proj.w"].values.dtype  # keep float32 runs in float32
-        projected = nt.add(nt.matmul(Tensor(stacked.astype(dtype)), p["embed.feature_proj.w"]),
-                           p["embed.feature_proj.b"])
-        placed = nt.add(nt.matmul(Tensor(geometry.astype(dtype)), p["embed.box_proj.w"]), p["embed.box_proj.b"])
+        projected = nt.linear(Tensor(stacked.astype(dtype)), p["embed.feature_proj.w"], p["embed.feature_proj.b"])
+        placed = nt.linear(Tensor(geometry.astype(dtype)), p["embed.box_proj.w"], p["embed.box_proj.b"])
         seg = nt.embedding_lookup(p["embed.segment_table"], [segment])
         x = nt.add(nt.add(projected, placed), seg)
         return nt.layer_norm(x, p["embed.image_ln.gain"], p["embed.image_ln.bias"], self.config.ln_eps)
@@ -290,27 +294,14 @@ class InterBert:
 
     def _attention(self, rows: Tensor, x: Tensor, prefix: str, keys: _Rows, queries: _Rows) -> Tensor:
         """Multi-head attention of the packed query ``rows`` (at ``queries``)
-        over the packed rows ``x`` (at ``keys``). Q, K and V are scattered
-        into the padded (B, heads, L, d) grid, where the key bias gives padded
-        keys exactly zero weight, and the context is gathered back at the
-        query rows; heads come from a reshape, not from slicing."""
-        p, cfg = self.params, self.config
-        batch, length = keys.bias.shape[0], keys.bias.shape[-1]
-        head_dim = cfg.hidden_size // cfg.num_heads
-
-        def heads(t: Tensor, grid: _Rows, axes) -> Tensor:
-            full = nt.scatter_rows(t, grid.positions, batch * length)
-            return nt.transpose(nt.reshape(full, (batch, length, cfg.num_heads, head_dim)), axes)
-
-        q = heads(nt.add(nt.matmul(rows, p[prefix + "attn.wq"]), p[prefix + "attn.bq"]), queries, (0, 2, 1, 3))
-        k_t = heads(nt.matmul(x, p[prefix + "attn.wk"]), keys, (0, 2, 3, 1))  # (B, heads, d, L)
-        v = heads(nt.add(nt.matmul(x, p[prefix + "attn.wv"]), p[prefix + "attn.bv"]), keys, (0, 2, 1, 3))
-        scale = x.dtype.type(1.0 / math.sqrt(head_dim))  # a float64 scalar would promote float32 runs
-        scores = nt.add(nt.mul(nt.batch_matmul(q, k_t), scale), keys.bias.astype(x.dtype))
-        context = nt.batch_matmul(nt.softmax(scores, axis=-1), v)
-        merged = nt.reshape(nt.transpose(context, (0, 2, 1, 3)), (batch * length, cfg.hidden_size))
-        return nt.add(nt.matmul(nt.embedding_lookup(merged, queries.positions), p[prefix + "attn.wo"]),
-                      p[prefix + "attn.bo"])
+        over the packed rows ``x`` (at ``keys``): one fused ``nt.attention``
+        between the projections, the key bias giving padded keys zero weight."""
+        p = self.params
+        q = nt.linear(rows, p[prefix + "attn.wq"], p[prefix + "attn.bq"])
+        k = nt.linear(x, p[prefix + "attn.wk"])
+        v = nt.linear(x, p[prefix + "attn.wv"], p[prefix + "attn.bv"])
+        context = nt.attention(q, k, v, queries.cells, keys.cells, keys.bias, self.config.num_heads)
+        return nt.linear(context, p[prefix + "attn.wo"], p[prefix + "attn.bo"])
 
     def _encoder_layer(self, x: Tensor, prefix: str, grid: _Rows, out: _Rows | None = None) -> Tensor:
         """One post-LN encoder layer over the packed rows ``x`` of ``grid``.
@@ -320,8 +311,8 @@ class InterBert:
         rows = x if out is None else nt.embedding_lookup(x, grid.index(out.positions))
         attended = self._attention(rows, x, prefix, grid, grid if out is None else out)
         mid = nt.layer_norm(nt.add(rows, attended), p[prefix + "ln1.gain"], p[prefix + "ln1.bias"], eps)
-        inner = nt.gelu(nt.add(nt.matmul(mid, p[prefix + "ffn.w1"]), p[prefix + "ffn.b1"]))
-        ff = nt.add(nt.matmul(inner, p[prefix + "ffn.w2"]), p[prefix + "ffn.b2"])
+        inner = nt.gelu(nt.linear(mid, p[prefix + "ffn.w1"], p[prefix + "ffn.b1"]))
+        ff = nt.linear(inner, p[prefix + "ffn.w2"], p[prefix + "ffn.b2"])
         return nt.layer_norm(nt.add(mid, ff), p[prefix + "ln2.gain"], p[prefix + "ln2.bias"], eps)
 
     def interaction_forward(self, fused: Tensor, layouts) -> Tensor:
@@ -392,8 +383,8 @@ class InterBert:
         representations; shape (B, 1)."""
         p = self.params
         gated = nt.mul(pooled_image, pooled_text)
-        hidden = nt.gelu(nt.add(nt.matmul(gated, p["heads.itm.w1"]), p["heads.itm.b1"]))
-        return nt.add(nt.matmul(hidden, p["heads.itm.w2"]), p["heads.itm.b2"])
+        hidden = nt.gelu(nt.linear(gated, p["heads.itm.w1"], p["heads.itm.b1"]))
+        return nt.linear(hidden, p["heads.itm.w2"], p["heads.itm.b2"])
 
     def msm_logits(self, h_text: Tensor) -> Tensor:
         """Vocabulary logits at every row of ``h_text``."""
@@ -401,11 +392,11 @@ class InterBert:
             weight = nt.transpose(self.params["embed.token_table"])
         else:
             weight = self.params["heads.msm.w"]
-        return nt.add(nt.matmul(h_text, weight), self.params["heads.msm.b"])
+        return nt.linear(h_text, weight, self.params["heads.msm.b"])
 
     def mrm_logits(self, h_image: Tensor, rows=None) -> Tensor:
         """Object-class logits at the given rows of ``h_image``; by default
         the m object rows of one sample (summary excluded)."""
         rows = np.arange(1, h_image.shape[0]) if rows is None else rows
         objects = nt.embedding_lookup(h_image, rows)
-        return nt.add(nt.matmul(objects, self.params["heads.mrm.w"]), self.params["heads.mrm.b"])
+        return nt.linear(objects, self.params["heads.mrm.w"], self.params["heads.mrm.b"])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,12 +110,15 @@ def _tracks(t: Tensor) -> bool:
     return t.requires_grad or t._backward_fn is not None
 
 
-def _make(values: np.ndarray, grads: Sequence[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]]) -> Tensor:
+def _make(values: np.ndarray, grads: Sequence[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]],
+          shared: Callable[[np.ndarray], object] | None = None) -> Tensor:
     """Wrap an op result, recording per-parent gradient closures.
 
     ``grads`` pairs each parent with a function mapping the output gradient
     to that parent's gradient contribution. Parents that track nothing are
-    dropped, so constant subgraphs never enter the tape.
+    dropped, so constant subgraphs never enter the tape. Given ``shared``,
+    each backward call maps the output gradient through it once and every
+    closure receives that result instead, returning arrays of its own.
     """
     if not _grad_enabled:
         return Tensor(values)
@@ -123,10 +127,12 @@ def _make(values: np.ndarray, grads: Sequence[tuple[Tensor, Callable[[np.ndarray
         return Tensor(values)
 
     def backward_fn(g: np.ndarray) -> None:
+        h = g if shared is None else shared(g)
         for parent, fn in tracked:
-            grad = fn(g)
+            grad = fn(h)
             # a closure's own allocation (not ``g`` passed through, not a view) is safe to keep
-            parent.accumulate_grad(grad, fresh=grad is not g and getattr(grad, "base", g) is None)
+            fresh = shared is not None or (grad is not g and getattr(grad, "base", g) is None)
+            parent.accumulate_grad(grad, fresh=fresh)
 
     return Tensor(values, _parents=tuple(p for p, _ in tracked), _backward_fn=backward_fn)
 
@@ -175,30 +181,25 @@ def matmul(a, b) -> Tensor:
     ])
 
 
-def batch_matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes, batched over the leading ones,
-    which must agree exactly (no broadcasting)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.values.ndim < 3 or a.values.shape[:-2] != b.values.shape[:-2]:
-        raise NumericsError(f"batch_matmul needs equal batch axes, got {a.values.shape} @ {b.values.shape}")
-    if a.values.shape[-1] != b.values.shape[-2]:
-        raise NumericsError(f"batch_matmul inner dimensions disagree: {a.values.shape} @ {b.values.shape}")
-    out = np.matmul(a.values, b.values)
-    return _make(out, [
-        (a, lambda g: np.matmul(g, np.swapaxes(b.values, -1, -2))),
-        (b, lambda g: np.matmul(np.swapaxes(a.values, -1, -2), g)),
-    ])
+def linear(x, w, b=None) -> Tensor:
+    """``x @ w``, plus the bias row ``b`` when given, as one node."""
+    x, w = as_tensor(x), as_tensor(w)
+    if x.values.ndim != 2 or w.values.ndim != 2 or x.values.shape[1] != w.values.shape[0]:
+        raise NumericsError(f"linear needs rank-2 operands with equal inner sizes, got {x.values.shape} @ "
+                            f"{w.values.shape}")
+    out = x.values @ w.values
+    grads = [(x, lambda g: g @ w.values.T), (w, lambda g: x.values.T @ g)]
+    if b is not None:
+        b = as_tensor(b)
+        out += b.values
+        grads.append((b, lambda g: g.sum(axis=0)))
+    return _make(out, grads)
 
 
-def transpose(a, axes=None) -> Tensor:
-    """Permute the axes; by default reverse them (the matrix transpose)."""
+def transpose(a) -> Tensor:
+    """The matrix transpose (all axes reversed)."""
     a = as_tensor(a)
-    axes = tuple(reversed(range(a.values.ndim))) if axes is None else tuple(axes)
-    if sorted(axes) != list(range(a.values.ndim)):
-        raise NumericsError(f"axes {axes} are not a permutation of {a.values.ndim} axes")
-    inverse = tuple(np.argsort(axes))
-    return _make(np.ascontiguousarray(a.values.transpose(axes)),
-                 [(a, lambda g: np.ascontiguousarray(g.transpose(inverse)))])
+    return _make(np.ascontiguousarray(a.values.T), [(a, lambda g: np.ascontiguousarray(g.T))])
 
 
 def reshape(a, shape) -> Tensor:
@@ -269,23 +270,79 @@ def softmax(x, axis: int = -1) -> Tensor:
     return _make(s, [(x, to_parent)])
 
 
+def attention(q, k, v, queries, keys, bias, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q`` holds packed query rows and ``k``, ``v`` packed key/value rows,
+    (N, hidden) each; ``queries`` and ``keys`` give the (sequence, position)
+    of every row in a padded B×L grid, and ``bias`` is the grid's (B, 1, 1, L)
+    additive key bias, which must hide every position no key row fills. The
+    rows go straight into head-major grids (keys transposed), and the
+    (Nq, hidden) context comes back gathered at the query rows. The tape
+    keeps the three grids and the probabilities only.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    (qb, ql), (kb, kl) = queries, keys
+    batch, length = bias.shape[0], bias.shape[-1]
+    rows, hidden = q.values.shape
+    if hidden % heads or k.values.shape != v.values.shape or k.values.shape[1] != hidden:
+        raise NumericsError(f"attention over {heads} heads got q {q.values.shape}, k {k.values.shape}, "
+                            f"v {v.values.shape}")
+    d, dtype = hidden // heads, q.values.dtype
+    qh = np.zeros((batch, heads, length, d), dtype)
+    kt = np.zeros((batch, heads, d, length), dtype)
+    vh = np.zeros((batch, heads, length, d), dtype)
+    qh[qb, :, ql, :] = q.values.reshape(rows, heads, d)
+    kt[kb, :, :, kl] = k.values.reshape(-1, heads, d)
+    vh[kb, :, kl, :] = v.values.reshape(-1, heads, d)
+    scale = dtype.type(1.0 / math.sqrt(d))  # a float64 scalar would promote float32 runs
+    probs = np.matmul(qh, kt)
+    probs *= scale
+    probs += bias.astype(dtype, copy=False)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = np.matmul(probs, vh)[qb, :, ql, :].reshape(rows, hidden)
+
+    def grids(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """dQ, dK and dV as packed rows, from one dS per gradient."""
+        g_ctx = np.zeros_like(qh)
+        g_ctx[qb, :, ql, :] = g.reshape(rows, heads, d)
+        d_scores = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))
+        d_v = np.matmul(np.swapaxes(probs, -1, -2), g_ctx)
+        d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)  # softmax backward
+        d_scores *= probs
+        d_scores *= scale
+        d_q = np.matmul(d_scores, np.swapaxes(kt, -1, -2))
+        d_kt = np.matmul(np.swapaxes(qh, -1, -2), d_scores)
+        return (d_q[qb, :, ql, :].reshape(rows, hidden), d_kt[kb, :, :, kl].reshape(-1, hidden),
+                d_v[kb, :, kl, :].reshape(-1, hidden))
+
+    return _make(out, [(q, itemgetter(0)), (k, itemgetter(1)), (v, itemgetter(2))], shared=grids)
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
     """Per-row normalization over the last axis, then an affine transform."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     v = x.values
     if v.shape[-1] < 2:
         raise NumericsError("layer_norm needs a last axis of size >= 2")
-    mu = v.mean(axis=-1, keepdims=True)
-    centered = v - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gain.values + bias.values
+    xhat = v - v.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).mean(axis=-1, keepdims=True)
+    var += eps
+    inv = 1.0 / np.sqrt(var, out=var)
+    xhat *= inv
+    out = xhat * gain.values
+    out += bias.values
 
     def to_x(g: np.ndarray) -> np.ndarray:
         gd = g * gain.values
-        return inv * (gd - gd.mean(axis=-1, keepdims=True)
-                      - xhat * (gd * xhat).mean(axis=-1, keepdims=True))
+        spread = gd * xhat
+        np.multiply(xhat, spread.mean(axis=-1, keepdims=True), out=spread)
+        gd -= gd.mean(axis=-1, keepdims=True)
+        gd -= spread
+        gd *= inv
+        return gd
 
     return _make(out, [
         (x, to_x),
@@ -298,11 +355,19 @@ def gelu(x) -> Tensor:
     """Exact Gaussian-CDF form: x * Phi(x)."""
     x = as_tensor(x)
     v = x.values
-    cdf = 0.5 * (1.0 + erf(v * _INV_SQRT2))
+    cdf = erf(v * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
 
     def to_parent(g: np.ndarray) -> np.ndarray:
-        pdf = np.exp(-0.5 * v * v) * _INV_SQRT_2PI
-        return g * (cdf + v * pdf)
+        slope = -0.5 * v
+        slope *= v
+        np.exp(slope, out=slope)
+        slope *= _INV_SQRT_2PI
+        slope *= v  # v * pdf
+        slope += cdf
+        slope *= g
+        return slope
 
     return _make(v * cdf, [(x, to_parent)])
 
@@ -405,7 +470,8 @@ def binary_cross_entropy_logits(logits, labels) -> Tensor:
 def backward(loss: Tensor, params=None) -> None:
     """Reverse-mode sweep from a scalar loss.
 
-    Gradients accumulate across calls until ``zero_grad``. When ``params``
+    Gradients accumulate across calls until ``zero_grad``, also when a
+    graph is swept twice: each call adds its own contribution once. When ``params``
     (a ParameterSet) is given, every parameter ends up with an allocated
     gradient, zero-filled if the loss never touched it.
     """
@@ -428,6 +494,9 @@ def backward(loss: Tensor, params=None) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
+    for node in topo:
+        if node._backward_fn is not None:
+            node.grad = None  # what an earlier call left on an inner node must not flow again
     loss.accumulate_grad(np.ones_like(loss.values))
     for node in reversed(topo):
         if node._backward_fn is not None and node.grad is not None:

@@ -167,12 +167,13 @@ def pretrain(corpus: Corpus, table: dict, model_cfg: ModelConfig, train_cfg: Tra
     Per step: assemble a half-positive batch with mined negatives in the
     mix, forward it as one padded batch, combine the weighted losses,
     backpropagate, and apply one scheduled AdamW update. Aborts on
-    non-finite loss; refuses a corpus over the model's length limits, or a
+    non-finite loss; refuses a corpus the model cannot take (over its length
+    limits, another feature width, class labels outside its classes), or a
     negatives table naming ids the corpus lacks, before the first step.
     """
     model_cfg.validate()
     train_cfg.validate()
-    check_limits(corpus.pairs, **model_cfg.limits)
+    check_limits(corpus.pairs, **model_cfg.limits, num_classes=model_cfg.num_object_classes)
     check_table(table, corpus)
     model = InterBert.create(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
     state = AdamWState.for_params(model.params)

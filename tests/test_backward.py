@@ -38,6 +38,14 @@ def test_grads_accumulate_until_zeroed():
     np.testing.assert_array_equal(p.grad, [1.0, 1.0])
 
 
+def test_repeated_backward_through_one_graph_adds_once_per_call():
+    p = Tensor([1.0, 2.0], requires_grad=True)
+    loss = nt.sum_all(nt.mul(nt.mul(p, 2.0), 3.0))
+    backward(loss)
+    backward(loss)
+    np.testing.assert_array_equal(p.grad, [12.0, 12.0])
+
+
 def test_non_scalar_loss_rejected():
     p = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(NumericsError):

@@ -127,6 +127,27 @@ def test_pretrain_refuses_a_table_from_another_corpus(tmp_path, negatives_dir, c
     assert not (tmp_path / "run" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("model, detail", [
+    ({"object_feature_dim": 16}, "has object features of width 8, the model takes 16"),
+    ({"num_object_classes": 3}, "outside the model's 3 classes"),
+])
+def test_pretrain_refuses_a_corpus_the_model_cannot_take(tmp_path, data_dir, negatives_dir, capsys, model, detail):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": model}))
+    corpus = load_corpus(data_dir / "corpus.jsonl", data_dir / "vocab.json")
+    first = next(p for p in corpus.pairs if "width" in detail or p.labels.max() >= 3)
+    capsys.readouterr()
+    code = run_cli("pretrain", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.json",
+                   "--negatives", negatives_dir / "negatives.jsonl", "--config", config,
+                   "--out", tmp_path / "run", "--steps", 2, "--warmup", 1, "--batch-size", 4,
+                   "--hidden-size", 16, "--num-heads", 2, "--ffn-size", 32)
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {data_dir / 'corpus.jsonl'}: image {first.image_id} ") and "\n" not in err
+    assert err.endswith(detail)
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
 def test_eval_refuses_images_over_the_object_limit(tmp_path, data_dir, pretrain_dir, capsys):
     stored = json.loads((pretrain_dir / "config.json").read_text())
     stored["model"]["max_objects"] = 2

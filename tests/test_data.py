@@ -52,8 +52,10 @@ def test_vocabulary_validation():
 
 def test_vocabulary_content_ids():
     vocab = small_vocab()
-    content = vocab.content_ids()
-    assert set(content.tolist()) == set(range(4, 12))
+    content = vocab.content_ids
+    assert content.tolist() == list(range(4, 12))  # ascending, specials left out
+    assert content.dtype == np.int64 and not content.flags.writeable
+    assert vocab.content_ids is content  # built once per vocabulary
 
 
 def test_vocabulary_round_trip(tmp_path):

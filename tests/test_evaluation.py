@@ -205,6 +205,21 @@ def test_evaluation_refuses_images_over_the_object_limit(monkeypatch):
             run(model, corpus)
 
 
+def test_evaluation_refuses_another_feature_width(monkeypatch):
+    corpus = mixed_pool()
+    model = toy_model(corpus)
+    width = corpus.pairs[0].features.shape[1]
+    model.config.object_feature_dim = width + 1
+    forbid_forward(model, monkeypatch)
+    captions, images = corpus_retrieval_pools(corpus)
+    message = f"image {images[0].image_id} has object features of width {width}, the model takes {width + 1}"
+    with pytest.raises(CorpusError, match=message):
+        score_all(model, captions, images)
+    for run in (zero_shot_eval, item_embeddings):
+        with pytest.raises(CorpusError, match="has object features of width"):
+            run(model, corpus)
+
+
 def test_evaluation_refuses_captions_over_the_length_limit(monkeypatch):
     corpus = mixed_pool()
     model = toy_model(corpus)

@@ -259,7 +259,7 @@ def test_apply_mask_and_random_actions(rng):
                     text_targets=[5, 6], image_positions=[], image_targets=[])
     new_tokens, _, targets, _ = apply_masks(tokens, np.ones((1, 4)), plan, vocab, rng)
     assert new_tokens[1] == vocab.mask_id
-    assert int(new_tokens[2]) in set(vocab.content_ids().tolist())
+    assert int(new_tokens[2]) in set(vocab.content_ids.tolist())
     assert targets[1] == 5 and targets[2] == 6
 
 

@@ -660,13 +660,13 @@ def test_projections_receive_only_real_rows(rng, monkeypatch):
     batch = make_batch(pairs)
     names = {id(t): name for name, t in model.params.items()}
     seen = []
-    matmul = nt.matmul
+    linear = nt.linear
 
-    def spy(a, b):
+    def spy(a, b, bias=None):
         seen.append((names.get(id(b), ""), a.shape[0]))
-        return matmul(a, b)
+        return linear(a, b, bias)
 
-    monkeypatch.setattr(nt, "matmul", spy)
+    monkeypatch.setattr(nt, "linear", spy)
     n_image = sum(p.num_objects + 1 for p in pairs)
     n_text = sum(p.num_tokens for p in pairs)
     assert n_image + n_text < len(batch) * batch.layouts[0].total_length  # the batch has padding

@@ -63,20 +63,118 @@ def test_matmul_gradcheck(rng):
 
 
 
-def test_batch_matmul_matches_per_slice_matmul(rng):
-    a, b = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(2, 3, 5, 2))
-    out = nt.batch_matmul(Tensor(a), Tensor(b)).values
-    for i in range(2):
-        for j in range(3):
-            np.testing.assert_array_equal(out[i, j], nt.matmul(Tensor(a[i, j]), Tensor(b[i, j])).values)
+def test_linear_matches_product_plus_bias(rng):
+    x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=(4,))
+    np.testing.assert_array_equal(nt.linear(Tensor(x), Tensor(w), Tensor(b)).values, x @ w + b)
+    np.testing.assert_array_equal(nt.linear(Tensor(x), Tensor(w)).values, x @ w)
     with pytest.raises(NumericsError):
-        nt.batch_matmul(Tensor(a), Tensor(b[:1]))  # no broadcasting over batch axes
+        nt.linear(Tensor(x), Tensor(w.T))
 
 
-def test_batch_matmul_gradcheck(rng):
-    ps = make_params(rng, a=(2, 3, 4, 5), b=(2, 3, 5, 2))
-    w = rng.normal(size=(2, 3, 4, 2))
-    gradcheck(lambda: nt.sum_all(nt.mul(nt.batch_matmul(ps["a"], ps["b"]), w)), ps)
+def test_linear_gradcheck(rng):
+    ps = make_params(rng, x=(5, 3), w=(3, 4), b=(4,))
+    weights = rng.normal(size=(5, 4))
+    gradcheck(lambda: nt.sum_all(nt.mul(nt.linear(ps["x"], ps["w"], ps["b"]), weights)), ps)
+    bare = make_params(rng, x=(5, 3), w=(3, 4))
+    gradcheck(lambda: nt.sum_all(nt.mul(nt.linear(bare["x"], bare["w"]), weights)), bare)
+
+
+# ---------------------------------------------------------------------------
+# attention
+# ---------------------------------------------------------------------------
+
+HEADS = 2
+
+
+def ragged_attention_case(rng, dtype=np.float64):
+    """Three sequences in a 6-wide grid holding 4, 6 and 2 key rows at
+    scattered positions; the query rows are a strict subset of them."""
+    key_cells = [(0, 0), (0, 2), (0, 3), (0, 5), *[(1, l) for l in range(6)], (2, 1), (2, 4)]
+    query_cells = [(0, 2), (0, 5), (1, 0), (1, 3), (1, 4), (2, 4)]
+    keys = tuple(np.array(axis) for axis in zip(*key_cells))
+    queries = tuple(np.array(axis) for axis in zip(*query_cells))
+    bias = np.full((3, 1, 1, 6), nt.NEG_LOGIT)
+    bias[keys[0], 0, 0, keys[1]] = 0.0
+    hidden = 4 * HEADS
+    q, k, v = (rng.normal(size=(n, hidden)).astype(dtype) for n in (len(query_cells), len(key_cells), len(key_cells)))
+    return q, k, v, queries, keys, bias
+
+
+def naive_attention(q, k, v, queries, keys):
+    """Per query row and head: softmax over the keys of its own sequence."""
+    d = q.shape[1] // HEADS
+    out = np.zeros_like(q)
+    for r, seq in enumerate(queries[0]):
+        own = keys[0] == seq
+        for h in range(HEADS):
+            cols = slice(h * d, (h + 1) * d)
+            scores = k[own, cols] @ q[r, cols] / math.sqrt(d)
+            weights = np.exp(scores - scores.max())
+            out[r, cols] = (weights / weights.sum()) @ v[own, cols]
+    return out
+
+
+def test_attention_matches_naive_per_head_reference(rng):
+    q, k, v, queries, keys, bias = ragged_attention_case(rng)
+    got = nt.attention(Tensor(q), Tensor(k), Tensor(v), queries, keys, bias, HEADS).values
+    assert got.shape == q.shape
+    assert np.max(np.abs(got - naive_attention(q, k, v, queries, keys))) <= 1e-12
+
+
+def test_attention_gradcheck(rng):
+    q, k, v, queries, keys, bias = ragged_attention_case(rng)
+    ps = ParameterSet()
+    for name, values in (("q", q), ("k", k), ("v", v)):
+        ps.add(name, Tensor(values, requires_grad=True))
+    weights = rng.normal(size=q.shape)
+    gradcheck(lambda: nt.sum_all(nt.mul(nt.attention(ps["q"], ps["k"], ps["v"], queries, keys, bias, HEADS),
+                                        weights)), ps)
+
+
+def primitive_attention(q, k, v, queries, keys):
+    """The attention of ``naive_attention`` built from the engine's row,
+    product and softmax ops, one query row and head at a time."""
+    d = q.shape[1] // HEADS
+
+    def head(t, ids, h):
+        return nt.narrow(nt.embedding_lookup(t, ids), 1, h * d, d)
+
+    rows = []
+    for r, seq in enumerate(queries[0]):
+        own = np.flatnonzero(keys[0] == seq)
+        heads = []
+        for h in range(HEADS):
+            scores = nt.mul(nt.matmul(head(q, [r], h), nt.transpose(head(k, own, h))), 1.0 / math.sqrt(d))
+            heads.append(nt.matmul(nt.softmax(scores), head(v, own, h)))
+        rows.append(nt.concat(heads, axis=1))
+    return nt.concat(rows, axis=0)
+
+
+def test_attention_repeated_backward_matches_primitive_ops(rng):
+    """Two backward calls through one attention node leave q, k and v with
+    the gradients the same two calls give through primitive ops."""
+    q, k, v, queries, keys, bias = ragged_attention_case(rng)
+    w1, w2 = rng.normal(size=q.shape), rng.normal(size=q.shape)
+    grads = []
+    for attend in (lambda *t: nt.attention(*t, queries, keys, bias, HEADS),
+                   lambda *t: primitive_attention(*t, queries, keys)):
+        inputs = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out = attend(*inputs)
+        backward(nt.sum_all(nt.mul(out, w1)))
+        backward(nt.sum_all(nt.mul(out, w2)))
+        grads.append([t.grad for t in inputs])
+    for fused, primitive in zip(*grads):
+        assert np.max(np.abs(fused - primitive)) <= 1e-12
+
+
+def test_attention_float32_stays_float32(rng):
+    q, k, v, queries, keys, bias = ragged_attention_case(rng, np.float32)
+    inputs = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    out = nt.attention(*inputs, queries, keys, bias, HEADS)
+    assert out.dtype == np.float32
+    backward(nt.sum_all(out))
+    assert all(t.grad.dtype == np.float32 for t in inputs)
+    assert np.max(np.abs(out.values - naive_attention(q, k, v, queries, keys))) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +443,6 @@ def test_narrow_concat_transpose_reshape_gradcheck(rng):
 
     gradcheck(loss_fn, ps)
     gradcheck(lambda: nt.sum_all(nt.mul(nt.reshape(ps["x"], (4, 6)), w)), ps)
-
-
-def test_transpose_axes_gradcheck(rng):
-    ps = make_params(rng, x=(2, 3, 4))
-    w = rng.normal(size=(4, 2, 3))
-    out = nt.transpose(ps["x"], (2, 0, 1))
-    np.testing.assert_array_equal(out.values, np.transpose(ps["x"].values, (2, 0, 1)))
-    gradcheck(lambda: nt.sum_all(nt.mul(nt.transpose(ps["x"], (2, 0, 1)), w)), ps)
-    with pytest.raises(NumericsError):
-        nt.transpose(ps["x"], (0, 0, 1))
 
 
 def test_narrow_bounds():

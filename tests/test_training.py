@@ -463,6 +463,35 @@ def test_pretrain_refuses_a_table_from_another_corpus_before_step_one():
     assert steps == []
 
 
+@pytest.mark.parametrize("field", ["object_feature_dim", "num_object_classes"])
+def test_pretrain_refuses_a_corpus_the_model_cannot_take_before_step_one(field):
+    """Feature width and class labels are checked against the model config
+    before step 1, naming the image; both used to fail inside a step."""
+    corpus, table, model_cfg = small_fixture()
+    if field == "object_feature_dim":
+        model_cfg = replace(model_cfg, object_feature_dim=16)
+        message = f"image {corpus.pairs[0].image_id} has object features of width 8, the model takes 16"
+    else:
+        model_cfg = replace(model_cfg, num_object_classes=3)
+        first = next(p for p in corpus.pairs if p.labels.max() >= 3)
+        message = f"image {first.image_id} has object class {first.labels.max()} outside the model's 3 classes"
+    steps = []
+    with pytest.raises(CorpusError, match=message):
+        pretrain(corpus, table, model_cfg, TrainConfig(total_steps=2, warmup_steps=1, batch_size=4),
+                 step_callback=steps.append)
+    assert steps == []
+
+
+def test_finetune_refuses_another_feature_width_before_step_one():
+    corpus, _, model_cfg = small_fixture()
+    wide = replace(model_cfg, object_feature_dim=16)
+    steps = []
+    with pytest.raises(CorpusError, match=f"image {corpus.pairs[0].image_id} has object features of width 8"):
+        finetune_retrieval(corpus, wide, TrainConfig(total_steps=2, warmup_steps=1, batch_size=2),
+                           init_parameters(wide, seed=0).clone_values(), step_callback=steps.append)
+    assert steps == []
+
+
 def test_finetune_refuses_oversized_image_before_step_one():
     corpus, _, model_cfg = small_fixture()
     limit = max(p.num_objects for p in corpus.pairs) - 1
