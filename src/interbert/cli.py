@@ -92,18 +92,12 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
     os.replace(tmp, out_dir / "manifest.json")
 
 
-def _prepare_out(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _merge(defaults: dict, file_section: dict | None, flags: dict) -> dict:
+def _merge(defaults: dict, file_section: dict | None, flags: dict, where: str = "") -> dict:
     merged = dict(defaults)
     if file_section:
         unknown = set(file_section) - set(defaults)
         if unknown:
-            raise CommandError(f"unknown config keys: {sorted(unknown)}")
+            raise CommandError(f"unknown config keys{where}: {sorted(unknown)}")
         merged.update(file_section)
     for key, value in flags.items():
         if value is not None:
@@ -125,13 +119,11 @@ def _seed_default(explicit: int | None, config_seed=None) -> int:
         return explicit
     if config_seed is not None:
         return int(config_seed)
-    env = os.environ.get("IBT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CommandError(f"IBT_SEED must be an integer, got {env!r}") from None
-    return 0
+    env = os.environ.get("IBT_SEED", "0")
+    try:
+        return int(env)
+    except ValueError:
+        raise CommandError(f"IBT_SEED must be an integer, got {env!r}") from None
 
 
 def _resolve_model_config(model_cfg: dict, corpus) -> dict:
@@ -379,263 +371,172 @@ RUNNERS = {
 
 
 def _execute(command: str, config: dict, out: str) -> None:
-    out_dir = _prepare_out(out)
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     started = _utc_now()
     outputs = RUNNERS[command](config, out_dir)
     _write_manifest(out_dir, command, config, outputs, started)
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table: flags, config resolution and dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", required=True, help="output directory (all files land here)")
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--seed", type=int, help="random seed (overrides config and IBT_SEED)")
-    parser.add_argument("--threads", type=int, help="bound on numeric library threads")
+# Each command's help line and defaults; a --config key outside them is an
+# error. A plain key is also the command's flag (num_images is --num-images),
+# typed by its default; "model" and "train" are sections set by SECTION_FLAGS.
+COMMANDS = {
+    "synth-data": ("generate a synthetic paired corpus", {
+        "num_images": 200, "captions_per_image": 1, "num_classes": 12, "feature_dim": 16, "noise_std": 0.1,
+        "min_objects": 2, "max_objects": 6, "max_fillers": 3, "image_size": 100, "seed": 0}),
+    "mine-negatives": ("build the hard-negative table", {
+        "corpus": None, "vocab": None, "sim_threshold": 0.5, "max_negatives": 30, "seed": 0}),
+    "pretrain": ("run masked-group + matching pretraining", {
+        "corpus": None, "vocab": None, "negatives": None, "model": {}, "train": {}}),
+    "finetune": ("multiple-choice retrieval finetuning", {
+        "corpus": None, "vocab": None, "checkpoint": None, "model_config": None, "train": {}}),
+    "eval": ("caption-to-image retrieval metrics", {
+        "corpus": None, "vocab": None, "checkpoint": None, "model_config": None,
+        "split": "eval", "export_embeddings": False, "seed": 0}),
+    "gradcheck": ("finite-difference check on a tiny model", {
+        "hidden_size": 8, "num_heads": 2, "interaction_layers": 2, "extraction_layers": 1,
+        "objects": 4, "init_std": 0.5, "step": 1e-5, "samples": 200, "tolerance": 1e-4, "seed": 0}),
+    "knn": ("nearest neighbours over exported embeddings", {
+        "embeddings": None, "trigger": None, "k": 5, "seed": 0}),
+}
+
+# Stored absolute, so a manifest replays from any directory. Each is a
+# required flag except model_config; any other key without a default (knn's
+# trigger) takes an int.
+PATH_KEYS = ("corpus", "vocab", "negatives", "checkpoint", "model_config", "embeddings")
+
+# The flags of each section (masking sits inside train): key -> type, or a
+# tuple of choices. Types are spelled out because TrainConfig imports numpy,
+# which must wait until --threads has set the BLAS variables.
+SECTION_FLAGS = {
+    "model": {"hidden_size": int, "num_heads": int, "ffn_size": int, "num_interaction_layers": int,
+              "num_extraction_layers": int, "architecture_variant": ("interbert", "single_stream"),
+              "tie_msm_weights": bool},
+    "train": {"total_steps": int, "warmup_steps": int, "batch_size": int, "learning_rate": float,
+              "beta2": float, "weight_decay": float, "ema_rate": float, "hard_negative_prob": float,
+              "precision": ("float64", "float32")},
+    "masking": {"anchor_prob": float, "max_extension": int, "iou_threshold": float},
+}
+
+# flags named otherwise than their key's dashed form
+FLAG_ALIASES = {
+    "total_steps": "--steps", "warmup_steps": "--warmup", "learning_rate": "--lr",
+    "hard_negative_prob": "--hard-neg-prob", "num_interaction_layers": "--interaction-layers",
+    "num_extraction_layers": "--extraction-layers", "architecture_variant": "--variant",
+}
+
+HELP = {
+    "out": "output directory (all files land here)",
+    "config": "JSON config file; flags override it",
+    "seed": "random seed (overrides config and IBT_SEED)",
+    "threads": "bound on numeric library threads",
+    "model_config": "config.json of the checkpoint (default: sibling file)",
+    "split": "label printed in the metrics table (default: eval)",
+    "export_embeddings": "also write fused item embeddings (embeddings.bin)",
+    "trigger": "row of the trigger item (required here or in --config)",
+    "k": "neighbours to return (default: 5)",
+    "anchor_prob": "masking anchor probability",
+    "max_extension": "max tokens a text anchor extends over",
+    "iou_threshold": "region-linking overlap threshold",
+    "action_mix": "mask,random,keep probabilities, e.g. 0.8,0.1,0.1",
+    "paper_scale": "swap in the full-scale architecture and schedule defaults",
+}
 
 
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--steps", type=int, dest="total_steps")
-    parser.add_argument("--warmup", type=int, dest="warmup_steps")
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
-    parser.add_argument("--lr", type=float, dest="learning_rate")
-    parser.add_argument("--beta2", type=float, dest="beta2")
-    parser.add_argument("--weight-decay", type=float, dest="weight_decay")
-    parser.add_argument("--ema-rate", type=float, dest="ema_rate")
-    parser.add_argument("--hard-neg-prob", type=float, dest="hard_negative_prob")
-    parser.add_argument("--anchor-prob", type=float, help="masking anchor probability")
-    parser.add_argument("--max-extension", type=int, help="max tokens a text anchor extends over")
-    parser.add_argument("--iou-threshold", type=float, help="region-linking overlap threshold")
-    parser.add_argument("--action-mix", help="mask,random,keep probabilities, e.g. 0.8,0.1,0.1")
-    parser.add_argument("--precision", choices=("float64", "float32"))
-
-
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hidden-size", type=int, dest="hidden_size")
-    parser.add_argument("--num-heads", type=int, dest="num_heads")
-    parser.add_argument("--ffn-size", type=int, dest="ffn_size")
-    parser.add_argument("--interaction-layers", type=int, dest="num_interaction_layers")
-    parser.add_argument("--extraction-layers", type=int, dest="num_extraction_layers")
-    parser.add_argument("--variant", choices=("interbert", "single_stream"),
-                        dest="architecture_variant")
-    parser.add_argument("--tie-msm-weights", action="store_true", default=None,
-                        dest="tie_msm_weights")
-    parser.add_argument("--paper-scale", action="store_true",
-                        help="swap in the full-scale architecture and schedule defaults")
+def _add_flag(parser: argparse.ArgumentParser, key: str, kind, required: bool = False) -> None:
+    """The flag of ``key``: a switch for bool, a choice for a tuple, else a
+    value of type ``kind`` (str is argparse's own default)."""
+    options = ({"action": "store_true", "default": None} if kind is bool
+               else {"choices": kind} if isinstance(kind, tuple)
+               else {"type": None if kind is str else kind, "required": required})
+    parser.add_argument(FLAG_ALIASES.get(key, "--" + key.replace("_", "-")), dest=key,
+                        help=HELP.get(key), **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="interbert",
-        description="desk-scale multimodal pretraining pipeline",
-    )
+    parser = argparse.ArgumentParser(prog="interbert", description="desk-scale multimodal pretraining pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth-data", help="generate a synthetic paired corpus")
-    _add_common(p)
-    p.add_argument("--num-images", type=int)
-    p.add_argument("--captions-per-image", type=int)
-    p.add_argument("--num-classes", type=int)
-    p.add_argument("--feature-dim", type=int)
-    p.add_argument("--noise-std", type=float)
-    p.add_argument("--min-objects", type=int)
-    p.add_argument("--max-objects", type=int)
-    p.add_argument("--max-fillers", type=int)
-    p.add_argument("--image-size", type=int)
-
-    p = sub.add_parser("mine-negatives", help="build the hard-negative table")
-    _add_common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--sim-threshold", type=float)
-    p.add_argument("--max-negatives", type=int)
-
-    p = sub.add_parser("pretrain", help="run masked-group + matching pretraining")
-    _add_common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--negatives", required=True)
-    _add_model_flags(p)
-    _add_train_flags(p)
-
-    p = sub.add_parser("finetune", help="multiple-choice retrieval finetuning")
-    _add_common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--model-config", help="config.json of the checkpoint (default: sibling file)")
-    _add_train_flags(p)
-
-    p = sub.add_parser("eval", help="caption-to-image retrieval metrics")
-    _add_common(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--model-config")
-    p.add_argument("--split", help="label printed in the metrics table (default: eval)")
-    p.add_argument("--export-embeddings", action="store_true", default=None,
-                   help="also write fused item embeddings (embeddings.bin)")
-
-    p = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")
-    _add_common(p)
-    # defaults live in _dispatch, so a --config file can set every one of these
-    p.add_argument("--hidden-size", type=int)
-    p.add_argument("--num-heads", type=int)
-    p.add_argument("--interaction-layers", type=int)
-    p.add_argument("--extraction-layers", type=int)
-    p.add_argument("--objects", type=int)
-    p.add_argument("--init-std", type=float)
-    p.add_argument("--step", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--tolerance", type=float)
-
-    p = sub.add_parser("knn", help="nearest neighbours over exported embeddings")
-    _add_common(p)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--trigger", type=int, help="row of the trigger item (required here or in --config)")
-    p.add_argument("--k", type=int, help="neighbours to return (default: 5)")
-
+    for command, (help_line, defaults) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        _add_flag(p, "out", str, required=True)
+        for name, kind in (("config", str), ("seed", int), ("threads", int)):
+            _add_flag(p, name, kind)
+        for key, default in defaults.items():
+            if key == "model":
+                p.add_argument("--paper-scale", action="store_true", help=HELP["paper_scale"])
+                flags = SECTION_FLAGS["model"]
+            elif key == "train":
+                flags = {**SECTION_FLAGS["train"], **SECTION_FLAGS["masking"], "action_mix": str}
+            elif key == "seed":
+                flags = {}
+            else:
+                flags = {key: type(default) if default is not None else str if key in PATH_KEYS else int}
+            for name, kind in flags.items():
+                _add_flag(p, name, kind, required=name in PATH_KEYS and name != "model_config")
     p = sub.add_parser("replay", help="re-run a command from its manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
+    _add_flag(p, "manifest", str, required=True)
+    _add_flag(p, "out", str, required=True)
     return parser
 
 
-def _train_section(file_cfg: dict, args: argparse.Namespace, paper_scale: bool) -> dict:
-    from .training import TrainConfig
-
-    defaults = TrainConfig().to_dict()
-    if paper_scale:
-        defaults.update(PAPER_TRAIN_OVERRIDES)
-    section = dict(defaults)
-    from_file = file_cfg.get("train", {})
-    unknown = set(from_file) - set(section)
-    if unknown:
-        raise CommandError(f"unknown train config keys: {sorted(unknown)}")
-    for key, value in from_file.items():
-        if key == "masking":
-            section["masking"] = {**section["masking"], **value}
-        else:
-            section[key] = value
-    for key in ("total_steps", "warmup_steps", "batch_size", "learning_rate", "beta2",
-                "weight_decay", "ema_rate", "hard_negative_prob", "precision"):
-        value = getattr(args, key, None)
-        if value is not None:
-            section[key] = value
-    masking = dict(section["masking"])
-    if getattr(args, "anchor_prob", None) is not None:
-        masking["anchor_prob"] = args.anchor_prob
-    if getattr(args, "max_extension", None) is not None:
-        masking["max_extension"] = args.max_extension
-    if getattr(args, "iou_threshold", None) is not None:
-        masking["iou_threshold"] = args.iou_threshold
-    if getattr(args, "action_mix", None) is not None:
-        try:
-            mask_p, random_p, keep_p = (float(x) for x in args.action_mix.split(","))
-        except ValueError:
-            raise CommandError("--action-mix expects three comma-separated probabilities") from None
-        masking.update(action_mask_prob=mask_p, action_random_prob=random_p, action_keep_prob=keep_p)
-    section["masking"] = masking
-    section["seed"] = _seed_default(args.seed, from_file.get("seed"))
-    return section
+def _action_mix(text: str | None) -> dict:
+    if text is None:
+        return {}
+    try:
+        mask_p, random_p, keep_p = (float(x) for x in text.split(","))
+    except ValueError:
+        raise CommandError("--action-mix expects three comma-separated probabilities") from None
+    return {"action_mask_prob": mask_p, "action_random_prob": random_p, "action_keep_prob": keep_p}
 
 
-def _model_section(file_cfg: dict, args: argparse.Namespace, paper_scale: bool) -> dict:
-    defaults = dict(TOY_MODEL_PRESET)
-    if paper_scale:
-        defaults.update(PAPER_MODEL_OVERRIDES)
-    section = _merge(defaults, file_cfg.get("model", {}), {
-        "hidden_size": getattr(args, "hidden_size", None),
-        "num_heads": getattr(args, "num_heads", None),
-        "ffn_size": getattr(args, "ffn_size", None),
-        "num_interaction_layers": getattr(args, "num_interaction_layers", None),
-        "num_extraction_layers": getattr(args, "num_extraction_layers", None),
-        "architecture_variant": getattr(args, "architecture_variant", None),
-        "tie_msm_weights": getattr(args, "tie_msm_weights", None),
-    })
-    return section
+def resolve_config(args: argparse.Namespace) -> dict:
+    """The command's full config: its defaults (``--paper-scale`` ones for
+    the sections), then the --config file, then flags. The seed comes from
+    --seed, else the file, else IBT_SEED, else 0."""
+    file_cfg = _load_config_file(args.config)
+    defaults = COMMANDS[args.command][1]
+    flags = {key: getattr(args, key) for key in defaults if key not in ("seed", "model", "train")}
+    config = _merge(defaults, file_cfg, flags)
+    config.update({key: str(Path(config[key]).resolve()) for key in PATH_KEYS if config.get(key)})
+    paper = getattr(args, "paper_scale", False)
+
+    def section(name: str, base: dict, from_file) -> dict:
+        flagged = {key: getattr(args, key) for key in SECTION_FLAGS[name]}
+        return _merge(base, from_file, flagged, where=f" in {name}")
+
+    if "model" in defaults:
+        config["model"] = section("model", {**TOY_MODEL_PRESET, **(PAPER_MODEL_OVERRIDES if paper else {})},
+                                  file_cfg.get("model"))
+    if "train" in defaults:
+        from .training import TrainConfig
+
+        base = {**TrainConfig().to_dict(), **(PAPER_TRAIN_OVERRIDES if paper else {})}
+        from_file = dict(file_cfg.get("train") or {})
+        masking = {**section("masking", base["masking"], from_file.pop("masking", None)),
+                   **_action_mix(args.action_mix)}
+        config["train"] = {**section("train", base, from_file), "masking": masking,
+                           "seed": _seed_default(args.seed, from_file.get("seed"))}
+    else:
+        config["seed"] = _seed_default(args.seed, file_cfg.get("seed"))
+    if args.command == "knn" and config["trigger"] is None:
+        raise CommandError("knn needs a trigger: --trigger or 'trigger' in the config file")
+    return config
 
 
 def _dispatch(args: argparse.Namespace) -> None:
-    if args.command == "replay":
-        manifest = _load_config_file(args.manifest)
-        command = manifest.get("command")
-        if command not in RUNNERS:
-            raise CommandError(f"manifest names unknown command {command!r}")
-        _execute(command, manifest["config"], args.out)
+    if args.command != "replay":
+        _execute(args.command, resolve_config(args), args.out)
         return
-
-    file_cfg = _load_config_file(getattr(args, "config", None))
-
-    if args.command == "synth-data":
-        defaults = {
-            "seed": 0, "num_images": 200, "captions_per_image": 1, "num_classes": 12,
-            "feature_dim": 16, "noise_std": 0.1, "min_objects": 2, "max_objects": 6,
-            "max_fillers": 3, "image_size": 100,
-        }
-        config = _merge(defaults, file_cfg, {
-            key: getattr(args, key) for key in defaults if key != "seed"
-        })
-        config["seed"] = _seed_default(args.seed, file_cfg.get("seed"))
-    elif args.command == "mine-negatives":
-        defaults = {"corpus": None, "vocab": None, "sim_threshold": 0.5,
-                    "max_negatives": 30, "seed": 0}
-        config = _merge(defaults, file_cfg, {
-            "corpus": args.corpus, "vocab": args.vocab,
-            "sim_threshold": args.sim_threshold, "max_negatives": args.max_negatives,
-        })
-        config["seed"] = _seed_default(args.seed, file_cfg.get("seed"))
-    elif args.command == "pretrain":
-        paper = bool(getattr(args, "paper_scale", False))
-        config = {
-            "corpus": str(Path(args.corpus).resolve()),
-            "vocab": str(Path(args.vocab).resolve()),
-            "negatives": str(Path(args.negatives).resolve()),
-            "model": _model_section(file_cfg, args, paper),
-            "train": _train_section(file_cfg, args, paper),
-        }
-    elif args.command == "finetune":
-        config = {
-            "corpus": str(Path(args.corpus).resolve()),
-            "vocab": str(Path(args.vocab).resolve()),
-            "checkpoint": str(Path(args.checkpoint).resolve()),
-            "model_config": None if args.model_config is None else str(Path(args.model_config).resolve()),
-            "train": _train_section(file_cfg, args, False),
-        }
-    elif args.command == "eval":
-        defaults = {"corpus": None, "vocab": None, "checkpoint": None, "model_config": None,
-                    "split": "eval", "export_embeddings": False, "seed": 0}
-        config = _merge(defaults, file_cfg, {key: getattr(args, key) for key in defaults if key != "seed"})
-        paths = ("corpus", "vocab", "checkpoint", "model_config")
-        config.update({key: str(Path(config[key]).resolve()) for key in paths if config[key]})
-        config["seed"] = _seed_default(args.seed, file_cfg.get("seed"))
-    elif args.command == "gradcheck":
-        defaults = {
-            "hidden_size": 8, "num_heads": 2, "interaction_layers": 2,
-            "extraction_layers": 1, "objects": 4, "init_std": 0.5,
-            "step": 1e-5, "samples": 200, "tolerance": 1e-4, "seed": 0,
-        }
-        config = _merge(defaults, file_cfg, {
-            "hidden_size": args.hidden_size, "num_heads": args.num_heads,
-            "interaction_layers": args.interaction_layers,
-            "extraction_layers": args.extraction_layers, "objects": args.objects,
-            "init_std": args.init_std, "step": args.step, "samples": args.samples,
-            "tolerance": args.tolerance,
-        })
-        config["seed"] = _seed_default(args.seed, file_cfg.get("seed"))
-    elif args.command == "knn":
-        defaults = {"embeddings": None, "trigger": None, "k": 5, "seed": 0}
-        config = _merge(defaults, file_cfg, {key: getattr(args, key) for key in defaults if key != "seed"})
-        if config["trigger"] is None:
-            raise CommandError("knn needs a trigger: --trigger or 'trigger' in the config file")
-        config["embeddings"] = str(Path(config["embeddings"]).resolve())
-        config["seed"] = _seed_default(args.seed, file_cfg.get("seed"))
-    else:  # pragma: no cover - argparse rejects unknown commands
-        raise CommandError(f"unknown command {args.command!r}")
-
-    _execute(args.command, config, args.out)
+    manifest = _load_config_file(args.manifest)
+    command = manifest.get("command")
+    if command not in RUNNERS:
+        raise CommandError(f"manifest names unknown command {command!r}")
+    _execute(command, manifest["config"], args.out)
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .model.config import PaddedBatch, build_layout
-from .numerics import IGNORE_INDEX
 
 
 class CorpusError(ValueError):
@@ -378,7 +377,6 @@ def make_batch(items, vocab: Vocabulary | None = None, **limits) -> PaddedBatch:
     text_valid = np.zeros((batch, t_max), dtype=bool)
     features = np.zeros((batch, m_max, feature_dim))
     bboxes = np.tile(np.array([0.0, 0.0, 1.0, 1.0]), (batch, m_max, 1))
-    labels = np.full((batch, m_max), IGNORE_INDEX, dtype=np.int64)
     object_valid = np.zeros((batch, m_max), dtype=bool)
     layouts = []
     for i, item in enumerate(items):
@@ -389,7 +387,6 @@ def make_batch(items, vocab: Vocabulary | None = None, **limits) -> PaddedBatch:
         text_valid[i, :n] = True
         features[i, :m] = item.features
         bboxes[i, :m] = item.bboxes
-        labels[i, :m] = item.labels
         object_valid[i, :m] = True
         layouts.append(build_layout(m_max, t_max, object_valid[i], text_valid[i]))
 
@@ -398,5 +395,5 @@ def make_batch(items, vocab: Vocabulary | None = None, **limits) -> PaddedBatch:
         features=features, bboxes=bboxes, object_valid=object_valid,
         widths=np.array([p.width for p in items]),
         heights=np.array([p.height for p in items]),
-        layouts=layouts, labels=labels,
+        layouts=layouts,
     )

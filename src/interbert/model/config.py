@@ -125,7 +125,6 @@ class PaddedBatch:
     widths: np.ndarray        # (B,)
     heights: np.ndarray       # (B,)
     layouts: list[SequenceLayout]
-    labels: np.ndarray | None = None  # (B, M) int64, IGNORE_INDEX at padding
 
     def __len__(self) -> int:
         return self.tokens.shape[0]

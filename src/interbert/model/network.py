@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .. import numerics as nt
-from ..numerics import ParameterSet, Tensor, load_checkpoint
+from ..numerics import NEG_LOGIT, ParameterSet, Tensor, load_checkpoint
 from .config import (
     IMAGE_SEGMENT,
     TEXT_SEGMENT,
@@ -135,13 +135,18 @@ class _Rows:
 
     bias: np.ndarray       # (B, 1, 1, L) additive attention bias of the grid's keys
     positions: np.ndarray  # (N,) ascending flat indices into the B*L grid
+    image_length: int = 0  # of a fused image+text grid: where each text block starts
 
     @classmethod
     def of(cls, layouts) -> "_Rows":
-        """Every real position of one layout or a batch of them."""
+        """Every real position of one layout or a batch of them; a grid
+        already built passes through."""
+        if isinstance(layouts, _Rows):
+            return layouts
         layouts = [layouts] if isinstance(layouts, SequenceLayout) else layouts
-        return cls(np.array([layout.key_bias() for layout in layouts])[:, None, None, :],
-                   np.flatnonzero([layout.valid for layout in layouts]))
+        valid = np.array([layout.valid for layout in layouts])
+        return cls(np.where(valid, 0.0, NEG_LOGIT)[:, None, None, :], np.flatnonzero(valid),
+                   layouts[0].image_length)
 
     @property
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -167,11 +172,10 @@ class _Rows:
         return _Rows(self.bias, self.positions[np.unique(self.index(np.concatenate([self.first_rows, wanted])))])
 
 
-def _split_streams(fused: Tensor, layouts) -> list[tuple[Tensor, _Rows]]:
-    """Packed fused rows -> the packed image rows and the packed text rows,
-    each with its own grid."""
-    grid = _Rows.of(layouts)
-    at = (layouts if isinstance(layouts, SequenceLayout) else layouts[0]).image_length
+def _split_streams(fused: Tensor, grid: _Rows) -> list[tuple[Tensor, _Rows]]:
+    """Packed fused rows of ``grid`` -> the packed image rows and the packed
+    text rows, each with its own grid."""
+    at = grid.image_length
     length = grid.bias.shape[-1]
     seq, col = np.divmod(grid.positions, length)
     image = col < at
@@ -317,8 +321,8 @@ class InterBert:
 
     def interaction_forward(self, fused: Tensor, layouts) -> Tensor:
         """Full-context encoder over the concatenated image+text sequences of
-        B layouts (or one); ``fused`` holds only their real positions, sample
-        by sample, one row each."""
+        B layouts (or one, or their grid); ``fused`` holds only their real
+        positions, sample by sample, one row each."""
         grid = _Rows.of(layouts)
         if fused.shape[0] != grid.positions.size:
             raise ValueError(f"{fused.shape[0]} fused rows for {grid.positions.size} real positions "
@@ -338,8 +342,8 @@ class InterBert:
             raise ValueError("extraction module is absent under the single_stream variant")
         last = self.config.num_extraction_layers - 1
         streams = []
-        for name, (x, grid), wanted in zip(("extract_image", "extract_text"), _split_streams(fused, layouts),
-                                           (image_rows, text_rows)):
+        split = _split_streams(fused, _Rows.of(layouts))
+        for name, (x, grid), wanted in zip(("extract_image", "extract_text"), split, (image_rows, text_rows)):
             read = None if wanted is None else grid.reading(wanted)
             for i in range(last + 1):
                 x = self._encoder_layer(x, f"{name}.layer{i}.", grid, read if i == last else None)
@@ -369,12 +373,13 @@ class InterBert:
         stacked = np.concatenate([np.arange(size * layout.image_length).reshape(size, -1),
                                   size * layout.image_length + np.arange(size * layout.text_length).reshape(size, -1)],
                                  axis=1).reshape(-1)
-        fused = nt.embedding_lookup(nt.concat([image, text], axis=0), stacked[_Rows.of(batch.layouts).positions])
-        encoded = self.interaction_forward(fused, batch.layouts)
+        grid = _Rows.of(batch.layouts)
+        fused = nt.embedding_lookup(nt.concat([image, text], axis=0), stacked[grid.positions])
+        encoded = self.interaction_forward(fused, grid)
         if self.config.architecture_variant == VARIANT_SINGLE_STREAM:
-            return _outputs(*[(x, grid, wanted) for (x, grid), wanted
-                              in zip(_split_streams(encoded, batch.layouts), (image_rows, text_rows))])
-        return self.extraction_forward(encoded, batch.layouts, image_rows, text_rows)
+            return _outputs(*[(x, stream, wanted) for (x, stream), wanted
+                              in zip(_split_streams(encoded, grid), (image_rows, text_rows))])
+        return self.extraction_forward(encoded, grid, image_rows, text_rows)
 
     # -- heads ------------------------------------------------------------
 

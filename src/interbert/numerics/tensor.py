@@ -243,18 +243,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out, grads)
 
 
-def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.asarray(a.values.sum(), dtype=a.values.dtype)
-    return _make(out, [(a, lambda g: np.full_like(a.values, float(g)))])
-
-
-def mean_all(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.asarray(a.values.mean(), dtype=a.values.dtype)
-    return _make(out, [(a, lambda g: np.full_like(a.values, float(g) / a.values.size))])
-
-
 def softmax(x, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax along ``axis``."""
     x = as_tensor(x)

@@ -11,36 +11,37 @@ from interbert.numerics import (
     backward,
     finite_diff_check,
 )
+from reference_ops import sum_all
 
 
 def test_sum_gradient_is_ones():
     ps = ParameterSet()
     p = ps.add("p", Tensor([[1.0, 2.0], [3.0, 4.0]]))
-    backward(nt.sum_all(p), ps)
+    backward(sum_all(p), ps)
     np.testing.assert_array_equal(p.grad, np.ones((2, 2)))
 
 
 def test_quadratic_gradient():
     ps = ParameterSet()
     p = ps.add("p", Tensor([1.0, 2.0]))
-    backward(nt.sum_all(nt.mul(p, p)), ps)
+    backward(sum_all(nt.mul(p, p)), ps)
     np.testing.assert_array_equal(p.grad, [2.0, 4.0])
 
 
 def test_grads_accumulate_until_zeroed():
     ps = ParameterSet()
     p = ps.add("p", Tensor([1.0, 2.0]))
-    backward(nt.sum_all(p), ps)
-    backward(nt.sum_all(p), ps)
+    backward(sum_all(p), ps)
+    backward(sum_all(p), ps)
     np.testing.assert_array_equal(p.grad, [2.0, 2.0])
     ps.zero_grad()
-    backward(nt.sum_all(p), ps)
+    backward(sum_all(p), ps)
     np.testing.assert_array_equal(p.grad, [1.0, 1.0])
 
 
 def test_repeated_backward_through_one_graph_adds_once_per_call():
     p = Tensor([1.0, 2.0], requires_grad=True)
-    loss = nt.sum_all(nt.mul(nt.mul(p, 2.0), 3.0))
+    loss = sum_all(nt.mul(nt.mul(p, 2.0), 3.0))
     backward(loss)
     backward(loss)
     np.testing.assert_array_equal(p.grad, [12.0, 12.0])
@@ -56,7 +57,7 @@ def test_untouched_params_get_zero_grads():
     ps = ParameterSet()
     used = ps.add("used", Tensor([1.0, 1.0]))
     unused = ps.add("unused", Tensor(np.ones((2, 2))))
-    backward(nt.sum_all(used), ps)
+    backward(sum_all(used), ps)
     assert unused.grad is not None
     np.testing.assert_array_equal(unused.grad, np.zeros((2, 2)))
     assert unused.grad.shape == unused.values.shape
@@ -66,7 +67,7 @@ def test_shared_subexpression_grads_add():
     ps = ParameterSet()
     p = ps.add("p", Tensor([3.0]))
     y = nt.add(p, p)  # dy/dp = 2
-    backward(nt.sum_all(y), ps)
+    backward(sum_all(y), ps)
     np.testing.assert_array_equal(p.grad, [2.0])
 
 
@@ -80,14 +81,14 @@ def test_reused_tensor_gets_unaliased_grads(rng):
     doubled = nt.add(a, a)
     residual = nt.add(doubled, nt.matmul(doubled, w))  # x + x @ w
     weights = rng.normal(size=(3, 4))
-    backward(nt.sum_all(nt.mul(residual, weights)), ps)
+    backward(sum_all(nt.mul(residual, weights)), ps)
     np.testing.assert_allclose(a.grad, 2.0 * (weights + weights @ w.values.T), rtol=1e-13)
     np.testing.assert_allclose(w.grad, (2.0 * a.values).T @ weights, rtol=1e-13)
     grads = [a.grad, w.grad, doubled.grad, residual.grad]
     for i, one in enumerate(grads):
         for other in grads[i + 1:]:
             assert not np.shares_memory(one, other)
-    err = finite_diff_check(lambda: nt.sum_all(nt.mul(nt.add(nt.add(a, a), nt.matmul(nt.add(a, a), w)), weights)),
+    err = finite_diff_check(lambda: sum_all(nt.mul(nt.add(nt.add(a, a), nt.matmul(nt.add(a, a), w)), weights)),
                             ps, step=1e-5, sample_count=50, seed=3)
     assert err < 1e-6
 
@@ -100,7 +101,7 @@ def test_backward_deterministic(rng):
         b = ps.add("b", Tensor(gen.normal(size=(4, 4))))
         h = nt.gelu(nt.matmul(a, b))
         out = nt.layer_norm(h, Tensor(np.ones(4)), Tensor(np.zeros(4)))
-        backward(nt.sum_all(nt.softmax(out, axis=-1)), ps)
+        backward(sum_all(nt.softmax(out, axis=-1)), ps)
         return a.grad.copy(), b.grad.copy()
 
     first, second = run(), run()
@@ -128,7 +129,7 @@ def test_finite_diff_on_quadratic_is_exact(rng):
     # central differences are exact for quadratics; only roundoff remains
     ps = ParameterSet()
     ps.add("p", Tensor(rng.normal(size=(5,))))
-    err = finite_diff_check(lambda: nt.sum_all(nt.mul(ps["p"], ps["p"])), ps, step=1e-4, sample_count=5)
+    err = finite_diff_check(lambda: sum_all(nt.mul(ps["p"], ps["p"])), ps, step=1e-4, sample_count=5)
     assert err < 1e-8
 
 
@@ -145,7 +146,7 @@ def test_finite_diff_flags_corrupted_gradient(rng):
 
         return Tensor(out, _parents=(t,), _backward_fn=bwd)
 
-    err = finite_diff_check(lambda: nt.sum_all(bad_square(p)), ps, step=1e-5, sample_count=4)
+    err = finite_diff_check(lambda: sum_all(bad_square(p)), ps, step=1e-5, sample_count=4)
     assert err > 1e-2
 
 
@@ -153,6 +154,6 @@ def test_finite_diff_restores_values(rng):
     ps = ParameterSet()
     p = ps.add("p", Tensor(rng.normal(size=(3,))))
     before = p.values.copy()
-    finite_diff_check(lambda: nt.sum_all(nt.mul(ps["p"], ps["p"])), ps, sample_count=3)
+    finite_diff_check(lambda: sum_all(nt.mul(ps["p"], ps["p"])), ps, sample_count=3)
     np.testing.assert_array_equal(p.values, before)
 

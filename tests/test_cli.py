@@ -1,12 +1,17 @@
 """Command-line behaviour: outputs, determinism, precedence, and replay."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from interbert.cli import main
+import interbert
+from interbert.cli import build_parser, main
 from interbert.data import load_corpus
 
 
@@ -381,3 +386,118 @@ def test_commands_write_only_inside_out_dir(tmp_path, monkeypatch):
     assert run_cli("synth-data", "--out", out, "--seed", 0, "--num-images", 3,
                    "--num-classes", 6, "--feature-dim", 8) == 0
     assert list(workdir.iterdir()) == []
+
+
+def test_replay_from_another_directory_bit_identical(tmp_path, monkeypatch):
+    # relative input paths are stored absolute, so the manifest replays from anywhere
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    assert run_cli("synth-data", "--out", "d", "--num-images", 6, "--num-classes", 6, "--feature-dim", 8) == 0
+    assert run_cli("mine-negatives", "--corpus", "d/corpus.jsonl", "--vocab", "d/vocab.json", "--out", "neg") == 0
+    config = json.loads((tmp_path / "a" / "neg" / "manifest.json").read_text())["config"]
+    assert config["corpus"] == str(tmp_path / "a" / "d" / "corpus.jsonl")
+    monkeypatch.chdir(tmp_path / "b")
+    assert run_cli("replay", "--manifest", "../a/neg/manifest.json", "--out", "neg") == 0
+    assert dir_digest(tmp_path / "b" / "neg") == dir_digest(tmp_path / "a" / "neg")
+
+
+@pytest.mark.parametrize("command, file_cfg, named", [
+    ("pretrain", {"modle": {"hidden_size": 16}, "trian": {"total_steps": 2}}, ("modle", "trian")),
+    ("pretrain", {"train": {"total_step": 2}}, ("total_step",)),
+    ("pretrain", {"train": {"masking": {"anchor_probability": 0.2}}}, ("anchor_probability",)),
+    ("finetune", {"model": {"hidden_size": 16}, "bogus": 1}, ("model", "bogus")),
+], ids=["pretrain-top", "pretrain-train", "pretrain-masking", "finetune-top"])
+def test_training_commands_refuse_unknown_config_keys(tmp_path, data_dir, negatives_dir, capsys,
+                                                      command, file_cfg, named):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(file_cfg))
+    inputs = {"pretrain": ("--negatives", negatives_dir / "negatives.jsonl"),
+              "finetune": ("--checkpoint", tmp_path / "never-read.ibt")}[command]
+    capsys.readouterr()
+    assert run_cli(command, "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.json",
+                   *inputs, "--config", config, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: unknown config keys") and all(repr(key) in err for key in named)
+    assert not (tmp_path / "out").exists()  # refused before any work
+
+
+def test_building_the_parser_leaves_numpy_unloaded():
+    # --threads must reach the BLAS variables before the first numeric import
+    code = "import sys; from interbert.cli import build_parser; build_parser(); print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(interbert.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
+# One fixed invocation per command, run in order in one working directory:
+# (IBT_SEED or None, --config file body or None, arguments). CLI_FIXTURE holds
+# the manifest config each resolved to, with that directory written as $WORK,
+# and every subcommand's flags. Both were recorded from the hand-written
+# parser and dispatch the command table replaced; the one edit since is
+# mine-negatives' corpus and vocab, which that version stored relative.
+FIXED_INVOCATIONS = {
+    "synth-data": (None, {"noise_std": 0.2, "seed": 5},
+                   ["--out", "data", "--num-images", 8, "--num-classes", 6, "--feature-dim", 8]),
+    "mine-negatives": ("4", None, ["--corpus", "data/corpus.jsonl", "--vocab", "data/vocab.json",
+                                   "--out", "neg", "--max-negatives", 7]),
+    "pretrain": (None, {"model": {"hidden_size": 16, "num_heads": 2, "ffn_size": 32,
+                                  "num_interaction_layers": 1, "num_extraction_layers": 1},
+                        "train": {"total_steps": 2, "warmup_steps": 1, "batch_size": 4,
+                                  "masking": {"anchor_prob": 0.3}}},
+                 ["--corpus", "data/corpus.jsonl", "--vocab", "data/vocab.json",
+                  "--negatives", "neg/negatives.jsonl", "--out", "pre", "--seed", 1, "--lr", 1e-3,
+                  "--action-mix", "0.7,0.2,0.1", "--tie-msm-weights"]),
+    "finetune": (None, {"train": {"seed": 2}},
+                 ["--corpus", "data/corpus.jsonl", "--vocab", "data/vocab.json",
+                  "--checkpoint", "pre/checkpoint.ibt", "--out", "fine",
+                  "--steps", 2, "--warmup", 1, "--batch-size", 2]),
+    "eval": ("6", None, ["--corpus", "data/corpus.jsonl", "--vocab", "data/vocab.json",
+                         "--checkpoint", "pre/checkpoint.ibt", "--out", "ev", "--split", "heldout",
+                         "--export-embeddings"]),
+    "gradcheck": (None, {"tolerance": 0.5, "init_std": 0.4}, ["--out", "gc", "--samples", 5, "--seed", 3]),
+    "knn": (None, {"trigger": 1}, ["--embeddings", "ev/embeddings.bin", "--out", "knn", "--k", 2]),
+}
+CLI_FIXTURE = Path(__file__).with_name("cli_configs.json")
+
+
+def resolved_configs(workdir: Path) -> dict:
+    workdir = workdir.resolve()
+    configs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(workdir)
+        for command, (env_seed, file_cfg, argv) in FIXED_INVOCATIONS.items():
+            if env_seed is None:
+                mp.delenv("IBT_SEED", raising=False)
+            else:
+                mp.setenv("IBT_SEED", env_seed)
+            if file_cfg is not None:
+                (workdir / f"{command}.json").write_text(json.dumps(file_cfg))
+                argv = [*argv, "--config", f"{command}.json"]
+            assert run_cli(command, *argv) == 0
+            manifest = (workdir / argv[argv.index("--out") + 1] / "manifest.json").read_text()
+            configs[command] = json.loads(manifest.replace(str(workdir), "$WORK"))["config"]
+    return configs
+
+
+def parser_flags() -> dict:
+    """Per subcommand: [option strings, dest, type, choices, required, default, action] of each flag."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return json.loads(json.dumps({
+        name: sorted([a.option_strings, a.dest, getattr(a.type, "__name__", None), a.choices,
+                      a.required, a.default, type(a).__name__] for a in parser._actions)
+        for name, parser in sub.choices.items()}))
+
+
+@pytest.fixture(scope="module")
+def fixed_configs(tmp_path_factory):
+    return resolved_configs(tmp_path_factory.mktemp("fixed"))
+
+
+@pytest.mark.parametrize("command", list(FIXED_INVOCATIONS))
+def test_resolved_config_matches_fixture(fixed_configs, command):
+    assert fixed_configs[command] == json.loads(CLI_FIXTURE.read_text())["configs"][command]
+
+
+def test_parser_flags_match_fixture():
+    assert parser_flags() == json.loads(CLI_FIXTURE.read_text())["flags"]

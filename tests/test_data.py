@@ -18,7 +18,6 @@ from interbert.data import (
     synth_corpus,
     synth_vocabulary,
 )
-from interbert.numerics import IGNORE_INDEX
 
 
 def small_vocab():
@@ -226,7 +225,6 @@ def test_make_batch_mixed_lengths():
     # padding carries neutral values
     assert batch.tokens[0, 3] == vocab.pad_id
     assert np.all(batch.features[0, 1:] == 0.0)
-    assert np.all(batch.labels[0, 1:] == IGNORE_INDEX)
 
 
 def test_make_batch_truncation_forbidden():

@@ -13,6 +13,7 @@ from interbert.numerics import (
     backward,
     finite_diff_check,
 )
+from reference_ops import mean_all, sum_all
 
 
 def make_params(rng, **shapes):
@@ -59,7 +60,7 @@ def test_matmul_shape_mismatch():
 def test_matmul_gradcheck(rng):
     ps = make_params(rng, a=(3, 4), b=(4, 2))
     w = rng.normal(size=(3, 2))
-    gradcheck(lambda: nt.sum_all(nt.mul(nt.matmul(ps["a"], ps["b"]), w)), ps)
+    gradcheck(lambda: sum_all(nt.mul(nt.matmul(ps["a"], ps["b"]), w)), ps)
 
 
 
@@ -74,9 +75,9 @@ def test_linear_matches_product_plus_bias(rng):
 def test_linear_gradcheck(rng):
     ps = make_params(rng, x=(5, 3), w=(3, 4), b=(4,))
     weights = rng.normal(size=(5, 4))
-    gradcheck(lambda: nt.sum_all(nt.mul(nt.linear(ps["x"], ps["w"], ps["b"]), weights)), ps)
+    gradcheck(lambda: sum_all(nt.mul(nt.linear(ps["x"], ps["w"], ps["b"]), weights)), ps)
     bare = make_params(rng, x=(5, 3), w=(3, 4))
-    gradcheck(lambda: nt.sum_all(nt.mul(nt.linear(bare["x"], bare["w"]), weights)), bare)
+    gradcheck(lambda: sum_all(nt.mul(nt.linear(bare["x"], bare["w"]), weights)), bare)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +128,7 @@ def test_attention_gradcheck(rng):
     for name, values in (("q", q), ("k", k), ("v", v)):
         ps.add(name, Tensor(values, requires_grad=True))
     weights = rng.normal(size=q.shape)
-    gradcheck(lambda: nt.sum_all(nt.mul(nt.attention(ps["q"], ps["k"], ps["v"], queries, keys, bias, HEADS),
+    gradcheck(lambda: sum_all(nt.mul(nt.attention(ps["q"], ps["k"], ps["v"], queries, keys, bias, HEADS),
                                         weights)), ps)
 
 
@@ -160,8 +161,8 @@ def test_attention_repeated_backward_matches_primitive_ops(rng):
                    lambda *t: primitive_attention(*t, queries, keys)):
         inputs = [Tensor(a, requires_grad=True) for a in (q, k, v)]
         out = attend(*inputs)
-        backward(nt.sum_all(nt.mul(out, w1)))
-        backward(nt.sum_all(nt.mul(out, w2)))
+        backward(sum_all(nt.mul(out, w1)))
+        backward(sum_all(nt.mul(out, w2)))
         grads.append([t.grad for t in inputs])
     for fused, primitive in zip(*grads):
         assert np.max(np.abs(fused - primitive)) <= 1e-12
@@ -172,7 +173,7 @@ def test_attention_float32_stays_float32(rng):
     inputs = [Tensor(a, requires_grad=True) for a in (q, k, v)]
     out = nt.attention(*inputs, queries, keys, bias, HEADS)
     assert out.dtype == np.float32
-    backward(nt.sum_all(out))
+    backward(sum_all(out))
     assert all(t.grad.dtype == np.float32 for t in inputs)
     assert np.max(np.abs(out.values - naive_attention(q, k, v, queries, keys))) <= 1e-5
 
@@ -210,7 +211,7 @@ def test_softmax_permutation_equivariance(rng):
 def test_softmax_gradcheck(rng):
     ps = make_params(rng, x=(4, 6))
     w = rng.normal(size=(4, 6))
-    gradcheck(lambda: nt.sum_all(nt.mul(nt.softmax(ps["x"], axis=-1), w)), ps)
+    gradcheck(lambda: sum_all(nt.mul(nt.softmax(ps["x"], axis=-1), w)), ps)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,7 @@ def test_layer_norm_rejects_short_rows():
 def test_layer_norm_gradcheck(rng):
     ps = make_params(rng, x=(5, 8), gain=(8,), bias=(8,))
     w = rng.normal(size=(5, 8))
-    gradcheck(lambda: nt.sum_all(nt.mul(nt.layer_norm(ps["x"], ps["gain"], ps["bias"]), w)), ps)
+    gradcheck(lambda: sum_all(nt.mul(nt.layer_norm(ps["x"], ps["gain"], ps["bias"]), w)), ps)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +276,7 @@ def test_gelu_at_one_vs_erf_oracle():
 def test_gelu_gradcheck(rng):
     ps = make_params(rng, x=(6, 4))
     w = rng.normal(size=(6, 4))
-    gradcheck(lambda: nt.sum_all(nt.mul(nt.gelu(ps["x"]), w)), ps)
+    gradcheck(lambda: sum_all(nt.mul(nt.gelu(ps["x"]), w)), ps)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,7 @@ def test_embedding_repeated_ids(rng):
 def test_embedding_gradient_scatters():
     ps = ParameterSet()
     table = ps.add("table", Tensor(np.zeros((5, 3))))
-    loss = nt.sum_all(nt.embedding_lookup(table, [3, 3]))
+    loss = sum_all(nt.embedding_lookup(table, [3, 3]))
     backward(loss, ps)
     expected = np.zeros((5, 3))
     expected[3] = 2.0
@@ -308,7 +309,7 @@ def test_embedding_repeated_ids_gradient_matches_add_at(rng):
     ids = rng.integers(0, 5, size=40)
     ps = make_params(rng, table=(6, 3))
     weights = rng.normal(size=(40, 3))
-    backward(nt.sum_all(nt.mul(nt.embedding_lookup(ps["table"], ids), weights)), ps)
+    backward(sum_all(nt.mul(nt.embedding_lookup(ps["table"], ids), weights)), ps)
     want = np.zeros((6, 3))
     np.add.at(want, ids, weights)
     np.testing.assert_array_equal(ps["table"].grad, want)
@@ -334,7 +335,7 @@ def test_scatter_rows_inverts_embedding_lookup(rng):
 def test_scatter_rows_gradcheck(rng):
     ps = make_params(rng, rows=(3, 2, 2))
     w = rng.normal(size=(5, 2, 2))
-    gradcheck(lambda: nt.sum_all(nt.mul(nt.scatter_rows(ps["rows"], [3, 1, 4], 5), w)), ps)
+    gradcheck(lambda: sum_all(nt.mul(nt.scatter_rows(ps["rows"], [3, 1, 4], 5), w)), ps)
 
 
 def test_scatter_rows_refuses_bad_ids():
@@ -428,7 +429,7 @@ def test_bce_gradcheck(rng):
 
 def test_add_mul_broadcast_gradcheck(rng):
     ps = make_params(rng, x=(4, 5), row=(5,), y=(4, 5))
-    gradcheck(lambda: nt.sum_all(nt.mul(nt.add(ps["x"], ps["row"]), ps["y"])), ps)
+    gradcheck(lambda: sum_all(nt.mul(nt.add(ps["x"], ps["row"]), ps["y"])), ps)
 
 
 def test_narrow_concat_transpose_reshape_gradcheck(rng):
@@ -439,10 +440,10 @@ def test_narrow_concat_transpose_reshape_gradcheck(rng):
         top = nt.narrow(ps["x"], 0, 0, 3)
         bottom = nt.narrow(ps["x"], 0, 3, 3)
         merged = nt.concat([bottom, top], axis=0)
-        return nt.sum_all(nt.mul(nt.transpose(merged), w))
+        return sum_all(nt.mul(nt.transpose(merged), w))
 
     gradcheck(loss_fn, ps)
-    gradcheck(lambda: nt.sum_all(nt.mul(nt.reshape(ps["x"], (4, 6)), w)), ps)
+    gradcheck(lambda: sum_all(nt.mul(nt.reshape(ps["x"], (4, 6)), w)), ps)
 
 
 def test_narrow_bounds():
@@ -452,4 +453,4 @@ def test_narrow_bounds():
 
 def test_mean_matches_numpy(rng):
     x = rng.normal(size=(3, 4))
-    assert abs(nt.mean_all(Tensor(x)).item() - x.mean()) < 1e-15
+    assert abs(mean_all(Tensor(x)).item() - x.mean()) < 1e-15
