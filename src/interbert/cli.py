@@ -92,12 +92,23 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
     os.replace(tmp, out_dir / "manifest.json")
 
 
-def _merge(defaults: dict, file_section: dict | None, flags: dict, where: str = "") -> dict:
+def _merge(defaults: dict, file_section: dict | None, flags: dict,
+           where: str = "", source: str | None = None) -> dict:
+    """``defaults`` updated by the config file's section, then by the flags
+    given; a file key outside the defaults, or whose value's JSON type is
+    not its default's (an int may stand for a float), is refused."""
     merged = dict(defaults)
     if file_section:
         unknown = set(file_section) - set(defaults)
         if unknown:
             raise CommandError(f"unknown config keys{where}: {sorted(unknown)}")
+        for key, value in file_section.items():
+            kind = _kind(key, defaults[key])
+            fits = (isinstance(value, (int, float) if kind is float else kind)
+                    and (kind is bool) == isinstance(value, bool))
+            if not (fits or value is None and defaults[key] is None):
+                raise CommandError(f"config file {source}: {key}{where} must be {kind.__name__}, "
+                                   f"got {json.dumps(value)}")
         merged.update(file_section)
     for key, value in flags.items():
         if value is not None:
@@ -109,9 +120,12 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise CommandError(f"cannot read config file {path}: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise CommandError(f"config file {path} does not hold a JSON object")
+    return loaded
 
 
 def _seed_default(explicit: int | None, config_seed=None) -> int:
@@ -406,9 +420,15 @@ COMMANDS = {
 }
 
 # Stored absolute, so a manifest replays from any directory. Each is a
-# required flag except model_config; any other key without a default (knn's
-# trigger) takes an int.
+# required flag except model_config.
 PATH_KEYS = ("corpus", "vocab", "negatives", "checkpoint", "model_config", "embeddings")
+
+
+def _kind(key: str, default) -> type:
+    """The type a key's flag and config value take: its default's; without
+    a default, str for a path and int for the rest (knn's trigger)."""
+    return type(default) if default is not None else str if key in PATH_KEYS else int
+
 
 # The flags of each section (masking sits inside train): key -> type, or a
 # tuple of choices. Types are spelled out because TrainConfig imports numpy,
@@ -475,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
             elif key == "seed":
                 flags = {}
             else:
-                flags = {key: type(default) if default is not None else str if key in PATH_KEYS else int}
+                flags = {key: _kind(key, default)}
             for name, kind in flags.items():
                 _add_flag(p, name, kind, required=name in PATH_KEYS and name != "model_config")
     p = sub.add_parser("replay", help="re-run a command from its manifest")
@@ -501,13 +521,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
     file_cfg = _load_config_file(args.config)
     defaults = COMMANDS[args.command][1]
     flags = {key: getattr(args, key) for key in defaults if key not in ("seed", "model", "train")}
-    config = _merge(defaults, file_cfg, flags)
+    config = _merge(defaults, file_cfg, flags, source=args.config)
     config.update({key: str(Path(config[key]).resolve()) for key in PATH_KEYS if config.get(key)})
     paper = getattr(args, "paper_scale", False)
 
     def section(name: str, base: dict, from_file) -> dict:
         flagged = {key: getattr(args, key) for key in SECTION_FLAGS[name]}
-        return _merge(base, from_file, flagged, where=f" in {name}")
+        return _merge(base, from_file, flagged, where=f" in {name}", source=args.config)
 
     if "model" in defaults:
         config["model"] = section("model", {**TOY_MODEL_PRESET, **(PAPER_MODEL_OVERRIDES if paper else {})},
@@ -516,10 +536,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
         from .training import TrainConfig
 
         base = {**TrainConfig().to_dict(), **(PAPER_TRAIN_OVERRIDES if paper else {})}
-        from_file = dict(file_cfg.get("train") or {})
-        masking = {**section("masking", base["masking"], from_file.pop("masking", None)),
+        from_file = file_cfg.get("train", {})
+        train = section("train", base, from_file)
+        masking = {**section("masking", base["masking"], from_file.get("masking")),
                    **_action_mix(args.action_mix)}
-        config["train"] = {**section("train", base, from_file), "masking": masking,
+        config["train"] = {**train, "masking": masking,
                            "seed": _seed_default(args.seed, from_file.get("seed"))}
     else:
         config["seed"] = _seed_default(args.seed, file_cfg.get("seed"))

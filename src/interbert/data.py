@@ -22,6 +22,23 @@ class CorpusError(ValueError):
     """Malformed corpus file or invariant violation."""
 
 
+# what reading a parsed JSON record of the wrong shape or range can raise
+MALFORMED = (AttributeError, LookupError, TypeError, ValueError, ArithmeticError)
+
+
+def jsonl_lines(path):
+    """(line number, stripped text) of each non-blank line; bytes that are
+    not UTF-8 are a ``CorpusError`` naming the file and line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{path}:{lineno}: not UTF-8 text ({exc})") from None
+            if line:
+                yield lineno, line
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     size: int
@@ -207,21 +224,17 @@ def save_corpus(corpus: Corpus, pairs_path, vocab_path) -> None:
 def load_corpus(pairs_path, vocab_path, num_classes: int | None = None) -> Corpus:
     vocab = load_vocabulary(vocab_path)
     pairs = []
-    with open(pairs_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{pairs_path}:{lineno}: invalid JSON ({exc})") from None
-            try:
-                pair = _pair_from_record(record)
-                pair.validate(vocab, num_classes)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{pairs_path}:{lineno}: {exc}") from None
-            pairs.append(pair)
+    for lineno, line in jsonl_lines(pairs_path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{pairs_path}:{lineno}: invalid JSON ({exc})") from None
+        try:
+            pair = _pair_from_record(record)
+            pair.validate(vocab, num_classes)
+        except MALFORMED as exc:
+            raise CorpusError(f"{pairs_path}:{lineno}: {exc}") from None
+        pairs.append(pair)
     return Corpus(pairs=pairs, vocab=vocab)
 
 
@@ -242,6 +255,8 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 def load_vocabulary(path) -> Vocabulary:
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: invalid JSON ({exc})") from None
     try:
@@ -254,7 +269,7 @@ def load_vocabulary(path) -> Vocabulary:
             mask_id=int(record["mask_id"]),
             names=None if names is None else {int(k): str(v) for k, v in names.items()},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise CorpusError(f"{path}: {exc}") from None
 
 

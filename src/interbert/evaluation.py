@@ -222,5 +222,5 @@ def read_embeddings(path) -> np.ndarray:
         payload = fh.read()
     expected = 8 * count * dim
     if len(payload) != expected:
-        raise ValueError(f"embeddings payload has {len(payload)} bytes, expected {expected}")
+        raise ValueError(f"{path}: embeddings payload has {len(payload)} bytes, expected {expected}")
     return np.frombuffer(payload, dtype="<f8").reshape(count, dim).copy()

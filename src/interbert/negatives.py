@@ -12,15 +12,17 @@ Corpora carry token ids, so index terms are the content token ids.
 
 from __future__ import annotations
 
-import math
+import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from .data import Corpus, CorpusError
+from .data import MALFORMED, Corpus, CorpusError, jsonl_lines
 from .masking import MaskedSample, MaskingConfig, mask_pair
 
 DEFAULT_SIM_THRESHOLD = 0.5
@@ -30,58 +32,60 @@ DEFAULT_HARD_PROB = 0.2
 
 @dataclass
 class TfIdfIndex:
-    vectors: dict[int, dict[Hashable, float]]   # caption id -> L2-normalized sparse vector
-    caption_image: dict[int, int]
-    image_captions: dict[int, list[int]]
-    doc_freq: dict[Hashable, int]
-    num_documents: int
+    """One CSR matrix: row i is caption ``caption_ids[i]`` of image
+    ``image_ids[i]``, its entries the caption's L2-normalized TF-IDF weights
+    over term columns, stored in the order the terms first occur."""
+
+    matrix: sp.csr_matrix
+    caption_ids: np.ndarray
+    image_ids: np.ndarray
 
     @classmethod
     def build(cls, caption_terms: Mapping[int, Sequence[Hashable]],
               caption_image: Mapping[int, int]) -> "TfIdfIndex":
-        if len(caption_terms) < 2:
-            raise ValueError("need at least two captions to index")
-        nonempty: dict[int, list[Hashable]] = {}
+        columns: dict[Hashable, int] = {}
+        caption_ids, indices, tf, indptr = [], [], [], [0]
         for caption_id, terms in caption_terms.items():
-            terms = list(terms)
-            if not terms:
+            counts = Counter(terms)
+            if not counts:
                 warnings.warn(f"caption {caption_id} is empty after tokenization; skipped")
                 continue
-            nonempty[caption_id] = terms
-        if len(nonempty) < 2:
-            raise ValueError("fewer than two non-empty captions to index")
+            length = sum(counts.values())
+            caption_ids.append(caption_id)
+            indices.extend(columns.setdefault(term, len(columns)) for term in counts)
+            tf.extend(count / length for count in counts.values())
+            indptr.append(len(indices))
+        if len(caption_ids) < 2:
+            raise ValueError("need at least two non-empty captions to index")
 
-        doc_freq: dict[Hashable, int] = {}
-        for terms in nonempty.values():
-            for term in set(terms):
-                doc_freq[term] = doc_freq.get(term, 0) + 1
+        indices = np.asarray(indices)
+        weights = np.asarray(tf) * (np.log(len(caption_ids) / np.bincount(indices)) + 1.0)[indices]
+        # a CSR mat-vec adds each row's squares in stored order, as a plain loop would
+        norms = np.sqrt(sp.csr_matrix((weights * weights, indices, indptr)) @ np.ones(len(columns)))
+        return cls(sp.csr_matrix((weights / np.repeat(norms, np.diff(indptr)), indices, indptr)),
+                   np.asarray(caption_ids), np.asarray([caption_image[c] for c in caption_ids]))
 
-        n = len(nonempty)
-        vectors: dict[int, dict[Hashable, float]] = {}
-        for caption_id, terms in nonempty.items():
-            counts = Counter(terms)
-            length = len(terms)
-            vec = {t: (c / length) * (math.log(n / doc_freq[t]) + 1.0) for t, c in counts.items()}
-            norm = math.sqrt(sum(w * w for w in vec.values()))
-            vectors[caption_id] = {t: w / norm for t, w in vec.items()}
+    @cached_property
+    def image_captions(self) -> dict[int, list[int]]:
+        """Image id -> its indexed caption ids, in row order."""
+        out: dict[int, list[int]] = {}
+        for caption_id, image_id in zip(self.caption_ids.tolist(), self.image_ids.tolist()):
+            out.setdefault(image_id, []).append(caption_id)
+        return out
 
-        image_captions: dict[int, list[int]] = {}
-        for caption_id in vectors:
-            image_captions.setdefault(caption_image[caption_id], []).append(caption_id)
-        return cls(
-            vectors=vectors,
-            caption_image={cid: caption_image[cid] for cid in vectors},
-            image_captions=image_captions,
-            doc_freq=doc_freq,
-            num_documents=n,
-        )
+    def similarities(self, caption_id: int) -> np.ndarray:
+        """Every row's cosine similarity to the caption (rows are unit length,
+        so dots): one CSR mat-vec, adding each row's products in stored order."""
+        (row,) = np.flatnonzero(self.caption_ids == caption_id)
+        lo, hi = self.matrix.indptr[row:row + 2]
+        dense = np.zeros(self.matrix.shape[1])
+        dense[self.matrix.indices[lo:hi]] = self.matrix.data[lo:hi]
+        return self.matrix @ dense
 
     def similarity(self, caption_a: int, caption_b: int) -> float:
-        """Cosine similarity; vectors are unit length so this is a dot."""
-        va, vb = self.vectors[caption_a], self.vectors[caption_b]
-        if len(vb) < len(va):
-            va, vb = vb, va
-        return sum(w * vb.get(t, 0.0) for t, w in va.items())
+        """Caption a's entry of ``similarities(caption_b)``, bit for bit as mining sees it."""
+        (row,) = np.flatnonzero(self.caption_ids == caption_a)
+        return float(self.similarities(caption_b)[row])
 
 
 def build_tfidf(corpus: Corpus) -> TfIdfIndex:
@@ -106,16 +110,10 @@ def mine_hard_negatives(index: TfIdfIndex, image_id: int,
     own = index.image_captions.get(image_id)
     if not own:
         raise KeyError(f"image {image_id} has no indexed caption")
-    reference = own[0]
-    candidates: list[tuple[int, float]] = []
-    for caption_id in index.vectors:
-        if index.caption_image[caption_id] == image_id:
-            continue
-        sim = index.similarity(caption_id, reference)
-        if sim < sim_threshold:
-            candidates.append((caption_id, sim))
-    candidates.sort(key=lambda item: (-item[1], item[0]))
-    return candidates[:max_negatives]
+    sims = index.similarities(own[0])
+    keep = np.flatnonzero((index.image_ids != image_id) & (sims < sim_threshold))
+    best = keep[np.lexsort((index.caption_ids[keep], -sims[keep]))][:max_negatives]
+    return list(zip(index.caption_ids[best].tolist(), sims[best].tolist()))
 
 
 def build_hard_negative_table(index: TfIdfIndex,
@@ -139,23 +137,19 @@ def save_table(path, table: dict[int, list[tuple[int, float]]]) -> None:
 
 
 def load_table(path) -> dict[int, list[tuple[int, float]]]:
-    """Read a table written by ``save_table``; a malformed line is a
-    ``CorpusError`` naming the file and line."""
-    import json
-
+    """Read a table written by ``save_table``; a malformed line or a second
+    row for one image is a ``CorpusError`` naming the file and line."""
     table: dict[int, list[tuple[int, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                table[int(record["image_id"])] = [
-                    (int(e["caption_id"]), float(e["sim"])) for e in record["negatives"]
-                ]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed negatives line ({exc!r})") from None
+    for lineno, line in jsonl_lines(path):
+        try:
+            record = json.loads(line)
+            image_id = int(record["image_id"])
+            row = [(int(e["caption_id"]), float(e["sim"])) for e in record["negatives"]]
+        except MALFORMED as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed negatives line ({exc!r})") from None
+        if image_id in table:
+            raise CorpusError(f"{path}:{lineno}: second row for image {image_id}")
+        table[image_id] = row
     return table
 
 

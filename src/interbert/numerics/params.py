@@ -8,6 +8,7 @@ name, the u32 rank, one u32 per dimension, and the values as little-endian
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Iterator, Mapping
 
@@ -116,12 +117,18 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise NumericsError(f"parameter name is not UTF-8: {path}") from None
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        size = int(np.prod(dims)) if rank else 1
-        values = np.frombuffer(take(8 * size), dtype="<f8").reshape(dims).copy()
-        out[name] = values
+        size = math.prod(dims)  # exact, so a huge shape is refused as truncation
+        values = np.frombuffer(take(8 * size), dtype="<f8")
+        try:  # an empty shape can still be one numpy refuses: too many or too large dims
+            out[name] = values.reshape(dims).copy()
+        except ValueError:
+            raise NumericsError(f"impossible shape {dims} for parameter {name!r}: {path}") from None
     if offset != len(blob):
         raise NumericsError(f"trailing bytes after checkpoint payload: {path}")
     return out

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import interbert
-from interbert.cli import build_parser, main
+from interbert.cli import build_parser, main, resolve_config
 from interbert.data import load_corpus
 
 
@@ -420,6 +420,34 @@ def test_training_commands_refuse_unknown_config_keys(tmp_path, data_dir, negati
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: unknown config keys") and all(repr(key) in err for key in named)
     assert not (tmp_path / "out").exists()  # refused before any work
+
+
+@pytest.mark.parametrize("command, file_cfg, named", [
+    ("synth-data", {"num_images": "5"}, 'num_images must be int, got "5"'),
+    ("pretrain", {"train": {"total_steps": "3"}}, 'total_steps in train must be int, got "3"'),
+], ids=["synth-data-top", "pretrain-train"])
+def test_config_values_of_the_wrong_type_are_refused(tmp_path, data_dir, negatives_dir, capsys,
+                                                      command, file_cfg, named):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(file_cfg))
+    inputs = {"synth-data": (),
+              "pretrain": ("--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.json",
+                           "--negatives", negatives_dir / "negatives.jsonl")}[command]
+    capsys.readouterr()
+    assert run_cli(command, *inputs, "--config", config, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err.strip() == f"error: config file {config}: {named}"
+    assert not (tmp_path / "out").exists()  # refused before any work
+
+
+def test_config_values_may_widen_int_to_float_and_fill_null_defaults(tmp_path):
+    config = tmp_path / "ok.json"
+    config.write_text(json.dumps({"model": {"vocab_size": None, "object_feature_dim": 8},
+                                  "train": {"learning_rate": 1, "masking": {"anchor_prob": 0}}}))
+    args = build_parser().parse_args(["pretrain", "--corpus", "c", "--vocab", "v", "--negatives", "n",
+                                      "--config", str(config), "--out", str(tmp_path / "out")])
+    resolved = resolve_config(args)
+    assert resolved["model"]["vocab_size"] is None and resolved["model"]["object_feature_dim"] == 8
+    assert resolved["train"]["learning_rate"] == 1 and resolved["train"]["masking"]["anchor_prob"] == 0
 
 
 def test_building_the_parser_leaves_numpy_unloaded():

@@ -1,10 +1,13 @@
 """TF-IDF index, hard-negative mining, and matching-batch assembly."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from interbert.data import CorpusError, synth_corpus
 from interbert.masking import MaskingConfig
@@ -72,8 +75,8 @@ def test_three_caption_corpus_matches_hand_oracle():
 def test_empty_caption_skipped_with_warning():
     with pytest.warns(UserWarning, match="caption 1"):
         index = index_of({0: "red dress", 1: "", 2: "blue sky"})
-    assert 1 not in index.vectors
-    assert index.num_documents == 2
+    assert 1 not in index.caption_ids
+    assert index.matrix.shape[0] == 2
 
 
 def test_index_requires_two_captions():
@@ -84,10 +87,32 @@ def test_index_requires_two_captions():
 def test_vectors_are_unit_length():
     corpus = synth_corpus(seed=8, num_images=30)
     index = build_tfidf(corpus)
-    for vec in index.vectors.values():
-        norm = math.sqrt(sum(w * w for w in vec.values()))
-        assert abs(norm - 1.0) < 1e-12
-    assert all(df >= 1 for df in index.doc_freq.values())
+    assert np.all(np.abs(np.linalg.norm(index.matrix.toarray(), axis=1) - 1.0) < 1e-12)
+    assert np.all(np.bincount(index.matrix.indices, minlength=index.matrix.shape[1]) >= 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(captions=st.lists(st.lists(st.sampled_from(["red", "dress", "blue", "sky", "a", "shoe", "photo"]),
+                                  max_size=6), min_size=2, max_size=14),
+       images=st.integers(1, 5), max_negatives=st.integers(1, 8))
+def test_csr_index_matches_reference_and_brute_force(captions, images, max_negatives):
+    """Random string-term captions, empty ones and repeated terms included:
+    similarity matches the independent re-derivation, and mining equals a
+    brute force over similarity."""
+    nonempty = {cid: terms for cid, terms in enumerate(captions) if terms}
+    assume(len(nonempty) >= 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        index = TfIdfIndex.build(dict(enumerate(captions)), {cid: cid % images for cid in range(len(captions))})
+    expected = reference_tfidf(nonempty)
+    for a in nonempty:
+        for b in nonempty:
+            assert abs(index.similarity(a, b) - reference_similarity(expected[a], expected[b])) <= 1e-12
+    for image_id, own in index.image_captions.items():
+        scored = sorted(((cid, index.similarity(cid, own[0])) for cid in nonempty if cid % images != image_id),
+                        key=lambda item: (-item[1], item[0]))
+        brute = [(cid, sim) for cid, sim in scored if sim < 0.5][:max_negatives]
+        assert mine_hard_negatives(index, image_id, max_negatives=max_negatives) == brute
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +190,15 @@ def test_load_table_names_the_malformed_line(tmp_path):
         path.write_text('{"image_id": 0, "negatives": []}\n' + bad + "\n")
         with pytest.raises(CorpusError, match=f"{path}:2: malformed negatives line"):
             load_table(path)
+
+
+def test_load_table_refuses_a_second_row_for_one_image(tmp_path):
+    path = tmp_path / "negatives.jsonl"
+    path.write_text('{"image_id": 1, "negatives": [{"caption_id": 4, "sim": 0.25}]}\n'
+                    '{"image_id": 0, "negatives": []}\n'
+                    '{"image_id": 1, "negatives": []}\n')
+    with pytest.raises(CorpusError, match=f"{path}:3: second row for image 1"):
+        load_table(path)
 
 
 def test_check_table_refuses_ids_outside_the_corpus():
