@@ -87,9 +87,12 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
         "finished": _utc_now(),
         "outputs": sorted(outputs),
     }
-    tmp = out_dir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, out_dir / "manifest.json")
+    _write_json(out_dir / "manifest.json.tmp", manifest)
+    os.replace(out_dir / "manifest.json.tmp", out_dir / "manifest.json")
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _merge(defaults: dict, file_section: dict | None, flags: dict,
@@ -214,10 +217,7 @@ def run_pretrain(config: dict, out_dir: Path) -> list[str]:
     result = pretrain(corpus, table, model_cfg, train_cfg)
     save_checkpoint(out_dir / "checkpoint.ibt", result.model.params)
     write_metrics_csv(out_dir / "metrics.csv", result.metrics)
-    (out_dir / "config.json").write_text(
-        json.dumps({"model": model_cfg.to_dict(), "train": train_cfg.to_dict()},
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    _write_json(out_dir / "config.json", {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()})
     return ["checkpoint.ibt", "metrics.csv", "config.json"]
 
 
@@ -248,7 +248,7 @@ def _model_config_for_checkpoint(config: dict, corpus):
 def run_finetune(config: dict, out_dir: Path) -> list[str]:
     from .data import load_corpus
     from .numerics import load_checkpoint, save_checkpoint
-    from .training import TrainConfig, finetune_retrieval, write_finetune_csv
+    from .training import TrainConfig, finetune_retrieval, write_metrics_csv
 
     corpus = load_corpus(config["corpus"], config["vocab"])
     model_cfg = _model_config_for_checkpoint(config, corpus)
@@ -258,11 +258,8 @@ def run_finetune(config: dict, out_dir: Path) -> list[str]:
     result = finetune_retrieval(corpus, model_cfg, train_cfg, load_checkpoint(config["checkpoint"]))
     save_checkpoint(out_dir / "checkpoint_ema.ibt", result.ema_values)
     save_checkpoint(out_dir / "checkpoint_raw.ibt", result.model.params)
-    write_finetune_csv(out_dir / "metrics.csv", result.metrics)
-    (out_dir / "config.json").write_text(
-        json.dumps({"model": model_cfg.to_dict(), "train": train_cfg.to_dict()},
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_metrics_csv(out_dir / "metrics.csv", result.metrics)
+    _write_json(out_dir / "config.json", {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()})
     return ["checkpoint_ema.ibt", "checkpoint_raw.ibt", "metrics.csv", "config.json"]
 
 
@@ -291,8 +288,7 @@ def run_eval(config: dict, out_dir: Path) -> list[str]:
         "num_captions": report["num_captions"],
         "recall": {str(k): recalls[k] for k in sorted(recalls)},
     }
-    (out_dir / "metrics.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out_dir / "metrics.json", payload)
     outputs = ["metrics.json"]
     if config["export_embeddings"]:
         write_embeddings(out_dir / "embeddings.bin", item_embeddings(model, corpus))
@@ -349,8 +345,7 @@ def run_gradcheck(config: dict, out_dir: Path) -> list[str]:
         "samples": config["samples"],
         "parameter_count": model.params.num_values(),
     }
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out_dir / "report.json", report)
     print(f"gradcheck: max relative error {error:.3e} "
           f"({'PASS' if passed else 'FAIL'} at tolerance {config['tolerance']:.1e})")
     if not passed:
@@ -366,10 +361,8 @@ def run_knn(config: dict, out_dir: Path) -> list[str]:
     print("rank\titem_id")
     for rank, item in enumerate(neighbours, start=1):
         print(f"{rank}\t{item}")
-    (out_dir / "neighbours.json").write_text(
-        json.dumps({"trigger": config["trigger"], "k": config["k"],
-                    "neighbours": neighbours}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    _write_json(out_dir / "neighbours.json",
+                {"trigger": config["trigger"], "k": config["k"], "neighbours": neighbours})
     return ["neighbours.json"]
 
 

@@ -239,17 +239,11 @@ def load_corpus(pairs_path, vocab_path, num_classes: int | None = None) -> Corpu
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    parts = [
-        '"size": %d' % vocab.size,
-        '"pad_id": %d' % vocab.pad_id,
-        '"cls_id": %d' % vocab.cls_id,
-        '"sep_id": %d' % vocab.sep_id,
-        '"mask_id": %d' % vocab.mask_id,
-    ]
+    record = {"size": vocab.size, "pad_id": vocab.pad_id, "cls_id": vocab.cls_id,
+              "sep_id": vocab.sep_id, "mask_id": vocab.mask_id}
     if vocab.names is not None:
-        names = ", ".join('"%d": %s' % (i, json.dumps(vocab.names[i])) for i in sorted(vocab.names))
-        parts.append('"names": {%s}' % names)
-    Path(path).write_text("{%s}\n" % ", ".join(parts), encoding="utf-8")
+        record["names"] = {str(i): vocab.names[i] for i in sorted(vocab.names)}
+    Path(path).write_text(json.dumps(record) + "\n", encoding="utf-8")
 
 
 def load_vocabulary(path) -> Vocabulary:

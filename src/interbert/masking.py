@@ -42,16 +42,6 @@ class MaskingConfig:
         if any(p < 0 for p in mix) or abs(sum(mix) - 1.0) > 1e-9:
             raise ValueError("action mix must be non-negative and sum to 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "anchor_prob": self.anchor_prob,
-            "max_extension": self.max_extension,
-            "iou_threshold": self.iou_threshold,
-            "action_mask_prob": self.action_mask_prob,
-            "action_random_prob": self.action_random_prob,
-            "action_keep_prob": self.action_keep_prob,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "MaskingConfig":
         cfg = cls(**data)

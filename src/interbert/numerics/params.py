@@ -121,6 +121,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             name = take(name_len).decode("utf-8")
         except UnicodeDecodeError:
             raise NumericsError(f"parameter name is not UTF-8: {path}") from None
+        if name in out:
+            raise NumericsError(f"repeated parameter name {name!r}: {path}")
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         size = math.prod(dims)  # exact, so a huge shape is refused as truncation

@@ -10,7 +10,6 @@ from .loop import (
     TrainingDiverged,
     finetune_retrieval,
     pretrain,
-    write_finetune_csv,
     write_metrics_csv,
 )
 from .optim import AdamWState, adamw_step, ema_update, lr_at
@@ -32,6 +31,5 @@ __all__ = [
     "msm_loss",
     "pretrain",
     "total_loss",
-    "write_finetune_csv",
     "write_metrics_csv",
 ]

@@ -103,20 +103,47 @@ class StepMetrics:
     total: float
     itm_acc: float
 
-    CSV_HEADER = "step,lr,msm_loss,mrm_loss,itm_loss,total,itm_acc"
 
-    def csv_row(self) -> str:
-        return ",".join([
-            str(self.step), repr(self.lr), repr(self.msm_loss), repr(self.mrm_loss),
-            repr(self.itm_loss), repr(self.total), repr(self.itm_acc),
-        ])
+@dataclass
+class FinetuneMetrics:
+    step: int
+    lr: float
+    loss: float
+    accuracy: float
 
 
-def write_metrics_csv(path, rows: list[StepMetrics]) -> None:
+def write_metrics_csv(path, rows: list) -> None:
+    """A header of the rows' dataclass field names, then one line per row:
+    ints as they are, floats by ``repr`` so each value reads back exactly."""
+    names = [f.name for f in fields(rows[0])]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(StepMetrics.CSV_HEADER + "\n")
+        fh.write(",".join(names) + "\n")
         for row in rows:
-            fh.write(row.csv_row() + "\n")
+            values = (getattr(row, name) for name in names)
+            fh.write(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in values) + "\n")
+
+
+def _optimise(model: InterBert, cfg: TrainConfig, step_loss, row_type, on_step) -> list:
+    """The step both loops run ``cfg.total_steps`` times: ``step_loss()`` forwards
+    a batch and returns the loss tensor and the row's other columns; a
+    non-finite loss raises before any update, else one scheduled AdamW update
+    follows and the ``row_type`` row goes to ``on_step`` (when given) and out."""
+    state = AdamWState.for_params(model.params)
+    rows = []
+    for step in range(1, cfg.total_steps + 1):
+        loss, columns = step_loss()
+        if not np.isfinite(loss.item()):
+            raise TrainingDiverged(f"non-finite loss at step {step}")
+        model.params.zero_grad()
+        nt.backward(loss, model.params)
+        del loss  # drop this step's tape before the next forward
+        lr = lr_at(step, cfg.learning_rate, cfg.warmup_steps, cfg.total_steps)
+        adamw_step(model.params, state, lr, beta1=cfg.beta1, beta2=cfg.beta2,
+                   eps=cfg.eps, weight_decay=cfg.weight_decay)
+        rows.append(row_type(step=step, lr=lr, **columns))
+        if on_step is not None:
+            on_step(rows[-1])
+    return rows
 
 
 def _batch_losses(model: InterBert, batch: list[MaskedSample], cfg: TrainConfig):
@@ -176,50 +203,18 @@ def pretrain(corpus: Corpus, table: dict, model_cfg: ModelConfig, train_cfg: Tra
     check_limits(corpus.pairs, **model_cfg.limits, num_classes=model_cfg.num_object_classes)
     check_table(table, corpus)
     model = InterBert.create(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
-    state = AdamWState.for_params(model.params)
     rng = np.random.default_rng(train_cfg.seed)
     weights = (train_cfg.lambda_msm, train_cfg.lambda_mrm, train_cfg.lambda_itm)
-    metrics: list[StepMetrics] = []
-    for step in range(1, train_cfg.total_steps + 1):
+
+    def step_loss():
         batch = make_itm_batch(corpus, table, rng, train_cfg.batch_size,
                                train_cfg.masking, train_cfg.hard_negative_prob)
         l_msm, l_mrm, l_itm, accuracy = _batch_losses(model, batch, train_cfg)
         loss = total_loss(l_msm, l_mrm, l_itm, weights)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingDiverged(f"non-finite loss at step {step}")
-        model.params.zero_grad()
-        nt.backward(loss, model.params)
-        lr = lr_at(step, train_cfg.learning_rate, train_cfg.warmup_steps, train_cfg.total_steps)
-        adamw_step(model.params, state, lr, beta1=train_cfg.beta1, beta2=train_cfg.beta2,
-                   eps=train_cfg.eps, weight_decay=train_cfg.weight_decay)
-        row = StepMetrics(step=step, lr=lr, msm_loss=l_msm.item(), mrm_loss=l_mrm.item(),
-                          itm_loss=l_itm.item(), total=value, itm_acc=accuracy)
-        del loss, l_msm, l_mrm, l_itm  # drop this step's tape before the next forward
-        metrics.append(row)
-        if step_callback is not None:
-            step_callback(row)
-    return PretrainResult(model=model, metrics=metrics)
+        return loss, {"msm_loss": l_msm.item(), "mrm_loss": l_mrm.item(), "itm_loss": l_itm.item(),
+                      "total": loss.item(), "itm_acc": accuracy}
 
-
-@dataclass
-class FinetuneMetrics:
-    step: int
-    lr: float
-    loss: float
-    accuracy: float
-
-    CSV_HEADER = "step,lr,loss,accuracy"
-
-    def csv_row(self) -> str:
-        return ",".join([str(self.step), repr(self.lr), repr(self.loss), repr(self.accuracy)])
-
-
-def write_finetune_csv(path, rows: list[FinetuneMetrics]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(FinetuneMetrics.CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.csv_row() + "\n")
+    return PretrainResult(model=model, metrics=_optimise(model, train_cfg, step_loss, StepMetrics, step_callback))
 
 
 @dataclass
@@ -249,13 +244,12 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
         raise ValueError(f"need at least {train_cfg.num_distractors + 1} images for multiple choice")
     model = InterBert.create(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
     model.params.load_values(init_values)
-    state = AdamWState.for_params(model.params)
     shadow = model.params.clone_values()
     rng = np.random.default_rng(train_cfg.seed)
     image_index = np.array(image_ids)
     choices = 1 + train_cfg.num_distractors
-    metrics: list[FinetuneMetrics] = []
-    for step in range(1, train_cfg.total_steps + 1):
+
+    def step_loss():
         picks = rng.integers(0, len(corpus.pairs), size=train_cfg.batch_size)
         items = []
         for pick in picks:
@@ -266,19 +260,12 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
         stacked = nt.reshape(model.itm_score(out.pooled_image, out.pooled_text), (len(picks), choices))
         targets = np.zeros(len(picks), dtype=np.int64)  # true image sits at slot 0
         loss = nt.cross_entropy_logits(stacked, targets)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingDiverged(f"non-finite loss at step {step}")
-        accuracy = float(np.mean(choice_credit(stacked.values)))
-        model.params.zero_grad()
-        nt.backward(loss, model.params)
-        lr = lr_at(step, train_cfg.learning_rate, train_cfg.warmup_steps, train_cfg.total_steps)
-        adamw_step(model.params, state, lr, beta1=train_cfg.beta1, beta2=train_cfg.beta2,
-                   eps=train_cfg.eps, weight_decay=train_cfg.weight_decay)
+        return loss, {"loss": loss.item(), "accuracy": float(np.mean(choice_credit(stacked.values)))}
+
+    def on_step(row):  # the average follows each update, before the caller sees the step
         ema_update(shadow, model.params, train_cfg.ema_rate)
-        del loss, stacked, out  # drop this step's tape before the next forward
-        row = FinetuneMetrics(step=step, lr=lr, loss=value, accuracy=accuracy)
-        metrics.append(row)
         if step_callback is not None:
             step_callback(row)
+
+    metrics = _optimise(model, train_cfg, step_loss, FinetuneMetrics, on_step)
     return FinetuneResult(model=model, ema_values=shadow, metrics=metrics)

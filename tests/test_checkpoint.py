@@ -96,3 +96,13 @@ def test_duplicate_parameter_name_rejected():
     ps.add("w", Tensor([1.0, 2.0]))
     with pytest.raises(NumericsError):
         ps.add("w", Tensor([3.0]))
+
+
+def test_checkpoint_with_repeated_name_rejected(tmp_path):
+    path = tmp_path / "dup.ibt"
+    save_checkpoint(path, {"w": np.zeros(2), "x": np.zeros(2)})
+    blob = path.read_bytes()
+    second = blob.index(b"\x01\x00\x00\x00x")  # the second entry's name length and name
+    path.write_bytes(blob[:second + 4] + b"w" + blob[second + 5:])
+    with pytest.raises(NumericsError, match=f"repeated parameter name 'w': {path}"):
+        load_checkpoint(path)

@@ -58,13 +58,22 @@ def test_vocabulary_content_ids():
 
 
 def test_vocabulary_round_trip(tmp_path):
-    vocab = synth_vocabulary(num_classes=5)
     path = tmp_path / "vocab.json"
-    save_vocabulary(vocab, path)
-    assert load_vocabulary(path) == vocab
-    first = path.read_bytes()
-    save_vocabulary(load_vocabulary(path), path)
-    assert path.read_bytes() == first
+    non_ascii = Vocabulary(size=12, pad_id=0, cls_id=1, sep_id=2, mask_id=3, names={10: "caf\u00e9", 4: "\u732b"})
+    for vocab in (synth_vocabulary(num_classes=5), small_vocab(), non_ascii):
+        save_vocabulary(vocab, path)
+        assert load_vocabulary(path) == vocab
+        first = path.read_bytes()
+        save_vocabulary(load_vocabulary(path), path)
+        assert path.read_bytes() == first
+
+
+def test_vocabulary_file_format(tmp_path):
+    path = tmp_path / "vocab.json"
+    save_vocabulary(Vocabulary(size=12, pad_id=0, cls_id=1, sep_id=2, mask_id=3,
+                               names={10: "caf\u00e9", 4: "dog"}), path)
+    assert path.read_bytes() == (b'{"size": 12, "pad_id": 0, "cls_id": 1, "sep_id": 2, "mask_id": 3, '
+                                 b'"names": {"4": "dog", "10": "caf\\u00e9"}}\n')
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ from interbert.negatives import build_hard_negative_table, build_tfidf, make_itm
 from interbert.numerics import NumericsError, ParameterSet, Tensor, backward, finite_diff_check
 from interbert.training import (
     AdamWState,
+    FinetuneMetrics,
+    StepMetrics,
     TrainConfig,
+    TrainingDiverged,
     adamw_step,
     ema_update,
     finetune_retrieval,
@@ -25,7 +28,9 @@ from interbert.training import (
     msm_loss,
     pretrain,
     total_loss,
+    write_metrics_csv,
 )
+from interbert.training import loop
 from interbert.training.loop import _batch_losses
 from reference_ops import sum_all
 
@@ -512,3 +517,62 @@ def test_finetune_accuracy_of_constant_scorer_is_chance():
     fine = finetune_retrieval(corpus, model_cfg, TrainConfig(total_steps=1, warmup_steps=1, batch_size=4),
                               values)
     assert fine.metrics[0].accuracy == 0.25
+
+
+# ---------------------------------------------------------------------------
+# the shared step driver and metrics tables
+# ---------------------------------------------------------------------------
+
+def record_updates(monkeypatch) -> list:
+    """Swap the loops' AdamW update and parameter average for recorders."""
+    calls = []
+    monkeypatch.setattr(loop, "adamw_step", lambda *args, **kwargs: calls.append("adamw"))
+    monkeypatch.setattr(loop, "ema_update", lambda *args: calls.append("ema"))
+    return calls
+
+
+def test_pretrain_non_finite_loss_raises_before_any_update(monkeypatch):
+    corpus, table, model_cfg = small_fixture()
+    calls, steps = record_updates(monkeypatch), []
+    monkeypatch.setattr(loop, "total_loss", lambda *args: Tensor(np.array(np.nan)))
+    with pytest.raises(TrainingDiverged, match="non-finite loss at step 1$"):
+        pretrain(corpus, table, model_cfg, TrainConfig(total_steps=2, warmup_steps=1, batch_size=4),
+                 step_callback=steps.append)
+    assert calls == [] and steps == []
+
+
+def test_finetune_non_finite_loss_raises_before_any_update(monkeypatch):
+    corpus, _, model_cfg = small_fixture()
+    values = init_parameters(model_cfg, seed=0).clone_values()
+    values["heads.itm.w2"][0, 0] = np.nan
+    calls, steps = record_updates(monkeypatch), []
+    with pytest.raises(TrainingDiverged, match="non-finite loss at step 1$"):
+        finetune_retrieval(corpus, model_cfg, TrainConfig(total_steps=2, warmup_steps=1, batch_size=4),
+                           values, step_callback=steps.append)
+    assert calls == [] and steps == []
+
+
+def test_finetune_averages_after_each_update_and_before_the_callback(monkeypatch):
+    corpus, _, model_cfg = small_fixture()
+    calls = record_updates(monkeypatch)
+    finetune_retrieval(corpus, model_cfg, TrainConfig(total_steps=2, warmup_steps=1, batch_size=2),
+                       init_parameters(model_cfg, seed=0).clone_values(),
+                       step_callback=lambda row: calls.append(row.step))
+    assert calls == ["adamw", "ema", 1, "adamw", "ema", 2]
+
+
+def test_metrics_csv_formats_read_back_exactly(tmp_path):
+    tables = {
+        "step,lr,msm_loss,mrm_loss,itm_loss,total,itm_acc": [
+            StepMetrics(1, 1e-4, 0.1 + 0.2, 1 / 3, 2.5e-300, math.pi, 0.5),
+            StepMetrics(12, 0.0, np.float64(2 / 3), 1e22, 7.0, -0.0, 1.0)],
+        "step,lr,loss,accuracy": [FinetuneMetrics(1, 2 / 3, math.log(4), 0.25),
+                                  FinetuneMetrics(300, 5e-324, 1.0000000000000002, 0.0)],
+    }
+    for header, rows in tables.items():
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, rows)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == header
+        read = [[int(v) if col == 0 else float(v) for col, v in enumerate(line.split(","))] for line in lines[1:]]
+        assert read == [[getattr(row, name) for name in header.split(",")] for row in rows]
