@@ -145,10 +145,11 @@ def choice_credit(logits) -> np.ndarray:
     """Per row of multiple-choice logits with the gold choice in column 0:
     1 when gold scores strictly highest, 1/k when it shares the top score
     with k-1 others, else 0. Counting ties as wins would let a constant
-    scorer reach accuracy 1."""
+    scorer reach accuracy 1. A row with a non-finite logit gets NaN credit."""
     rows = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     top = rows.max(axis=1, keepdims=True)
-    return (rows[:, 0] == top[:, 0]) / (rows == top).sum(axis=1)
+    return np.divide(rows[:, 0] == top[:, 0], (rows == top).sum(axis=1), out=np.full(len(rows), np.nan),
+                     where=np.isfinite(rows).all(axis=1))
 
 
 def choice_images(corpus: Corpus, image_index: np.ndarray, gold: int, rng,

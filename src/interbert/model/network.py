@@ -5,10 +5,12 @@ and the three pretraining heads.
 The forward pass takes a padded batch of B samples. Past the embeddings it
 computes only the N real positions: one gather packs them into rank-2 rows,
 (N, hidden), so every projection is one ``nt.linear`` and every FFN and norm
-a row-wise op over real rows. Attention alone works on the padded grid,
-inside one ``nt.attention`` node: Q, K and V go into (B, heads, L, d) grids,
-a (B, 1, 1, L) key bias hides padding, and the context comes back as packed
-rows. The last extraction layer computes only the rows the caller reads.
+a row-wise op over real rows. Attention alone works on padded grids, inside
+one ``nt.attention`` node: K and V go into (B, heads, L, d) grids, a
+(B, 1, 1, L) key bias hides padding, Q goes into a (B, heads, Lq, d) grid
+sized to the most query rows of any one sample, and the context comes back
+as packed rows. The last extraction layer computes only the rows the caller
+reads, so there Lq is the most rows read in any one sample.
 A single sample is the B=1 case of the same path.
 """
 

@@ -3,9 +3,10 @@
 Every operation computes its result eagerly with numpy and, when gradient
 tracking is enabled, records a backward closure on the output tensor.
 ``backward`` walks the recorded graph once in reverse topological order and
-accumulates gradients into every tensor that participates. The graph is
-rebuilt from scratch on each forward pass; nothing is cached between passes,
-which keeps repeated runs bit-for-bit deterministic.
+accumulates gradients into the leaves; an inner node's gradient is dropped
+as soon as it has flowed to the node's parents, so only leaves keep one.
+The graph is rebuilt from scratch on each forward pass; nothing is cached
+between passes, which keeps repeated runs bit-for-bit deterministic.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ class Tensor:
     """A dense n-d value array, optionally carrying a gradient.
 
     ``values`` is treated as immutable once the tensor has entered a graph;
-    ``grad`` is lazily allocated and accumulates across backward passes
-    until ``zero_grad`` clears it.
+    a leaf's ``grad`` is lazily allocated and accumulates across backward
+    passes until ``zero_grad`` clears it (an inner node's lasts only while
+    ``backward`` passes it on).
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -264,20 +266,28 @@ def attention(q, k, v, queries, keys, bias, heads: int) -> Tensor:
     ``q`` holds packed query rows and ``k``, ``v`` packed key/value rows,
     (N, hidden) each; ``queries`` and ``keys`` give the (sequence, position)
     of every row in a padded B×L grid, and ``bias`` is the grid's (B, 1, 1, L)
-    additive key bias, which must hide every position no key row fills. The
-    rows go straight into head-major grids (keys transposed), and the
-    (Nq, hidden) context comes back gathered at the query rows. The tape
-    keeps the three grids and the probabilities only.
+    additive key bias, which must hide every position no key row fills. Keys
+    and values go straight into head-major (B, heads, L, d) grids (keys
+    transposed). Queries go into a compact (B, heads, Lq, d) grid, each row
+    at its rank among its own sequence's query rows in the order given, Lq
+    the most query rows of any one sequence; so scores and probabilities are
+    (B, heads, Lq, L), and a query's position plays no part beyond naming its
+    sequence. The (Nq, hidden) context comes back gathered at the query rows.
+    The tape keeps the three grids and the probabilities only.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    (qb, ql), (kb, kl) = queries, keys
+    (qb, _), (kb, kl) = queries, keys
     batch, length = bias.shape[0], bias.shape[-1]
     rows, hidden = q.values.shape
     if hidden % heads or k.values.shape != v.values.shape or k.values.shape[1] != hidden:
         raise NumericsError(f"attention over {heads} heads got q {q.values.shape}, k {k.values.shape}, "
                             f"v {v.values.shape}")
+    counts = np.bincount(qb, minlength=batch)
+    order = np.argsort(qb, kind="stable")
+    ql = np.empty(rows, np.int64)
+    ql[order] = np.arange(rows) - np.repeat(np.cumsum(counts) - counts, counts)  # rank within its sequence
     d, dtype = hidden // heads, q.values.dtype
-    qh = np.zeros((batch, heads, length, d), dtype)
+    qh = np.zeros((batch, heads, counts.max(initial=0), d), dtype)
     kt = np.zeros((batch, heads, d, length), dtype)
     vh = np.zeros((batch, heads, length, d), dtype)
     qh[qb, :, ql, :] = q.values.reshape(rows, heads, d)
@@ -458,10 +468,13 @@ def binary_cross_entropy_logits(logits, labels) -> Tensor:
 def backward(loss: Tensor, params=None) -> None:
     """Reverse-mode sweep from a scalar loss.
 
-    Gradients accumulate across calls until ``zero_grad``, also when a
-    graph is swept twice: each call adds its own contribution once. When ``params``
-    (a ParameterSet) is given, every parameter ends up with an allocated
-    gradient, zero-filled if the loss never touched it.
+    Only leaves keep their gradients: an inner node's gradient is freed as
+    soon as its closure has passed it on, so the sweep holds the gradients
+    of its frontier, not of the whole tape. Leaf gradients accumulate across
+    calls until ``zero_grad``, also when a graph is swept twice: each call
+    adds its own contribution once. When ``params`` (a ParameterSet) is
+    given, every parameter ends up with an allocated gradient, zero-filled
+    if the loss never touched it.
     """
     if loss.values.size != 1:
         raise NumericsError(f"backward expects a scalar loss, got shape {loss.values.shape}")
@@ -482,13 +495,11 @@ def backward(loss: Tensor, params=None) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
-    for node in topo:
-        if node._backward_fn is not None:
-            node.grad = None  # what an earlier call left on an inner node must not flow again
     loss.accumulate_grad(np.ones_like(loss.values))
     for node in reversed(topo):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+            node.grad = None
 
     if params is not None:
         for _, p in params.items():

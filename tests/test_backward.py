@@ -1,4 +1,6 @@
-"""Tape mechanics: accumulation, determinism, no_grad, gradient checks."""
+"""Tape mechanics: accumulation, determinism, no_grad, memory, gradient checks."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,23 +76,58 @@ def test_shared_subexpression_grads_add():
 def test_reused_tensor_gets_unaliased_grads(rng):
     """First gradients are kept without a copy only when an op allocated them
     for one parent; a tensor used twice, directly or through a residual
-    branch, still gets the summed gradient in an array of its own."""
+    branch, still gets the summed gradient in an array of its own. Inner
+    gradients are seen as they flow, since the sweep frees them after."""
     ps = ParameterSet()
     a = ps.add("a", Tensor(rng.normal(size=(3, 4))))
     w = ps.add("w", Tensor(rng.normal(size=(4, 4))))
     doubled = nt.add(a, a)
     residual = nt.add(doubled, nt.matmul(doubled, w))  # x + x @ w
+    received = []
+
+    def recording(flow):
+        def record(g):
+            received.append(g)
+            flow(g)
+        return record
+
+    for node in (doubled, residual):
+        node._backward_fn = recording(node._backward_fn)
     weights = rng.normal(size=(3, 4))
     backward(sum_all(nt.mul(residual, weights)), ps)
     np.testing.assert_allclose(a.grad, 2.0 * (weights + weights @ w.values.T), rtol=1e-13)
     np.testing.assert_allclose(w.grad, (2.0 * a.values).T @ weights, rtol=1e-13)
-    grads = [a.grad, w.grad, doubled.grad, residual.grad]
+    assert len(received) == 2 and doubled.grad is None and residual.grad is None
+    grads = [a.grad, w.grad, *received]
     for i, one in enumerate(grads):
         for other in grads[i + 1:]:
             assert not np.shares_memory(one, other)
     err = finite_diff_check(lambda: sum_all(nt.mul(nt.add(nt.add(a, a), nt.matmul(nt.add(a, a), w)), weights)),
                             ps, step=1e-5, sample_count=50, seed=3)
     assert err < 1e-6
+
+
+def test_backward_frees_inner_gradients_as_they_flow(rng):
+    """A deep chain's sweep holds a few activation-sized gradients at a time,
+    not one per node, and leaves only the leaf's behind."""
+    leaf = Tensor(rng.normal(size=(200, 100)), requires_grad=True)
+    x, inner = leaf, []
+    for _ in range(30):
+        inner += [nt.add(x, leaf)]
+        x = nt.gelu(inner[-1])
+        inner += [x]
+    loss = sum_all(x)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        backward(loss)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    activation = leaf.values.nbytes
+    assert peak - start < 5 * activation
+    assert end - start < 1.5 * activation
+    assert leaf.grad is not None and all(node.grad is None for node in inner + [loss])
 
 
 def test_backward_deterministic(rng):

@@ -390,6 +390,15 @@ def test_choice_credit_splits_ties():
     np.testing.assert_array_equal(choice_credit(logits), [1.0, 0.5, 0.0, 0.25])
 
 
+def test_choice_credit_of_non_finite_row_is_nan_without_a_warning():
+    finite = np.array([[2.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [3.0, 3.0, 3.0, 3.0]])
+    logits = np.insert(finite, [1, 3], [[np.nan, 1.0, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0]], axis=0)
+    with np.errstate(all="raise"):
+        credit = choice_credit(logits)
+    np.testing.assert_array_equal(credit, [1.0, np.nan, 0.5, 0.0, np.nan, 0.25])
+    np.testing.assert_array_equal(credit[np.isfinite(credit)], choice_credit(finite))
+
+
 def test_multiple_choice_accuracy_of_constant_scorer_is_chance():
     corpus = synth_corpus(seed=6, num_images=8)
     model = toy_model(corpus)

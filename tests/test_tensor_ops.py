@@ -87,11 +87,21 @@ def test_linear_gradcheck(rng):
 HEADS = 2
 
 
-def ragged_attention_case(rng, dtype=np.float64):
+# Query rows go to a compact grid by their rank among their own sequence's
+# query rows, so a sequence may hold any number of them, none included, at
+# any positions, and the rows need not come in sequence order.
+QUERY_CELLS = {
+    "subset": [(0, 2), (0, 5), (1, 0), (1, 3), (1, 4), (2, 4)],
+    "ragged": [(0, 3), (1, 0), (1, 2), (1, 4), (1, 5)],
+    "unordered": [(1, 4), (0, 3), (1, 0), (1, 5), (1, 2)],
+}
+
+
+def ragged_attention_case(rng, dtype=np.float64, layout="subset"):
     """Three sequences in a 6-wide grid holding 4, 6 and 2 key rows at
-    scattered positions; the query rows are a strict subset of them."""
+    scattered positions; the query rows are some of them (``QUERY_CELLS``)."""
     key_cells = [(0, 0), (0, 2), (0, 3), (0, 5), *[(1, l) for l in range(6)], (2, 1), (2, 4)]
-    query_cells = [(0, 2), (0, 5), (1, 0), (1, 3), (1, 4), (2, 4)]
+    query_cells = QUERY_CELLS[layout]
     keys = tuple(np.array(axis) for axis in zip(*key_cells))
     queries = tuple(np.array(axis) for axis in zip(*query_cells))
     bias = np.full((3, 1, 1, 6), nt.NEG_LOGIT)
@@ -116,20 +126,22 @@ def naive_attention(q, k, v, queries, keys):
 
 
 def test_attention_matches_naive_per_head_reference(rng):
-    q, k, v, queries, keys, bias = ragged_attention_case(rng)
-    got = nt.attention(Tensor(q), Tensor(k), Tensor(v), queries, keys, bias, HEADS).values
-    assert got.shape == q.shape
-    assert np.max(np.abs(got - naive_attention(q, k, v, queries, keys))) <= 1e-12
+    for layout in QUERY_CELLS:
+        q, k, v, queries, keys, bias = ragged_attention_case(rng, layout=layout)
+        got = nt.attention(Tensor(q), Tensor(k), Tensor(v), queries, keys, bias, HEADS).values
+        assert got.shape == q.shape
+        assert np.max(np.abs(got - naive_attention(q, k, v, queries, keys))) <= 1e-12, layout
 
 
 def test_attention_gradcheck(rng):
-    q, k, v, queries, keys, bias = ragged_attention_case(rng)
-    ps = ParameterSet()
-    for name, values in (("q", q), ("k", k), ("v", v)):
-        ps.add(name, Tensor(values, requires_grad=True))
-    weights = rng.normal(size=q.shape)
-    gradcheck(lambda: sum_all(nt.mul(nt.attention(ps["q"], ps["k"], ps["v"], queries, keys, bias, HEADS),
-                                        weights)), ps)
+    for layout in QUERY_CELLS:
+        q, k, v, queries, keys, bias = ragged_attention_case(rng, layout=layout)
+        ps = ParameterSet()
+        for name, values in (("q", q), ("k", k), ("v", v)):
+            ps.add(name, Tensor(values, requires_grad=True))
+        weights = rng.normal(size=q.shape)
+        gradcheck(lambda: sum_all(nt.mul(nt.attention(ps["q"], ps["k"], ps["v"], queries, keys, bias, HEADS),
+                                            weights)), ps)
 
 
 def primitive_attention(q, k, v, queries, keys):
