@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model.config import PaddedBatch, build_layout
+from .model.config import PaddedBatch
 
 
 class CorpusError(ValueError):
@@ -110,6 +110,8 @@ class ImageTextPair:
             raise CorpusError("token id outside the vocabulary")
         if self.features.ndim != 2 or self.bboxes.shape != (self.num_objects, 4):
             raise CorpusError("object arrays have inconsistent shapes")
+        if not (np.isfinite(self.features).all() and np.isfinite(self.bboxes).all()):
+            raise CorpusError("object features and boxes must be finite")
         if self.labels.shape != (self.num_objects,):
             raise CorpusError("one class label per object required")
         if self.labels.min() < 0:
@@ -222,8 +224,10 @@ def save_corpus(corpus: Corpus, pairs_path, vocab_path) -> None:
 
 
 def load_corpus(pairs_path, vocab_path, num_classes: int | None = None) -> Corpus:
+    """Read a corpus file; a bad line, or an image whose captions disagree on its arrays, is refused."""
     vocab = load_vocabulary(vocab_path)
     pairs = []
+    first_caption = {}  # image id -> (line, pair) of its first caption
     for lineno, line in jsonl_lines(pairs_path):
         try:
             record = json.loads(line)
@@ -234,6 +238,11 @@ def load_corpus(pairs_path, vocab_path, num_classes: int | None = None) -> Corpu
             pair.validate(vocab, num_classes)
         except MALFORMED as exc:
             raise CorpusError(f"{pairs_path}:{lineno}: {exc}") from None
+        first_line, first = first_caption.setdefault(pair.image_id, (lineno, pair))
+        if (first.width, first.height) != (pair.width, pair.height) or not all(
+                np.array_equal(getattr(first, k), getattr(pair, k)) for k in ("features", "bboxes", "labels")):
+            raise CorpusError(f"{pairs_path}:{lineno}: image {pair.image_id} differs in its width, height, features, "
+                              f"bboxes or labels from its first caption at line {first_line}")
         pairs.append(pair)
     return Corpus(pairs=pairs, vocab=vocab)
 
@@ -368,11 +377,11 @@ def check_limits(items, max_text_len: int | None = None, max_objects: int | None
                               f"model's {num_classes} classes")
 
 
-def make_batch(items, vocab: Vocabulary | None = None, **limits) -> PaddedBatch:
+def make_batch(items, **limits) -> PaddedBatch:
     """Pad pairs or masked samples to the batch maxima. Truncation is
     forbidden: a sample breaking the ``check_limits`` keywords given is an
-    error. Text padding carries ``vocab.pad_id`` (id 0 without a vocabulary:
-    padded positions are invisible to attention, so the id only has to exist)."""
+    error. Text padding is id 0: padded positions are invisible to attention
+    and never reach a real row, so the id only has to exist."""
     if not items:
         raise CorpusError("cannot batch zero samples")
     check_limits(items, **limits)
@@ -382,27 +391,21 @@ def make_batch(items, vocab: Vocabulary | None = None, **limits) -> PaddedBatch:
     m_max = max(len(p.features) for p in items)
     feature_dim = items[0].features.shape[1]
 
-    tokens = np.full((batch, t_max), 0 if vocab is None else vocab.pad_id, dtype=np.int64)
-    text_valid = np.zeros((batch, t_max), dtype=bool)
+    tokens = np.zeros((batch, t_max), dtype=np.int64)
     features = np.zeros((batch, m_max, feature_dim))
     bboxes = np.tile(np.array([0.0, 0.0, 1.0, 1.0]), (batch, m_max, 1))
-    object_valid = np.zeros((batch, m_max), dtype=bool)
-    layouts = []
+    valid = np.zeros((batch, 1 + m_max + t_max), dtype=bool)  # summary slot, objects, tokens
+    valid[:, 0] = True
     for i, item in enumerate(items):
         if item.features.shape[1] != feature_dim:
             raise CorpusError("feature dimensions differ across the batch")
         n, m = len(item.tokens), len(item.features)
         tokens[i, :n] = item.tokens
-        text_valid[i, :n] = True
         features[i, :m] = item.features
         bboxes[i, :m] = item.bboxes
-        object_valid[i, :m] = True
-        layouts.append(build_layout(m_max, t_max, object_valid[i], text_valid[i]))
+        valid[i, 1:1 + m] = True
+        valid[i, 1 + m_max:1 + m_max + n] = True
 
-    return PaddedBatch(
-        tokens=tokens, text_valid=text_valid,
-        features=features, bboxes=bboxes, object_valid=object_valid,
-        widths=np.array([p.width for p in items]),
-        heights=np.array([p.height for p in items]),
-        layouts=layouts,
-    )
+    return PaddedBatch(tokens=tokens, features=features, bboxes=bboxes,
+                       widths=np.array([p.width for p in items]),
+                       heights=np.array([p.height for p in items]), valid=valid)

@@ -115,16 +115,21 @@ def build_layout(num_objects: int, num_tokens: int,
 
 @dataclass
 class PaddedBatch:
-    """Samples padded to the batch maxima; every layout has the same lengths."""
+    """Samples padded to the batch maxima. ``valid`` flags each sample's real
+    positions in ``SequenceLayout.valid``'s order: the summary slot, the M
+    object slots, then the T token slots."""
 
-    tokens: np.ndarray        # (B, T) int64, pad id at padding
-    text_valid: np.ndarray    # (B, T) bool
-    features: np.ndarray      # (B, M, feature_dim), zeros at padding
-    bboxes: np.ndarray        # (B, M, 4), (0,0,1,1) at padding
-    object_valid: np.ndarray  # (B, M) bool
-    widths: np.ndarray        # (B,)
-    heights: np.ndarray       # (B,)
-    layouts: list[SequenceLayout]
+    tokens: np.ndarray    # (B, T) int64, 0 at padding
+    features: np.ndarray  # (B, M, feature_dim), zeros at padding
+    bboxes: np.ndarray    # (B, M, 4), (0,0,1,1) at padding
+    widths: np.ndarray    # (B,)
+    heights: np.ndarray   # (B,)
+    valid: np.ndarray     # (B, 1+M+T) bool
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
+
+    @property
+    def image_length(self) -> int:
+        """The summary slot plus the object slots: where each sample's tokens start."""
+        return 1 + self.features.shape[1]

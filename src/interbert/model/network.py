@@ -30,7 +30,6 @@ from .config import (
     VARIANT_SINGLE_STREAM,
     ModelConfig,
     PaddedBatch,
-    SequenceLayout,
     build_layout,
 )
 
@@ -118,8 +117,7 @@ class ModelOutputs:
 
 def image_geometry(bboxes: np.ndarray, width, height) -> np.ndarray:
     """Per-row geometry vectors with the whole-image row for the summary
-    slot prepended; ``bboxes`` is (m, 4) with scalar sizes or (B, m, 4)
-    with one size per sample."""
+    slot prepended; ``bboxes`` is (B, m, 4) with one size per sample."""
     boxes = np.asarray(bboxes, dtype=np.float64)
     w = np.asarray(width, dtype=np.float64)[..., None]
     h = np.asarray(height, dtype=np.float64)[..., None]
@@ -140,15 +138,13 @@ class _Rows:
     image_length: int = 0  # of a fused image+text grid: where each text block starts
 
     @classmethod
-    def of(cls, layouts) -> "_Rows":
-        """Every real position of one layout or a batch of them; a grid
+    def of(cls, source) -> "_Rows":
+        """Every real position of a padded batch or of one layout; a grid
         already built passes through."""
-        if isinstance(layouts, _Rows):
-            return layouts
-        layouts = [layouts] if isinstance(layouts, SequenceLayout) else layouts
-        valid = np.array([layout.valid for layout in layouts])
-        return cls(np.where(valid, 0.0, NEG_LOGIT)[:, None, None, :], np.flatnonzero(valid),
-                   layouts[0].image_length)
+        if isinstance(source, _Rows):
+            return source
+        valid = np.atleast_2d(source.valid)
+        return cls(np.where(valid, 0.0, NEG_LOGIT)[:, None, None, :], np.flatnonzero(valid), source.image_length)
 
     @property
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -206,17 +202,9 @@ def _sample_batch(tokens, features, bboxes, width, height, text_valid, object_va
     """One sample, with optional validity masks, as a padded batch of one."""
     ids = np.asarray(tokens, dtype=np.int64)
     feats = np.asarray(features, dtype=np.float64)
-    layout = build_layout(feats.shape[0], ids.size, object_valid, text_valid)
-    return PaddedBatch(
-        tokens=ids[None],
-        text_valid=layout.valid[None, layout.image_length:],
-        features=feats[None],
-        bboxes=np.asarray(bboxes, dtype=np.float64)[None],
-        object_valid=layout.valid[None, 1:layout.image_length],
-        widths=np.array([width]),
-        heights=np.array([height]),
-        layouts=[layout],
-    )
+    return PaddedBatch(tokens=ids[None], features=feats[None], bboxes=np.asarray(bboxes, dtype=np.float64)[None],
+                       widths=np.array([width]), heights=np.array([height]),
+                       valid=build_layout(feats.shape[0], ids.size, object_valid, text_valid).valid[None])
 
 
 class InterBert:
@@ -239,10 +227,10 @@ class InterBert:
 
     # -- embeddings ----------------------------------------------------
 
-    def embed_text(self, token_ids, segment: int = TEXT_SEGMENT) -> Tensor:
+    def embed_text(self, token_ids) -> Tensor:
         """Token + learned positional + segment embedding, normalized; ids
-        are (n,) or (B, n), rows come out (B*n, hidden)."""
-        ids = np.atleast_2d(np.asarray(token_ids, dtype=np.int64))
+        are (B, n), rows come out (B*n, hidden)."""
+        ids = np.asarray(token_ids, dtype=np.int64)
         batch, length = ids.shape
         if length > self.config.max_text_len:
             raise ValueError(f"text length {length} exceeds max_text_len {self.config.max_text_len}")
@@ -252,47 +240,39 @@ class InterBert:
                 nt.embedding_lookup(p["embed.token_table"], ids.reshape(-1)),
                 nt.embedding_lookup(p["embed.position_table"], np.tile(np.arange(length), batch)),
             ),
-            nt.embedding_lookup(p["embed.segment_table"], [segment]),
+            nt.embedding_lookup(p["embed.segment_table"], [TEXT_SEGMENT]),
         )
         return nt.layer_norm(x, p["embed.text_ln.gain"], p["embed.text_ln.bias"], self.config.ln_eps)
 
-    def embed_image(self, features, bboxes, width, height,
-                    segment: int = IMAGE_SEGMENT, object_valid=None) -> Tensor:
-        """Project region features to the hidden size and add box-geometry
-        and segment embeddings. The summary row is the mean of the real
-        object features, pooled in feature space before projection. Inputs
-        are one sample, (m, ...) with scalar sizes, or a batch, (B, m, ...)
-        with one size per sample; rows come out (B*(m+1), hidden)."""
-        feats = np.asarray(features, dtype=np.float64)
-        boxes = np.asarray(bboxes, dtype=np.float64)
-        if feats.ndim == 2:
-            feats, boxes = feats[None], boxes[None]
-            object_valid = None if object_valid is None else np.asarray(object_valid)[None]
-        batch, m = feats.shape[:2]
+    def embed_image(self, batch: PaddedBatch) -> Tensor:
+        """Project the batch's region features to the hidden size and add
+        box-geometry and segment embeddings. The summary row is the mean of
+        the real object features, pooled in feature space before projection.
+        Rows come out (B*(m+1), hidden), each sample's summary row first."""
+        feats, boxes = batch.features, batch.bboxes
+        size, m = feats.shape[:2]
         if m < 1:
             raise ValueError("image must contribute at least one object")
         if feats.shape[2] != self.config.object_feature_dim:
             raise ValueError(f"expected features of width {self.config.object_feature_dim}, got {feats.shape[1:]}")
-        valid = np.ones((batch, m), dtype=bool) if object_valid is None else np.asarray(object_valid, dtype=bool)
+        valid = batch.valid[:, 1:batch.image_length]
         if not valid.any(axis=1).all():
             raise ValueError("image must have at least one valid object")
-        sizes = np.zeros((batch, 2))
-        sizes[:] = np.array([width, height], dtype=np.float64).T  # scalars or one size per sample
         real = boxes[valid]
-        real_sizes = np.repeat(sizes, valid.sum(axis=1), axis=0)
+        real_sizes = np.repeat(np.stack([batch.widths, batch.heights], axis=1), valid.sum(axis=1), axis=0)
         if np.any(real[:, 2] <= real[:, 0]) or np.any(real[:, 3] <= real[:, 1]):
             raise ValueError("degenerate bounding box")
         if real.min() < 0 or np.any(real[:, 2:] > real_sizes):
             raise ValueError("bounding box outside image bounds")
 
         summary = (feats * valid[..., None]).sum(axis=1, keepdims=True) / valid.sum(axis=1)[:, None, None]
-        stacked = np.concatenate([summary, feats], axis=1).reshape(batch * (m + 1), -1)
-        geometry = image_geometry(boxes, sizes[:, 0], sizes[:, 1]).reshape(batch * (m + 1), GEOMETRY_DIM)
+        stacked = np.concatenate([summary, feats], axis=1).reshape(size * (m + 1), -1)
+        geometry = image_geometry(boxes, batch.widths, batch.heights).reshape(size * (m + 1), GEOMETRY_DIM)
         p = self.params
         dtype = p["embed.feature_proj.w"].values.dtype  # keep float32 runs in float32
         projected = nt.linear(Tensor(stacked.astype(dtype)), p["embed.feature_proj.w"], p["embed.feature_proj.b"])
         placed = nt.linear(Tensor(geometry.astype(dtype)), p["embed.box_proj.w"], p["embed.box_proj.b"])
-        seg = nt.embedding_lookup(p["embed.segment_table"], [segment])
+        seg = nt.embedding_lookup(p["embed.segment_table"], [IMAGE_SEGMENT])
         x = nt.add(nt.add(projected, placed), seg)
         return nt.layer_norm(x, p["embed.image_ln.gain"], p["embed.image_ln.bias"], self.config.ln_eps)
 
@@ -321,20 +301,20 @@ class InterBert:
         ff = nt.linear(inner, p[prefix + "ffn.w2"], p[prefix + "ffn.b2"])
         return nt.layer_norm(nt.add(mid, ff), p[prefix + "ln2.gain"], p[prefix + "ln2.bias"], eps)
 
-    def interaction_forward(self, fused: Tensor, layouts) -> Tensor:
+    def interaction_forward(self, fused: Tensor, layout) -> Tensor:
         """Full-context encoder over the concatenated image+text sequences of
-        B layouts (or one, or their grid); ``fused`` holds only their real
-        positions, sample by sample, one row each."""
-        grid = _Rows.of(layouts)
+        a padded batch, one layout or their grid; ``fused`` holds only their
+        real positions, sample by sample, one row each."""
+        grid = _Rows.of(layout)
         if fused.shape[0] != grid.positions.size:
             raise ValueError(f"{fused.shape[0]} fused rows for {grid.positions.size} real positions "
-                             f"of {grid.bias.shape[0]} layouts")
+                             f"of {grid.bias.shape[0]} sequences")
         x = fused
         for i in range(self.config.num_interaction_layers):
             x = self._encoder_layer(x, f"interaction.layer{i}.", grid)
         return x
 
-    def extraction_forward(self, fused: Tensor, layouts, image_rows=None, text_rows=None) -> ModelOutputs:
+    def extraction_forward(self, fused: Tensor, layout, image_rows=None, text_rows=None) -> ModelOutputs:
         """Split the packed fused rows back into streams and encode each with
         its own stack; attention never crosses the stream boundary. Given
         flat rows of a padded stream grid to read, that stream's last layer
@@ -344,7 +324,7 @@ class InterBert:
             raise ValueError("extraction module is absent under the single_stream variant")
         last = self.config.num_extraction_layers - 1
         streams = []
-        split = _split_streams(fused, _Rows.of(layouts))
+        split = _split_streams(fused, _Rows.of(layout))
         for name, (x, grid), wanted in zip(("extract_image", "extract_text"), split, (image_rows, text_rows)):
             read = None if wanted is None else grid.reading(wanted)
             for i in range(last + 1):
@@ -367,15 +347,14 @@ class InterBert:
         zero at padding."""
         if batch is None:
             batch = _sample_batch(tokens, features, bboxes, width, height, text_valid, object_valid)
-        size, layout = len(batch), batch.layouts[0]
-        image = self.embed_image(batch.features, batch.bboxes, batch.widths, batch.heights,
-                                 object_valid=batch.object_valid)
+        size, at = len(batch), batch.image_length
+        image = self.embed_image(batch)
         text = self.embed_text(batch.tokens)
         # stacked rows are [every image row; every text row]; packed rows are the real ones, sample by sample
-        stacked = np.concatenate([np.arange(size * layout.image_length).reshape(size, -1),
-                                  size * layout.image_length + np.arange(size * layout.text_length).reshape(size, -1)],
+        stacked = np.concatenate([np.arange(size * at).reshape(size, at),
+                                  size * at + np.arange(batch.tokens.size).reshape(batch.tokens.shape)],
                                  axis=1).reshape(-1)
-        grid = _Rows.of(batch.layouts)
+        grid = _Rows.of(batch)
         fused = nt.embedding_lookup(nt.concat([image, text], axis=0), stacked[grid.positions])
         encoded = self.interaction_forward(fused, grid)
         if self.config.architecture_variant == VARIANT_SINGLE_STREAM:

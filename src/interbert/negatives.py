@@ -155,15 +155,19 @@ def load_table(path) -> dict[int, list[tuple[int, float]]]:
 
 def check_table(table: dict[int, list[tuple[int, float]]], corpus: Corpus) -> None:
     """Refuse a table that names an image or caption id the corpus lacks,
-    such as one mined from another corpus."""
-    captions = {pair.caption_id for pair in corpus.pairs}
+    such as one mined from another corpus, or that offers one of an image's
+    own captions as its negative."""
+    owners = {pair.caption_id: pair.image_id for pair in corpus.pairs}
     for image_id, row in table.items():
         if image_id not in corpus.image_captions:
             raise CorpusError(f"negatives table names image {image_id}, which is not in the corpus")
         for caption_id, _ in row:
-            if caption_id not in captions:
+            if caption_id not in owners:
                 raise CorpusError(f"negatives table row of image {image_id} names caption {caption_id}, "
                                   "which is not in the corpus")
+            if owners[caption_id] == image_id:
+                raise CorpusError(f"negatives table row of image {image_id} names caption {caption_id}, "
+                                  "which is one of that image's own captions")
 
 
 def sample_negative(pair, table: dict[int, list[tuple[int, float]]],

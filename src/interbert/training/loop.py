@@ -23,7 +23,7 @@ from .optim import AdamWState, adamw_step, ema_update, lr_at
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss or gradients went non-finite."""
+    """The loss went non-finite; ``_optimise`` checks it before each backward."""
 
 
 @dataclass
@@ -153,9 +153,8 @@ def _batch_losses(model: InterBert, batch: list[MaskedSample], cfg: TrainConfig)
     padded = make_batch(batch, **model.config.limits)
 
     # MGM targets laid out like the padded rows; an object's row follows its summary row
-    layout = padded.layouts[0]
-    text_targets = np.full((len(batch), layout.text_length), IGNORE_INDEX)
-    image_targets = np.full((len(batch), layout.image_length), IGNORE_INDEX)
+    text_targets = np.full(padded.tokens.shape, IGNORE_INDEX)
+    image_targets = np.full((len(batch), padded.image_length), IGNORE_INDEX)
     for i, sample in enumerate(batch):
         if sample.itm_label == 1 or cfg.mgm_on_negatives:
             text_targets[i, :len(sample.msm_targets)] = sample.msm_targets
@@ -256,7 +255,7 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
             pair = corpus.pairs[int(pick)]
             items += [replace(entry, caption_id=pair.caption_id, tokens=pair.tokens)
                       for entry in choice_images(corpus, image_index, pair.image_id, rng, train_cfg.num_distractors)]
-        out = model.forward(batch=make_batch(items, corpus.vocab, **model_cfg.limits), image_rows=[], text_rows=[])
+        out = model.forward(batch=make_batch(items, **model_cfg.limits), image_rows=[], text_rows=[])
         stacked = nt.reshape(model.itm_score(out.pooled_image, out.pooled_text), (len(picks), choices))
         targets = np.zeros(len(picks), dtype=np.int64)  # true image sits at slot 0
         loss = nt.cross_entropy_logits(stacked, targets)

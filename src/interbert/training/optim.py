@@ -31,17 +31,19 @@ class AdamWState:
 def adamw_step(params: ParameterSet, state: AdamWState, lr: float, *,
                beta1: float = 0.9, beta2: float = 0.9999,
                eps: float = 1e-6, weight_decay: float = 0.01) -> None:
-    """One bias-corrected update with decoupled weight decay, in place."""
+    """One bias-corrected update with decoupled weight decay, in place. Every
+    gradient is checked before any value, moment or the step count moves."""
+    for name, p in params.items():
+        if p.grad is None:
+            raise NumericsError(f"parameter {name} has no gradient; run backward first")
+        if not np.all(np.isfinite(p.grad)):
+            raise NumericsError(f"non-finite gradient in {name} at step {state.step_count + 1}")
     state.step_count += 1
     t = state.step_count
     correction1 = 1.0 - beta1 ** t
     correction2 = 1.0 - beta2 ** t
     for name, p in params.items():
         g = p.grad
-        if g is None:
-            raise NumericsError(f"parameter {name} has no gradient; run backward first")
-        if not np.all(np.isfinite(g)):
-            raise NumericsError(f"non-finite gradient in {name} at step {t}")
         m = state.first_moment[name]
         v = state.second_moment[name]
         m *= beta1

@@ -1,6 +1,7 @@
 """Corpus files, synthetic corpus construction, and batch padding."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,6 +123,21 @@ def test_bad_bbox_reports_line_number(tmp_path):
         load_corpus(pairs_path, vocab_path)
 
 
+def test_captions_of_one_image_must_share_its_arrays(tmp_path):
+    vocab = small_vocab()
+    first = make_pair(vocab, caption_id=0)
+    pairs = [first, make_pair(vocab, caption_id=1, image_id=1),
+             replace(first, caption_id=2, tokens=np.array([1, 7, 2]))]
+    pairs_path, vocab_path = tmp_path / "pairs.jsonl", tmp_path / "vocab.json"
+    save_corpus(Corpus(pairs=pairs, vocab=vocab), pairs_path, vocab_path)
+    assert len(load_corpus(pairs_path, vocab_path)) == 3  # copies of the same arrays load
+    for change in (dict(width=99), dict(height=81), dict(features=first.features + 5.0),
+                   dict(bboxes=first.bboxes + 1.0), dict(labels=first.labels + 1)):
+        save_corpus(Corpus(pairs=pairs[:2] + [replace(pairs[2], **change)], vocab=vocab), pairs_path, vocab_path)
+        with pytest.raises(CorpusError, match=f"{pairs_path}:3: image 0 .* first caption at line 1"):
+            load_corpus(pairs_path, vocab_path)
+
+
 def test_malformed_json_reports_line_number(tmp_path):
     vocab_path = tmp_path / "vocab.json"
     save_vocabulary(small_vocab(), vocab_path)
@@ -141,6 +157,11 @@ def test_pair_validation():
         missing_cls.validate(vocab)
     fine = make_pair(vocab)
     fine.validate(vocab)
+    for name in ("features", "bboxes"):
+        broken = make_pair(vocab)
+        getattr(broken, name)[0, 0] = np.nan
+        with pytest.raises(CorpusError, match="finite"):
+            broken.validate(vocab)
     with pytest.raises(CorpusError):
         fine.validate(vocab, num_classes=1)
 
@@ -214,25 +235,25 @@ def test_synth_corpus_feature_dim_guard():
 def test_make_batch_single_sample_layout():
     vocab = small_vocab()
     pair = make_pair(vocab, m=3)
-    batch = make_batch([pair], vocab)
-    layout = batch.layouts[0]
-    assert layout.image_length == 4  # 3 objects + summary slot
-    assert layout.text_length == 4
-    assert layout.total_length == 8
-    assert layout.valid.all()
+    batch = make_batch([pair])
+    assert batch.image_length == 4  # 3 objects + summary slot
+    assert batch.tokens.shape[1] == 4
+    assert batch.valid.shape == (1, 8)
+    assert batch.valid.all()
 
 
 def test_make_batch_mixed_lengths():
     vocab = small_vocab()
     short = make_pair(vocab, caption_id=0, tokens=(1, 5, 2), m=1)
     long = make_pair(vocab, caption_id=1, image_id=1, tokens=(1, 5, 6, 7, 2), m=3)
-    batch = make_batch([short, long], vocab)
+    batch = make_batch([short, long])
     assert batch.tokens.shape == (2, 5)
     assert batch.features.shape[1] == 3
-    assert batch.text_valid[0].tolist() == [True, True, True, False, False]
-    assert batch.object_valid[0].tolist() == [True, False, False]
+    assert batch.valid[0, 4:].tolist() == [True, True, True, False, False]
+    assert batch.valid[0, 1:4].tolist() == [True, False, False]
+    assert batch.valid[:, 0].all()  # the summary slot
     # padding carries neutral values
-    assert batch.tokens[0, 3] == vocab.pad_id
+    assert batch.tokens[0, 3] == 0
     assert np.all(batch.features[0, 1:] == 0.0)
 
 
@@ -240,9 +261,9 @@ def test_make_batch_truncation_forbidden():
     vocab = small_vocab()
     pair = make_pair(vocab, tokens=(1, 5, 6, 7, 8, 2))
     with pytest.raises(CorpusError):
-        make_batch([pair], vocab, max_text_len=4)
+        make_batch([pair], max_text_len=4)
     with pytest.raises(CorpusError):
-        make_batch([make_pair(vocab, m=4)], vocab, max_objects=2)
+        make_batch([make_pair(vocab, m=4)], max_objects=2)
 
 
 def test_other_caption_ids():

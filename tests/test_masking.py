@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interbert.data import synth_corpus, synth_vocabulary
 from interbert.masking import (
@@ -292,3 +294,52 @@ def test_masking_config_validation():
         config(action_mask_prob=0.9, action_random_prob=0.2, action_keep_prob=0.1)
     with pytest.raises(ValueError):
         config(anchor_prob=1.5)
+
+
+# ---------------------------------------------------------------------------
+# mask_pair invariants, over random plans, configs and captions
+# ---------------------------------------------------------------------------
+
+PROPERTY_CORPUS = synth_corpus(seed=8, num_images=12, max_objects=8)
+MIXES = [(0.8, 0.1, 0.1), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), image=st.integers(0, len(PROPERTY_CORPUS.pairs) - 1),
+       body=st.none() | st.lists(st.integers(0, PROPERTY_CORPUS.vocab.size - 1), max_size=12),
+       anchor_prob=st.floats(0.0, 1.0), max_extension=st.integers(0, 4),
+       iou_threshold=st.floats(0.0, 1.0), mix=st.sampled_from(MIXES))
+def test_mask_pair_invariants(seed, image, body, anchor_prob, max_extension, iou_threshold, mix):
+    """Special tokens (also mid-caption, through an override) are never
+    rewritten and never targets; targets carry the original id or class
+    exactly on the plan's positions and IGNORE_INDEX off them; masked
+    feature rows are exactly zero and every other row is unchanged."""
+    vocab, pair = PROPERTY_CORPUS.vocab, PROPERTY_CORPUS.pairs[image]
+    cfg = config(anchor_prob=anchor_prob, max_extension=max_extension, iou_threshold=iou_threshold,
+                 action_mask_prob=mix[0], action_random_prob=mix[1], action_keep_prob=mix[2])
+    tokens = pair.tokens if body is None else np.array([vocab.cls_id, *body, vocab.sep_id])
+    sample = mask_pair(pair, vocab, np.random.default_rng(seed), cfg, tokens_override=tokens)
+    plan = sample.plan
+
+    special = np.isin(tokens, list(vocab.special_ids()))
+    planned = np.zeros(tokens.size, dtype=bool)
+    planned[plan.text_positions] = True
+    assert not np.any(planned & special)
+    assert np.array_equal(sample.msm_targets[planned], tokens[planned])
+    assert np.all(sample.msm_targets[~planned] == IGNORE_INDEX)
+    assert np.array_equal(sample.tokens[~planned], tokens[~planned])
+    for position, action in zip(plan.text_positions, plan.text_actions):
+        written = sample.tokens[position]
+        if action == ACTION_MASK:
+            assert written == vocab.mask_id
+        elif action == ACTION_RANDOM:
+            assert written in vocab.content_ids
+        else:
+            assert written == tokens[position]
+
+    masked = np.zeros(pair.num_objects, dtype=bool)
+    masked[plan.image_positions] = True
+    assert np.array_equal(sample.mrm_targets[masked], pair.labels[masked])
+    assert np.all(sample.mrm_targets[~masked] == IGNORE_INDEX)
+    assert np.all(sample.features[masked] == 0.0)
+    assert np.array_equal(sample.features[~masked], pair.features[~masked])

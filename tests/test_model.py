@@ -107,7 +107,7 @@ def test_config_validation():
 
 def test_embed_text_shape_and_position_effect(rng):
     model = InterBert.create(tiny_config(), seed=0)
-    out = model.embed_text([1, 7, 7, 2])
+    out = model.embed_text([[1, 7, 7, 2]])
     assert out.shape == (4, 8)
     # same token at different positions embeds differently
     assert not np.allclose(out.values[1], out.values[2])
@@ -118,7 +118,7 @@ def test_embed_text_zeroed_tables_yield_bias_rows():
     for name in ("embed.token_table", "embed.position_table", "embed.segment_table"):
         model.params[name].values[...] = 0.0
     bias = model.params["embed.text_ln.bias"].values
-    out = model.embed_text([1, 5, 2]).values
+    out = model.embed_text([[1, 5, 2]]).values
     for row in out:
         np.testing.assert_allclose(row, bias, atol=1e-5)
 
@@ -126,13 +126,19 @@ def test_embed_text_zeroed_tables_yield_bias_rows():
 def test_embed_text_length_limit():
     model = InterBert.create(tiny_config(max_text_len=4), seed=0)
     with pytest.raises(ValueError):
-        model.embed_text([1, 5, 5, 5, 2])
+        model.embed_text([[1, 5, 5, 5, 2]])
+
+
+def image_batch(features, bboxes):
+    """One 100x100 image's objects as a padded batch of one."""
+    return make_batch([ImageTextPair(image_id=0, caption_id=0, tokens=[1, 2], width=100, height=100,
+                                     features=features, bboxes=bboxes, labels=np.zeros(len(bboxes)))])
 
 
 def test_embed_image_shapes(rng):
     model = InterBert.create(tiny_config(), seed=0)
     inputs = tiny_inputs(rng, m=3)
-    out = model.embed_image(inputs["features"], inputs["bboxes"], 100, 100)
+    out = model.embed_image(image_batch(inputs["features"], inputs["bboxes"]))
     assert out.shape == (4, 8)
 
 
@@ -143,8 +149,8 @@ def test_embed_image_summary_is_feature_space_mean(rng):
     boxes = np.array([[0.0, 0.0, 100.0, 100.0], [0.0, 0.0, 100.0, 100.0]])
     f = rng.normal(size=6)
     g = rng.normal(size=6)
-    row_f = model.embed_image(np.stack([f, -f]), boxes, 100, 100).values[0]
-    row_g = model.embed_image(np.stack([g, -g]), boxes, 100, 100).values[0]
+    row_f = model.embed_image(image_batch(np.stack([f, -f]), boxes)).values[0]
+    row_g = model.embed_image(image_batch(np.stack([g, -g]), boxes)).values[0]
     np.testing.assert_allclose(row_f, row_g, atol=1e-12)
 
 
@@ -154,16 +160,16 @@ def test_embed_image_single_object_summary_equals_object(rng):
     model = InterBert.create(tiny_config(), seed=0)
     f = rng.normal(size=(1, 6))
     box = np.array([[0.0, 0.0, 100.0, 100.0]])
-    out = model.embed_image(f, box, 100, 100).values
+    out = model.embed_image(image_batch(f, box)).values
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
 
 def test_embed_image_errors(rng):
     model = InterBert.create(tiny_config(), seed=0)
     with pytest.raises(ValueError):
-        model.embed_image(np.zeros((0, 6)), np.zeros((0, 4)), 100, 100)
+        model.embed_image(image_batch(np.zeros((0, 6)), np.zeros((0, 4))))
     with pytest.raises(ValueError):
-        model.embed_image(np.zeros((1, 6)), np.array([[0.0, 0.0, 120.0, 50.0]]), 100, 100)
+        model.embed_image(image_batch(np.zeros((1, 6)), np.array([[0.0, 0.0, 120.0, 50.0]])))
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +516,7 @@ def ragged_pairs(rng, cfg, shapes):
 
 def sample_rows(out, batch, i, pair):
     """Sample i's valid rows of a batched forward."""
-    li, lt = batch.layouts[0].image_length, batch.layouts[0].text_length
+    li, lt = batch.image_length, batch.tokens.shape[1]
     return (out.h_image.values[i * li: i * li + pair.num_objects + 1],
             out.h_text.values[i * lt: i * lt + pair.num_tokens],
             out.pooled_image.values[i], out.pooled_text.values[i])
@@ -609,7 +615,7 @@ def test_checkpoint_round_trip_through_model(tmp_path, rng):
 def real_rows(batch, pairs, keep):
     """Flat padded image and text rows of the real positions (summary and
     first token included) for which ``keep(sample, position)`` holds."""
-    li, lt = batch.layouts[0].image_length, batch.layouts[0].text_length
+    li, lt = batch.image_length, batch.tokens.shape[1]
     image = [i * li + j for i, p in enumerate(pairs) for j in range(p.num_objects + 1) if keep(i, j)]
     text = [i * lt + j for i, p in enumerate(pairs) for j in range(p.num_tokens) if keep(i, j)]
     return np.array(image, dtype=np.int64), np.array(text, dtype=np.int64)
@@ -621,7 +627,7 @@ def test_read_rows_match_full_and_single_sample_forwards(rng, variant):
     model = InterBert.create(cfg, seed=6)
     pairs = ragged_pairs(rng, cfg, [(2, 5), (5, 8), (3, 4), (1, 6)])
     batch = make_batch(pairs)
-    li, lt = batch.layouts[0].image_length, batch.layouts[0].text_length
+    li, lt = batch.image_length, batch.tokens.shape[1]
     image_rows, text_rows = real_rows(batch, pairs, lambda i, j: j > 0 and (i + j) % 2 == 1)
     full = model.forward(batch=batch)
     read = model.forward(batch=batch, image_rows=image_rows, text_rows=text_rows)
@@ -669,7 +675,7 @@ def test_projections_receive_only_real_rows(rng, monkeypatch):
     monkeypatch.setattr(nt, "linear", spy)
     n_image = sum(p.num_objects + 1 for p in pairs)
     n_text = sum(p.num_tokens for p in pairs)
-    assert n_image + n_text < len(batch) * batch.layouts[0].total_length  # the batch has padding
+    assert n_image + n_text < batch.valid.size  # the batch has padding
 
     def layer_rows():
         rows = {(name.split(".")[0], name.rsplit(".", 1)[1]): n for name, n in seen if ".layer" in name}
@@ -682,7 +688,7 @@ def test_projections_receive_only_real_rows(rng, monkeypatch):
     assert got and all(n == expected[block] for (block, _), n in got.items())
 
     # read rows: the last layer's keys and values see every real row, the rest only the rows read
-    model.forward(batch=batch, image_rows=[], text_rows=[batch.layouts[0].text_length + 2])
+    model.forward(batch=batch, image_rows=[], text_rows=[batch.tokens.shape[1] + 2])
     got = layer_rows()
     for block, read in (("extract_image", len(pairs)), ("extract_text", len(pairs) + 1)):
         assert got[(block, "wk")] == got[(block, "wv")] == expected[block]
@@ -698,7 +704,7 @@ def test_long_companion_leaves_a_sample_loss_unchanged(rng):
 
     def loss_and_grads(pairs, slot):
         batch = make_batch(pairs)
-        li, lt = batch.layouts[0].image_length, batch.layouts[0].text_length
+        li, lt = batch.image_length, batch.tokens.shape[1]
         out = model.forward(batch=batch, image_rows=[slot * li + 2], text_rows=[slot * lt + 1, slot * lt + 2])
         logit = nt.reshape(nt.embedding_lookup(model.itm_score(out.pooled_image, out.pooled_text), [slot]), (1,))
         loss = nt.add(nt.add(nt.cross_entropy_logits(model.msm_logits(out.h_text), [7, 9]),

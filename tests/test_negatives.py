@@ -214,6 +214,13 @@ def test_check_table_refuses_ids_outside_the_corpus():
         check_table({0: [(3, 0.1), (15, 0.1)]}, smaller)
 
 
+def test_check_table_refuses_an_image_s_own_caption():
+    corpus = synth_corpus(seed=2, num_images=6, captions_per_image=2)  # image i owns captions 2i, 2i+1
+    check_table(build_hard_negative_table(build_tfidf(corpus)), corpus)
+    with pytest.raises(CorpusError, match="row of image 1 names caption 3, which is one of that image's own"):
+        check_table({0: [(4, 0.2)], 1: [(0, 0.3), (3, 0.1)]}, corpus)
+
+
 # ---------------------------------------------------------------------------
 # negative sampling
 # ---------------------------------------------------------------------------

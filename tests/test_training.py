@@ -226,6 +226,20 @@ def test_adamw_missing_or_nan_grad_raises():
         adamw_step(ps, AdamWState.for_params(ps), lr=0.1)
 
 
+def test_adamw_refuses_a_nan_gradient_before_moving_anything():
+    ps = ParameterSet()
+    first, last = ps.add("first", Tensor([1.0, 2.0])), ps.add("last", Tensor([[3.0]]))
+    first.grad, last.grad = np.array([0.5, -0.5]), np.array([[np.nan]])
+    state = AdamWState.for_params(ps)
+    with pytest.raises(NumericsError, match="last at step 1"):
+        adamw_step(ps, state, lr=0.1)
+    np.testing.assert_array_equal(first.values, [1.0, 2.0])
+    np.testing.assert_array_equal(last.values, [[3.0]])
+    for moment in (state.first_moment, state.second_moment):
+        assert all(not np.any(m) for m in moment.values())
+    assert state.step_count == 0
+
+
 def test_ema_update_cases():
     ps = ParameterSet()
     p = ps.add("p", Tensor([2.0, 4.0]))
