@@ -1,12 +1,17 @@
 """Dense tensors with a dynamic reverse-mode differentiation tape.
 
 Every operation computes its result eagerly with numpy and, when gradient
-tracking is enabled, records a backward closure on the output tensor.
-``backward`` walks the recorded graph once in reverse topological order and
-accumulates gradients into the leaves; an inner node's gradient is dropped
-as soon as it has flowed to the node's parents, so only leaves keep one.
-The graph is rebuilt from scratch on each forward pass; nothing is cached
-between passes, which keeps repeated runs bit-for-bit deterministic.
+tracking is enabled and an operand is tracked, links a graph node to the
+output. The tape is made of nodes, not tensors: a node holds a gradient,
+its parents' nodes, a backward closure and a shape and dtype, but no
+values, and a closure captures only the arrays its backward reads. So the
+tape keeps the nodes plus those saved arrays, and an activation that no
+closure reads is freed as soon as the forward drops it. ``backward`` walks
+the nodes once in reverse topological order and accumulates gradients into
+the leaves; an inner node's gradient is dropped as soon as it has flowed
+to the node's parents, so only leaves keep one. The graph is rebuilt from
+scratch on each forward pass; nothing is cached between passes, which
+keeps repeated runs bit-for-bit deterministic.
 """
 
 from __future__ import annotations
@@ -51,26 +56,55 @@ def no_grad():
         _grad_enabled = previous
 
 
-class Tensor:
-    """A dense n-d value array, optionally carrying a gradient.
+class _Node:
+    """The tape's record of one tracked tensor, without its values: the
+    gradient, the parents' nodes, the closure that sends the gradient to
+    them (None on a leaf), and the values' shape and dtype."""
 
-    ``values`` is treated as immutable once the tensor has entered a graph;
-    a leaf's ``grad`` is lazily allocated and accumulates across backward
-    passes until ``zero_grad`` clears it (an inner node's lasts only while
-    ``backward`` passes it on).
+    __slots__ = ("grad", "_parents", "_backward_fn", "shape", "dtype")
+
+    def __init__(self, shape, dtype, parents: tuple[_Node, ...] = (), backward_fn=None):
+        self.grad: np.ndarray | None = None
+        self._parents = parents
+        self._backward_fn: Callable[[np.ndarray], None] | None = backward_fn
+        self.shape, self.dtype = shape, dtype
+
+    def accumulate_grad(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` into ``grad``. A ``fresh`` array, allocated for this
+        node alone, becomes the first gradient as it is; any other is
+        copied, since one array may flow to several parents."""
+        if self.grad is None:
+            if fresh and type(g) is np.ndarray and g.shape == self.shape and g.dtype == self.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(np.broadcast_to(g, self.shape), dtype=self.dtype, order="C")
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """A dense n-d value array and, when it is tracked, its graph node.
+
+    Leaves that require a gradient and op outputs recorded on the tape are
+    tracked; constants and tensors made under ``no_grad`` have no node.
+    ``grad``, ``_parents``, ``_backward_fn`` and ``accumulate_grad`` are the
+    node's. ``values`` is treated as immutable once the tensor has entered a
+    graph; a leaf's ``grad`` is lazily allocated and accumulates across
+    backward passes until ``zero_grad`` clears it (an inner node's lasts
+    only while ``backward`` passes it on).
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("values", "_node")
 
     def __init__(self, values, requires_grad: bool = False, *, _parents=(), _backward_fn=None):
         arr = np.asarray(values)
         if arr.dtype not in (np.float64, np.float32):
             arr = arr.astype(DEFAULT_DTYPE)
         self.values: np.ndarray = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = _parents
-        self._backward_fn: Callable[[np.ndarray], None] | None = _backward_fn
+        self._node: _Node | None = None
+        if requires_grad or _backward_fn is not None:
+            parents = tuple(p._node for p in _parents if p._node is not None)
+            self._node = _Node(arr.shape, arr.dtype, parents, _backward_fn)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -80,25 +114,49 @@ class Tensor:
     def dtype(self):
         return self.values.dtype
 
+    @property
+    def requires_grad(self) -> bool:
+        """True for a tracked leaf: a tensor whose gradient is wanted."""
+        return self._node is not None and self._node._backward_fn is None
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        if flag and self._node is None:
+            self._node = _Node(self.values.shape, self.values.dtype)
+        elif not flag and self.requires_grad:
+            self._node = None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self._node.grad = g
+
+    @property
+    def _parents(self) -> tuple[_Node, ...]:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward_fn(self) -> Callable[[np.ndarray], None] | None:
+        return None if self._node is None else self._node._backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn: Callable[[np.ndarray], None]) -> None:
+        self._node._backward_fn = fn
+
     def item(self) -> float:
         if self.values.size != 1:
             raise NumericsError(f"item() needs a single-element tensor, got shape {self.values.shape}")
         return float(self.values.reshape(()))
 
     def accumulate_grad(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add ``g`` into ``grad``. A ``fresh`` array, allocated for this
-        tensor alone, becomes the first gradient as it is; any other is
-        copied, since one array may flow to several parents."""
-        if self.grad is None:
-            if fresh and type(g) is np.ndarray and g.shape == self.values.shape and g.dtype == self.values.dtype:
-                self.grad = g
-            else:
-                self.grad = np.array(np.broadcast_to(g, self.values.shape), dtype=self.values.dtype, order="C")
-        else:
-            self.grad += g
+        self._node.accumulate_grad(g, fresh)
 
     def zero_grad(self) -> None:
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={tuple(self.values.shape)}, requires_grad={self.requires_grad})"
@@ -108,25 +166,23 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _tracks(t: Tensor) -> bool:
-    return t.requires_grad or t._backward_fn is not None
-
-
 def _make(values: np.ndarray, grads: Sequence[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]],
           shared: Callable[[np.ndarray], object] | None = None) -> Tensor:
-    """Wrap an op result, recording per-parent gradient closures.
+    """Wrap an op result, linking its node to the parents' nodes.
 
     ``grads`` pairs each parent with a function mapping the output gradient
-    to that parent's gradient contribution. Parents that track nothing are
-    dropped, so constant subgraphs never enter the tape. Given ``shared``,
-    each backward call maps the output gradient through it once and every
-    closure receives that result instead, returning arrays of its own.
+    to that parent's gradient contribution; it captures the arrays it reads,
+    never a tensor. Untracked parents are dropped, so constant subgraphs
+    never enter the tape. Given ``shared``, each backward call maps the
+    output gradient through it once and every closure receives that result
+    instead, returning arrays of its own.
     """
+    out = Tensor(values)
     if not _grad_enabled:
-        return Tensor(values)
-    tracked = [(p, fn) for p, fn in grads if _tracks(p)]
+        return out
+    tracked = [(p._node, fn) for p, fn in grads if p._node is not None]
     if not tracked:
-        return Tensor(values)
+        return out
 
     def backward_fn(g: np.ndarray) -> None:
         h = g if shared is None else shared(g)
@@ -136,7 +192,8 @@ def _make(values: np.ndarray, grads: Sequence[tuple[Tensor, Callable[[np.ndarray
             fresh = shared is not None or (grad is not g and getattr(grad, "base", g) is None)
             parent.accumulate_grad(grad, fresh=fresh)
 
-    return Tensor(values, _parents=tuple(p for p, _ in tracked), _backward_fn=backward_fn)
+    out._node = _Node(out.values.shape, out.values.dtype, tuple(p for p, _ in tracked), backward_fn)
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -155,18 +212,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.values + b.values
-    return _make(out, [
-        (a, lambda g: _unbroadcast(g, a.values.shape)),
-        (b, lambda g: _unbroadcast(g, b.values.shape)),
-    ])
+    a_shape, b_shape = a.values.shape, b.values.shape
+    return _make(out, [(a, lambda g: _unbroadcast(g, a_shape)), (b, lambda g: _unbroadcast(g, b_shape))])
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.values * b.values
-    return _make(out, [
-        (a, lambda g: _unbroadcast(g * b.values, a.values.shape)),
-        (b, lambda g: _unbroadcast(g * a.values, b.values.shape)),
+    av, bv = a.values, b.values
+    return _make(av * bv, [
+        (a, lambda g: _unbroadcast(g * bv, av.shape)),
+        (b, lambda g: _unbroadcast(g * av, bv.shape)),
     ])
 
 
@@ -176,11 +231,8 @@ def matmul(a, b) -> Tensor:
         raise NumericsError(f"matmul expects rank-2 operands, got {a.values.shape} @ {b.values.shape}")
     if a.values.shape[1] != b.values.shape[0]:
         raise NumericsError(f"matmul inner dimensions disagree: {a.values.shape} @ {b.values.shape}")
-    out = a.values @ b.values
-    return _make(out, [
-        (a, lambda g: g @ b.values.T),
-        (b, lambda g: a.values.T @ g),
-    ])
+    av, bv = a.values, b.values
+    return _make(av @ bv, [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)])
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -189,8 +241,9 @@ def linear(x, w, b=None) -> Tensor:
     if x.values.ndim != 2 or w.values.ndim != 2 or x.values.shape[1] != w.values.shape[0]:
         raise NumericsError(f"linear needs rank-2 operands with equal inner sizes, got {x.values.shape} @ "
                             f"{w.values.shape}")
-    out = x.values @ w.values
-    grads = [(x, lambda g: g @ w.values.T), (w, lambda g: x.values.T @ g)]
+    xv, wv = x.values, w.values
+    out = xv @ wv
+    grads = [(x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g)]
     if b is not None:
         b = as_tensor(b)
         out += b.values
@@ -207,8 +260,8 @@ def transpose(a) -> Tensor:
 def reshape(a, shape) -> Tensor:
     """A view where numpy can give one: values are never written in place."""
     a = as_tensor(a)
-    out = a.values.reshape(shape)
-    return _make(out, [(a, lambda g: g.reshape(a.values.shape))])
+    a_shape = a.values.shape
+    return _make(a.values.reshape(shape), [(a, lambda g: g.reshape(a_shape))])
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -220,9 +273,10 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * a.values.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
+    a_shape, dtype = a.values.shape, a.values.dtype
 
     def to_parent(g: np.ndarray) -> np.ndarray:
-        full = np.zeros_like(a.values)
+        full = np.zeros(a_shape, dtype)
         full[index] = g
         return full
 
@@ -330,11 +384,12 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
     var += eps
     inv = 1.0 / np.sqrt(var, out=var)
     xhat *= inv
-    out = xhat * gain.values
+    gv, gain_shape, bias_shape = gain.values, gain.values.shape, bias.values.shape
+    out = xhat * gv
     out += bias.values
 
     def to_x(g: np.ndarray) -> np.ndarray:
-        gd = g * gain.values
+        gd = g * gv
         spread = gd * xhat
         np.multiply(xhat, spread.mean(axis=-1, keepdims=True), out=spread)
         gd -= gd.mean(axis=-1, keepdims=True)
@@ -344,8 +399,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
 
     return _make(out, [
         (x, to_x),
-        (gain, lambda g: _unbroadcast(g * xhat, gain.values.shape)),
-        (bias, lambda g: _unbroadcast(g, bias.values.shape)),
+        (gain, lambda g: _unbroadcast(g * xhat, gain_shape)),
+        (bias, lambda g: _unbroadcast(g, bias_shape)),
     ])
 
 
@@ -376,12 +431,13 @@ def embedding_lookup(table, ids) -> Tensor:
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
         raise NumericsError("embedding ids must form a rank-1 sequence")
-    rows = table.values.shape[0]
+    shape, dtype = table.values.shape, table.values.dtype
+    rows = shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise NumericsError(f"embedding id outside table of {rows} rows")
 
     def to_parent(g: np.ndarray) -> np.ndarray:
-        full = np.zeros_like(table.values)
+        full = np.zeros(shape, dtype)
         if np.bincount(idx, minlength=1).max() <= 1:
             full[idx] = g  # a pure row gather: assignment
         else:  # add.at's sums in add.at's order, from one bincount over (id, column) cells
@@ -424,8 +480,8 @@ def cross_entropy_logits(logits, targets, ignore_index: int = IGNORE_INDEX) -> T
         raise NumericsError(f"target id outside the {v.shape[1]} logit classes")
     count = int(keep.sum())
     if count == 0:
-        zero = np.asarray(0.0, dtype=v.dtype)
-        return _make(zero, [(logits, lambda g: np.zeros_like(v))])
+        shape, dtype = v.shape, v.dtype
+        return _make(np.asarray(0.0, dtype=dtype), [(logits, lambda g: np.zeros(shape, dtype))])
 
     shifted = v - v.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -437,7 +493,7 @@ def cross_entropy_logits(logits, targets, ignore_index: int = IGNORE_INDEX) -> T
 
     def to_parent(g: np.ndarray) -> np.ndarray:
         probs = e / e.sum(axis=1, keepdims=True)
-        grad = np.zeros_like(v)
+        grad = np.zeros_like(e)  # e has v's shape, dtype and layout
         grad[rows] = probs[rows]
         grad[rows, t[rows]] -= 1.0
         grad *= float(g) / count
@@ -479,9 +535,9 @@ def backward(loss: Tensor, params=None) -> None:
     if loss.values.size != 1:
         raise NumericsError(f"backward expects a scalar loss, got shape {loss.values.shape}")
 
-    topo: list[Tensor] = []
+    topo: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack = [] if loss._node is None else [(loss._node, False)]  # an untracked loss reaches no node
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -495,7 +551,8 @@ def backward(loss: Tensor, params=None) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
-    loss.accumulate_grad(np.ones_like(loss.values))
+    if topo:
+        loss._node.accumulate_grad(np.ones_like(loss.values))
     for node in reversed(topo):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)

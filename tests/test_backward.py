@@ -1,6 +1,7 @@
 """Tape mechanics: accumulation, determinism, no_grad, memory, gradient checks."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -41,12 +42,30 @@ def test_grads_accumulate_until_zeroed():
     np.testing.assert_array_equal(p.grad, [1.0, 1.0])
 
 
-def test_repeated_backward_through_one_graph_adds_once_per_call():
+def test_repeated_backward_through_one_graph_adds_once_per_call(rng):
+    """Sweeping one graph twice adds each leaf's contribution once per call
+    and leaves every inner gradient None after each call; the closures stay
+    on their nodes, so the second sweep flows as the first did."""
     p = Tensor([1.0, 2.0], requires_grad=True)
     loss = sum_all(nt.mul(nt.mul(p, 2.0), 3.0))
     backward(loss)
     backward(loss)
     np.testing.assert_array_equal(p.grad, [12.0, 12.0])
+
+    ps = ParameterSet()
+    x = ps.add("x", Tensor(rng.normal(size=(3, 4))))
+    w = ps.add("w", Tensor(rng.normal(size=(4, 4))))
+    h = nt.linear(x, w)
+    inner = [h, nt.gelu(h)]
+    inner += [nt.add(*inner)]  # h reaches the loss twice; each leaf once
+    inner += [sum_all(nt.layer_norm(inner[-1], Tensor(np.ones(4)), Tensor(np.zeros(4))))]
+    sweeps = []
+    for _ in range(2):
+        backward(inner[-1], ps)
+        sweeps.append({name: t.grad.copy() for name, t in ps.items()})
+        assert all(t.grad is None and t._backward_fn is not None for t in inner)
+    for name in ps:
+        np.testing.assert_array_equal(sweeps[1][name], 2.0 * sweeps[0][name])
 
 
 def test_non_scalar_loss_rejected():
@@ -130,6 +149,42 @@ def test_backward_frees_inner_gradients_as_they_flow(rng):
     assert leaf.grad is not None and all(node.grad is None for node in inner + [loss])
 
 
+def test_tape_frees_values_no_closure_reads():
+    """An activation that no backward closure reads (a linear output feeding
+    only add, an add output feeding only layer_norm, q/k/v rows feeding only
+    attention) is freed once the forward drops it; linear's input and mul's
+    operands stay alive; and the gradients equal, bit for bit, those of a
+    run that holds every tensor until the sweep is done."""
+    cells = (np.repeat([0, 1], 3), np.tile([0, 1, 2], 2))  # two sequences of three rows
+    bias = np.zeros((2, 1, 1, 3))
+
+    def forward():
+        gen = np.random.default_rng(5)
+        ps = ParameterSet()
+        for name, shape in [("x", (6, 4)), ("wo", (4, 4)), ("wq", (4, 4)), ("wk", (4, 4)), ("wv", (4, 4)),
+                            ("gain", (4,)), ("shift", (4,))]:
+            ps.add(name, Tensor(gen.normal(size=shape)))
+        t = {"proj": nt.linear(ps["x"], ps["wo"])}
+        t["add"] = nt.add(t["proj"], ps["x"])
+        t["normed"] = nt.layer_norm(t["add"], ps["gain"], ps["shift"])
+        for name in "qkv":
+            t[name] = nt.linear(t["normed"], ps["w" + name])
+        t["ctx"] = nt.attention(t["q"], t["k"], t["v"], cells, cells, bias, heads=2)
+        t["gate"] = nt.gelu(t["ctx"])
+        return ps, sum_all(nt.mul(t["ctx"], t["gate"])), t
+
+    held_ps, loss, _held = forward()  # every intermediate stays alive through this sweep
+    backward(loss, held_ps)
+    ps, loss, inner = forward()
+    refs = {name: weakref.ref(t.values) for name, t in inner.items()}
+    del inner
+    assert [name for name in ("proj", "add", "q", "k", "v") if refs[name]() is not None] == []
+    assert [name for name in ("normed", "ctx", "gate") if refs[name]() is None] == []
+    backward(loss, ps)
+    for name, p in ps.items():
+        assert p.grad.tobytes() == held_ps[name].grad.tobytes(), name
+
+
 def test_backward_deterministic(rng):
     def run():
         gen = np.random.default_rng(99)
@@ -150,7 +205,7 @@ def test_no_grad_builds_no_tape():
     p = Tensor(np.ones((2, 2)), requires_grad=True)
     with nt.no_grad():
         out = nt.matmul(p, p)
-    assert out._backward_fn is None and out._parents == ()
+    assert out._node is None and out._backward_fn is None and out._parents == ()
     out = nt.matmul(p, p)
     assert out._backward_fn is not None
 
@@ -159,7 +214,7 @@ def test_constants_stay_off_the_tape():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 2)))
     out = nt.matmul(a, b)
-    assert out._backward_fn is None
+    assert out._node is None and out._backward_fn is None
 
 
 def test_finite_diff_on_quadratic_is_exact(rng):
