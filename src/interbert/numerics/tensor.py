@@ -87,24 +87,20 @@ class Tensor:
 
     Leaves that require a gradient and op outputs recorded on the tape are
     tracked; constants and tensors made under ``no_grad`` have no node.
-    ``grad``, ``_parents``, ``_backward_fn`` and ``accumulate_grad`` are the
-    node's. ``values`` is treated as immutable once the tensor has entered a
-    graph; a leaf's ``grad`` is lazily allocated and accumulates across
-    backward passes until ``zero_grad`` clears it (an inner node's lasts
-    only while ``backward`` passes it on).
+    ``grad`` and ``_parents`` are the node's. ``values`` is treated as
+    immutable once the tensor has entered a graph; a leaf's ``grad`` is
+    lazily allocated and accumulates across backward passes until it is
+    cleared (an inner node's lasts only while ``backward`` passes it on).
     """
 
     __slots__ = ("values", "_node")
 
-    def __init__(self, values, requires_grad: bool = False, *, _parents=(), _backward_fn=None):
+    def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values)
         if arr.dtype not in (np.float64, np.float32):
             arr = arr.astype(DEFAULT_DTYPE)
         self.values: np.ndarray = arr
-        self._node: _Node | None = None
-        if requires_grad or _backward_fn is not None:
-            parents = tuple(p._node for p in _parents if p._node is not None)
-            self._node = _Node(arr.shape, arr.dtype, parents, _backward_fn)
+        self._node: _Node | None = _Node(arr.shape, arr.dtype) if requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -121,10 +117,11 @@ class Tensor:
 
     @requires_grad.setter
     def requires_grad(self, flag: bool) -> None:
-        if flag and self._node is None:
+        """Start tracking a leaf; a tracked tensor is never untracked."""
+        if not flag:
+            raise NumericsError("requires_grad can only be turned on")
+        if self._node is None:
             self._node = _Node(self.values.shape, self.values.dtype)
-        elif not flag and self.requires_grad:
-            self._node = None
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -138,25 +135,10 @@ class Tensor:
     def _parents(self) -> tuple[_Node, ...]:
         return () if self._node is None else self._node._parents
 
-    @property
-    def _backward_fn(self) -> Callable[[np.ndarray], None] | None:
-        return None if self._node is None else self._node._backward_fn
-
-    @_backward_fn.setter
-    def _backward_fn(self, fn: Callable[[np.ndarray], None]) -> None:
-        self._node._backward_fn = fn
-
     def item(self) -> float:
         if self.values.size != 1:
             raise NumericsError(f"item() needs a single-element tensor, got shape {self.values.shape}")
         return float(self.values.reshape(()))
-
-    def accumulate_grad(self, g: np.ndarray, fresh: bool = False) -> None:
-        self._node.accumulate_grad(g, fresh)
-
-    def zero_grad(self) -> None:
-        if self._node is not None:
-            self._node.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={tuple(self.values.shape)}, requires_grad={self.requires_grad})"

@@ -8,11 +8,11 @@ from interbert.numerics.tensor import Tensor, _make, as_tensor
 
 def sum_all(a) -> Tensor:
     a = as_tensor(a)
-    out = np.asarray(a.values.sum(), dtype=a.values.dtype)
-    return _make(out, [(a, lambda g: np.full_like(a.values, float(g)))])
+    shape, dtype = a.values.shape, a.values.dtype
+    return _make(np.asarray(a.values.sum(), dtype=dtype), [(a, lambda g: np.full(shape, float(g), dtype))])
 
 
 def mean_all(a) -> Tensor:
     a = as_tensor(a)
-    out = np.asarray(a.values.mean(), dtype=a.values.dtype)
-    return _make(out, [(a, lambda g: np.full_like(a.values, float(g) / a.values.size))])
+    shape, dtype, size = a.values.shape, a.values.dtype, a.values.size
+    return _make(np.asarray(a.values.mean(), dtype=dtype), [(a, lambda g: np.full(shape, float(g) / size, dtype))])

@@ -14,6 +14,7 @@ from interbert.numerics import (
     backward,
     finite_diff_check,
 )
+from interbert.numerics.tensor import _make
 from reference_ops import sum_all
 
 
@@ -63,7 +64,7 @@ def test_repeated_backward_through_one_graph_adds_once_per_call(rng):
     for _ in range(2):
         backward(inner[-1], ps)
         sweeps.append({name: t.grad.copy() for name, t in ps.items()})
-        assert all(t.grad is None and t._backward_fn is not None for t in inner)
+        assert all(t.grad is None and t._node._backward_fn is not None for t in inner)
     for name in ps:
         np.testing.assert_array_equal(sweeps[1][name], 2.0 * sweeps[0][name])
 
@@ -111,7 +112,7 @@ def test_reused_tensor_gets_unaliased_grads(rng):
         return record
 
     for node in (doubled, residual):
-        node._backward_fn = recording(node._backward_fn)
+        node._node._backward_fn = recording(node._node._backward_fn)
     weights = rng.normal(size=(3, 4))
     backward(sum_all(nt.mul(residual, weights)), ps)
     np.testing.assert_allclose(a.grad, 2.0 * (weights + weights @ w.values.T), rtol=1e-13)
@@ -152,7 +153,7 @@ def test_backward_frees_inner_gradients_as_they_flow(rng):
 def test_tape_frees_values_no_closure_reads():
     """An activation that no backward closure reads (a linear output feeding
     only add, an add output feeding only layer_norm, q/k/v rows feeding only
-    attention) is freed once the forward drops it; linear's input and mul's
+    attention, a product feeding only the loss's sum) is freed once the forward drops it; linear's input and mul's
     operands stay alive; and the gradients equal, bit for bit, those of a
     run that holds every tensor until the sweep is done."""
     cells = (np.repeat([0, 1], 3), np.tile([0, 1, 2], 2))  # two sequences of three rows
@@ -171,14 +172,15 @@ def test_tape_frees_values_no_closure_reads():
             t[name] = nt.linear(t["normed"], ps["w" + name])
         t["ctx"] = nt.attention(t["q"], t["k"], t["v"], cells, cells, bias, heads=2)
         t["gate"] = nt.gelu(t["ctx"])
-        return ps, sum_all(nt.mul(t["ctx"], t["gate"])), t
+        t["prod"] = nt.mul(t["ctx"], t["gate"])
+        return ps, sum_all(t["prod"]), t
 
     held_ps, loss, _held = forward()  # every intermediate stays alive through this sweep
     backward(loss, held_ps)
     ps, loss, inner = forward()
     refs = {name: weakref.ref(t.values) for name, t in inner.items()}
     del inner
-    assert [name for name in ("proj", "add", "q", "k", "v") if refs[name]() is not None] == []
+    assert [name for name in ("proj", "add", "q", "k", "v", "prod") if refs[name]() is not None] == []
     assert [name for name in ("normed", "ctx", "gate") if refs[name]() is None] == []
     backward(loss, ps)
     for name, p in ps.items():
@@ -205,16 +207,16 @@ def test_no_grad_builds_no_tape():
     p = Tensor(np.ones((2, 2)), requires_grad=True)
     with nt.no_grad():
         out = nt.matmul(p, p)
-    assert out._node is None and out._backward_fn is None and out._parents == ()
+    assert out._node is None and out._parents == ()
     out = nt.matmul(p, p)
-    assert out._backward_fn is not None
+    assert out._node._backward_fn is not None
 
 
 def test_constants_stay_off_the_tape():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 2)))
     out = nt.matmul(a, b)
-    assert out._node is None and out._backward_fn is None
+    assert out._node is None
 
 
 def test_finite_diff_on_quadratic_is_exact(rng):
@@ -231,12 +233,8 @@ def test_finite_diff_flags_corrupted_gradient(rng):
     p = ps.add("p", Tensor(rng.normal(1.0, 0.1, size=(4,))))
 
     def bad_square(t):
-        out = t.values ** 2
-
-        def bwd(g):
-            t.accumulate_grad(1.8 * t.values * g)  # should be 2.0 * t
-
-        return Tensor(out, _parents=(t,), _backward_fn=bwd)
+        tv = t.values
+        return _make(tv ** 2, [(t, lambda g: 1.8 * tv * g)])  # should be 2.0 * t
 
     err = finite_diff_check(lambda: sum_all(bad_square(p)), ps, step=1e-5, sample_count=4)
     assert err > 1e-2
