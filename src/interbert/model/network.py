@@ -221,9 +221,14 @@ class InterBert:
 
     @classmethod
     def from_checkpoint(cls, config: ModelConfig, path) -> "InterBert":
-        model = cls.create(config, seed=0)
-        model.params.load_values(load_checkpoint(path))
-        return model
+        """The network holding a checkpoint's parameters, whose names and
+        shapes must be exactly those of ``parameter_spec``."""
+        config.validate()
+        params = ParameterSet()
+        for name, shape, _ in parameter_spec(config):
+            params.add(name, Tensor(np.empty(shape)))
+        params.load_values(load_checkpoint(path))
+        return cls(config, params)
 
     # -- embeddings ----------------------------------------------------
 

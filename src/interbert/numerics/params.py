@@ -74,7 +74,7 @@ class ParameterSet:
             src = np.asarray(values[name])
             if src.shape != t.values.shape:
                 raise NumericsError(f"shape mismatch for {name}: {src.shape} vs {t.values.shape}")
-            t.values[...] = src.astype(t.values.dtype)
+            t.values[...] = src
 
 
 def save_checkpoint(path, params) -> None:

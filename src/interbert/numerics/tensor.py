@@ -296,6 +296,27 @@ def softmax(x, axis: int = -1) -> Tensor:
     return _make(s, [(x, to_parent)])
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Max over the last axis, kept as a length-1 axis. Taken down the
+    columns of a transposed copy: a few long elementwise maxima instead of
+    one short reduction per row, and bit-equal, as max ignores order."""
+    n = x.shape[-1]
+    return np.ascontiguousarray(x.reshape(-1, n).T).max(axis=0).reshape(x.shape[:-1] + (1,))
+
+
+def _row_sum(x: np.ndarray, weight: float = 1.0) -> np.ndarray:
+    """Sum of ``weight`` times each entry over the last axis, kept as a
+    length-1 axis: one matrix-vector product of the flattened rows with a
+    constant vector in ``x``'s dtype, so BLAS does it."""
+    n = x.shape[-1]
+    return (x.reshape(-1, n) @ np.full((n, 1), weight, x.dtype)).reshape(x.shape[:-1] + (1,))
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, kept as a length-1 axis."""
+    return _row_sum(x, 1.0 / x.shape[-1])
+
+
 def attention(q, k, v, queries, keys, bias, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
@@ -333,9 +354,9 @@ def attention(q, k, v, queries, keys, bias, heads: int) -> Tensor:
     probs = np.matmul(qh, kt)
     probs *= scale
     probs += bias.astype(dtype, copy=False)
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= _row_max(probs)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= _row_sum(probs)
     out = np.matmul(probs, vh)[qb, :, ql, :].reshape(rows, hidden)
 
     def grids(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,7 +365,7 @@ def attention(q, k, v, queries, keys, bias, heads: int) -> Tensor:
         g_ctx[qb, :, ql, :] = g.reshape(rows, heads, d)
         d_scores = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))
         d_v = np.matmul(np.swapaxes(probs, -1, -2), g_ctx)
-        d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)  # softmax backward
+        d_scores -= _row_sum(d_scores * probs)  # softmax backward
         d_scores *= probs
         d_scores *= scale
         d_q = np.matmul(d_scores, np.swapaxes(kt, -1, -2))
@@ -361,8 +382,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
     v = x.values
     if v.shape[-1] < 2:
         raise NumericsError("layer_norm needs a last axis of size >= 2")
-    xhat = v - v.mean(axis=-1, keepdims=True)
-    var = np.square(xhat).mean(axis=-1, keepdims=True)
+    xhat = v - _row_mean(v)
+    var = _row_mean(np.square(xhat))
     var += eps
     inv = 1.0 / np.sqrt(var, out=var)
     xhat *= inv
@@ -373,8 +394,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
     def to_x(g: np.ndarray) -> np.ndarray:
         gd = g * gv
         spread = gd * xhat
-        np.multiply(xhat, spread.mean(axis=-1, keepdims=True), out=spread)
-        gd -= gd.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, _row_mean(spread), out=spread)
+        gd -= _row_mean(gd)
         gd -= spread
         gd *= inv
         return gd
@@ -387,24 +408,23 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
 
 
 def gelu(x) -> Tensor:
-    """Exact Gaussian-CDF form: x * Phi(x)."""
+    """Exact Gaussian-CDF form: x * Phi(x). A tracked output saves only its
+    slope, Phi(x) + x * pdf(x), computed in the forward."""
     x = as_tensor(x)
     v = x.values
     cdf = erf(v * _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
-
-    def to_parent(g: np.ndarray) -> np.ndarray:
-        slope = -0.5 * v
-        slope *= v
-        np.exp(slope, out=slope)
-        slope *= _INV_SQRT_2PI
-        slope *= v  # v * pdf
-        slope += cdf
-        slope *= g
-        return slope
-
-    return _make(v * cdf, [(x, to_parent)])
+    out = v * cdf
+    if not _grad_enabled or x._node is None:
+        return Tensor(out)
+    slope = -0.5 * v
+    slope *= v
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT_2PI
+    slope *= v  # v * pdf
+    slope += cdf
+    return _make(out, [(x, lambda g: g * slope)])
 
 
 def embedding_lookup(table, ids) -> Tensor:

@@ -239,6 +239,47 @@ def test_evaluation_refuses_captions_over_the_length_limit(monkeypatch):
             accuracy(model, corpus, np.random.default_rng(0))
 
 
+def record_batch_sizes(model, monkeypatch) -> list[int]:
+    """Pairs per ``model.forward`` call, in call order; forwards still run."""
+    sizes, forward = [], model.forward
+
+    def recorded(*args, batch, **kwargs):
+        sizes.append(len(batch.tokens))
+        return forward(*args, batch=batch, **kwargs)
+
+    monkeypatch.setattr(model, "forward", recorded)
+    return sizes
+
+
+def test_score_pairs_runs_the_fewest_batches_of_near_equal_size(monkeypatch):
+    corpus = synth_corpus(seed=3, num_images=6, num_classes=6, feature_dim=8)
+    model = toy_model(corpus)
+    sizes = record_batch_sizes(model, monkeypatch)
+    assert 25 <= SCORE_BATCH < 50
+    for n in (50, SCORE_BATCH + 1, SCORE_BATCH, 3 * SCORE_BATCH - 1, 1):
+        sizes.clear()
+        pairs = [corpus.pairs[i % len(corpus.pairs)] for i in range(n)]
+        logits, products = score_pairs(model, [p.tokens for p in pairs], pairs)
+        assert logits.shape == (n,) and products.shape == (n, model.config.hidden_size)
+        assert len(sizes) == -(-n // SCORE_BATCH) and sum(sizes) == n, (n, sizes)
+        assert max(sizes) <= SCORE_BATCH and max(sizes) - min(sizes) <= 1, (n, sizes)
+        if n == 50:
+            assert sizes == [25, 25]
+    sizes.clear()
+    logits, products = score_pairs(model, [], [])
+    assert sizes == [] and logits.shape == (0,) and products.shape == (0, model.config.hidden_size)
+
+
+def test_score_all_runs_two_forwards_per_column_of_fifty_captions(monkeypatch):
+    corpus = synth_corpus(seed=4, num_images=50, num_classes=6, feature_dim=8)
+    model = toy_model(corpus)
+    captions, images = corpus_retrieval_pools(corpus)
+    assert (len(captions), len(images)) == (50, 50)
+    sizes = record_batch_sizes(model, monkeypatch)
+    score_all(model, captions, images)
+    assert sizes == [25, 25] * 50
+
+
 def test_score_all_scores_every_cell_past_the_batch_cap():
     corpus = mixed_pool()
     model = toy_model(corpus, seed=3)

@@ -608,6 +608,34 @@ def test_checkpoint_round_trip_through_model(tmp_path, rng):
     assert np.array_equal(a.pooled_text.values, b.pooled_text.values)
 
 
+def test_from_checkpoint_builds_the_spec_parameters_from_the_file(tmp_path, rng):
+    """Parameters come out in ``parameter_spec`` order as trainable float64
+    tensors equal to the file's values; missing, extra and misshapen
+    entries are refused as before."""
+    from interbert.model import parameter_spec
+    from interbert.numerics import NumericsError, load_checkpoint, save_checkpoint
+
+    cfg = tiny_config()
+    path = tmp_path / "model.ibt"
+    values = {name: rng.normal(size=shape) for name, shape, _ in parameter_spec(cfg)}
+    save_checkpoint(path, dict(reversed(list(values.items()))))  # file order is not spec order
+    model = InterBert.from_checkpoint(cfg, path)
+    assert model.params.names() == list(values)
+    for name, t in model.params.items():
+        assert t.requires_grad and t.dtype == np.float64 and t.values.tobytes() == values[name].tobytes()
+    reference = InterBert.create(cfg, seed=9)
+    reference.params.load_values(load_checkpoint(path))
+    assert all(t.values.tobytes() == reference.params[name].values.tobytes() for name, t in model.params.items())
+
+    first = next(iter(values))
+    for bad, message in (({k: v for k, v in values.items() if k != first}, "missing"),
+                         ({**values, "extra.w": np.zeros(2)}, "extra"),
+                         ({**values, first: values[first][:-1]}, f"shape mismatch for {first}")):
+        save_checkpoint(path, bad)
+        with pytest.raises(NumericsError, match=message):
+            InterBert.from_checkpoint(cfg, path)
+
+
 # ---------------------------------------------------------------------------
 # packed rows and read rows
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Forward-value oracles and per-op gradient checks for the tensor engine."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 import interbert.numerics as nt
 from interbert.numerics import (
@@ -13,6 +15,7 @@ from interbert.numerics import (
     backward,
     finite_diff_check,
 )
+from interbert.numerics.tensor import _row_max
 from reference_ops import mean_all, sum_all
 
 
@@ -190,6 +193,20 @@ def test_attention_float32_stays_float32(rng):
     assert np.max(np.abs(out.values - naive_attention(q, k, v, queries, keys))) <= 1e-5
 
 
+def test_row_max_is_bit_equal_to_numpy_max(rng):
+    """The attention softmax's row max, for every row length 1-40, odd and
+    even, with rows padded by NEG_LOGIT (one wholly padded) and in both
+    precisions."""
+    for length in range(1, 41):
+        for dtype in (np.float64, np.float32):
+            x = rng.normal(0.0, 10.0, size=(3, 2, 5, length)).astype(dtype)
+            x[..., rng.integers(1, length + 1):] = nt.NEG_LOGIT
+            x[0, 0, 0] = nt.NEG_LOGIT
+            got = _row_max(x)
+            assert got.dtype == dtype
+            assert got.tobytes() == np.max(x, axis=-1, keepdims=True).tobytes(), (length, dtype)
+
+
 # ---------------------------------------------------------------------------
 # softmax
 # ---------------------------------------------------------------------------
@@ -263,6 +280,39 @@ def test_layer_norm_rejects_short_rows():
         nt.layer_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]))
 
 
+def test_layer_norm_float64_matches_a_two_pass_longdouble_reference(rng):
+    """Values and input gradients within 1e-14 of each row's largest
+    magnitude (near-zero entries carry the cancellation of x - mean, so an
+    entrywise relative bound would test that, not the reductions)."""
+    n = 96
+    x = rng.normal(0.5, 3.0, size=(64, n)) + rng.normal(0.0, 5.0, size=(64, 1))
+    gain, bias, g = rng.normal(1.0, 0.5, size=n), rng.normal(size=n), rng.normal(size=(64, n))
+    xt = Tensor(x, requires_grad=True)
+    out = nt.layer_norm(xt, Tensor(gain), Tensor(bias))
+    backward(sum_all(nt.mul(out, g)))
+
+    wide = np.longdouble
+    centred = x.astype(wide) - x.astype(wide).sum(axis=-1, keepdims=True) / n
+    inv = 1 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / n + wide(1e-12))
+    xhat = centred * inv
+    gd = g.astype(wide) * gain.astype(wide)
+    want_out = xhat * gain.astype(wide) + bias.astype(wide)
+    want_grad = inv * (gd - gd.sum(axis=-1, keepdims=True) / n - xhat * (gd * xhat).sum(axis=-1, keepdims=True) / n)
+    for got, want in ((out.values, want_out), (xt.grad, want_grad)):
+        assert got.dtype == np.float64
+        scale = np.abs(want).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def test_layer_norm_float32_stays_float32(rng):
+    x, gain, bias = (Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+                     for shape in ((7, 12), (12,), (12,)))
+    out = nt.layer_norm(x, gain, bias)
+    assert out.dtype == np.float32
+    backward(sum_all(nt.mul(out, rng.normal(size=(7, 12)).astype(np.float32))))
+    assert [t.grad.dtype for t in (x, gain, bias)] == [np.float32] * 3
+
+
 def test_layer_norm_gradcheck(rng):
     ps = make_params(rng, x=(5, 8), gain=(8,), bias=(8,))
     w = rng.normal(size=(5, 8))
@@ -289,6 +339,31 @@ def test_gelu_gradcheck(rng):
     ps = make_params(rng, x=(6, 4))
     w = rng.normal(size=(6, 4))
     gradcheck(lambda: sum_all(nt.mul(nt.gelu(ps["x"]), w)), ps)
+
+
+def test_gelu_gradient_is_the_saved_slope_times_the_upstream_gradient(rng):
+    """Bit-equal to the slope Phi(v) + v * pdf(v) rebuilt in the same order
+    of operations in the backward; the input's values are not kept."""
+    v, g = rng.normal(0.0, 2.0, size=(6, 5)), rng.normal(size=(6, 5))
+    x = Tensor(v.copy(), requires_grad=True)
+    inner = nt.mul(x, 1.0)  # gelu's input, held by nothing but this name
+    values = weakref.ref(inner.values)
+    out = nt.gelu(inner)
+    del inner
+    assert values() is None
+    backward(sum_all(nt.mul(out, g)))
+    cdf = erf(v * (1.0 / math.sqrt(2.0)))
+    cdf += 1.0
+    cdf *= 0.5
+    slope = -0.5 * v
+    slope *= v
+    np.exp(slope, out=slope)
+    slope *= 1.0 / math.sqrt(2.0 * math.pi)
+    slope *= v
+    slope += cdf
+    slope *= g
+    assert out.values.tobytes() == (v * cdf).tobytes()
+    assert x.grad.tobytes() == slope.tobytes()
 
 
 # ---------------------------------------------------------------------------
