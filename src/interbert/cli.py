@@ -95,23 +95,31 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _check_section(section, defaults: dict, source, where: str = "") -> None:
+    """Refuse a section of the config file ``source`` unless it is an object
+    whose keys are among ``defaults``, each value of its default's JSON type
+    (an int may stand for a float, and null for a null default)."""
+    if not isinstance(section, dict):
+        raise CommandError(f"config file {source}: expected an object{where}, got {json.dumps(section)}")
+    unknown = set(section) - set(defaults)
+    if unknown:
+        raise CommandError(f"unknown config keys{where}: {sorted(unknown)} in config file {source}")
+    for key, value in section.items():
+        kind = _kind(key, defaults[key])
+        fits = (isinstance(value, (int, float) if kind is float else kind)
+                and (kind is bool) == isinstance(value, bool))
+        if not (fits or value is None and defaults[key] is None):
+            raise CommandError(f"config file {source}: {key}{where} must be {kind.__name__}, "
+                               f"got {json.dumps(value)}")
+
+
 def _merge(defaults: dict, file_section: dict | None, flags: dict,
            where: str = "", source: str | None = None) -> dict:
-    """``defaults`` updated by the config file's section, then by the flags
-    given; a file key outside the defaults, or whose value's JSON type is
-    not its default's (an int may stand for a float), is refused."""
+    """``defaults`` updated by the config file's section, which
+    ``_check_section`` must pass, then by the flags given."""
     merged = dict(defaults)
     if file_section:
-        unknown = set(file_section) - set(defaults)
-        if unknown:
-            raise CommandError(f"unknown config keys{where}: {sorted(unknown)}")
-        for key, value in file_section.items():
-            kind = _kind(key, defaults[key])
-            fits = (isinstance(value, (int, float) if kind is float else kind)
-                    and (kind is bool) == isinstance(value, bool))
-            if not (fits or value is None and defaults[key] is None):
-                raise CommandError(f"config file {source}: {key}{where} must be {kind.__name__}, "
-                                   f"got {json.dumps(value)}")
+        _check_section(file_section, defaults, source, where)
         merged.update(file_section)
     for key, value in flags.items():
         if value is not None:
@@ -242,6 +250,7 @@ def _model_config_for_checkpoint(config: dict, corpus):
         path = str(sibling)
     stored = _load_config_file(path)
     model_section = stored.get("model", stored)
+    _check_section(model_section, TOY_MODEL_PRESET, path)  # a missing key keeps ModelConfig's default
     return ModelConfig.from_dict(_resolve_model_config(model_section, corpus))
 
 
@@ -550,7 +559,14 @@ def _dispatch(args: argparse.Namespace) -> None:
     command = manifest.get("command")
     if command not in RUNNERS:
         raise CommandError(f"manifest names unknown command {command!r}")
-    _execute(command, manifest["config"], args.out)
+    config, defaults = manifest.get("config"), COMMANDS[command][1]
+    # a command reading a checkpoint's model config records it under "model"
+    _check_section(config, {"model": {}, **defaults} if "model_config" in defaults else defaults,
+                   args.manifest, " in config")
+    missing = set(defaults) - set(config)
+    if missing:
+        raise CommandError(f"config file {args.manifest}: config lacks keys {sorted(missing)}")
+    _execute(command, config, args.out)
 
 
 def main(argv=None) -> int:

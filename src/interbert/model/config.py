@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-
-from ..numerics import NEG_LOGIT
 
 VARIANT_INTERBERT = "interbert"
 VARIANT_SINGLE_STREAM = "single_stream"
@@ -38,6 +36,10 @@ class ModelConfig:
     def validate(self) -> None:
         if self.architecture_variant not in (VARIANT_INTERBERT, VARIANT_SINGLE_STREAM):
             raise ValueError(f"unknown architecture_variant: {self.architecture_variant!r}")
+        for name in ("num_heads", "ffn_size", "vocab_size", "object_feature_dim", "max_text_len",
+                     "max_objects", "num_object_classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.hidden_size <= 0 or self.hidden_size % self.num_heads != 0:
             raise ValueError(f"hidden_size {self.hidden_size} must be a positive multiple of num_heads {self.num_heads}")
         if self.num_interaction_layers < 1:
@@ -46,10 +48,6 @@ class ModelConfig:
             raise ValueError("the two-stream variant needs at least one extraction layer per stream")
         if self.num_extraction_layers < 0:
             raise ValueError("num_extraction_layers must be non-negative")
-        for name in ("ffn_size", "vocab_size", "object_feature_dim", "max_text_len",
-                     "max_objects", "num_object_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
         if self.ln_eps <= 0 or self.init_std <= 0:
             raise ValueError("ln_eps and init_std must be positive")
 
@@ -73,44 +71,30 @@ class ModelConfig:
         return cls(**data)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class SequenceLayout:
-    """Index bookkeeping for one fused image+text sequence.
+    """Index bookkeeping for one fused image+text sequence without padding.
 
     Position 0 is the image summary slot, positions 1..image_length-1 the
-    (possibly padded) objects, and the remaining text_length positions the
-    token row block. ``valid`` flags the real positions.
+    objects, and the remaining text_length positions the token row block.
+    Padding lives only in a ``PaddedBatch``.
     """
 
     image_length: int
     text_length: int
-    valid: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.valid.shape != (self.total_length,):
-            raise ValueError(f"valid mask shape {self.valid.shape} does not cover {self.total_length} positions")
-        if not self.valid[0]:
-            raise ValueError("the image summary position is always valid")
 
     @property
-    def total_length(self) -> int:
-        return self.image_length + self.text_length
+    def valid(self) -> np.ndarray:
+        """Every position is real."""
+        return np.ones(self.image_length + self.text_length, dtype=bool)
 
     def key_bias(self) -> np.ndarray:
-        """Additive attention bias per key: 0 at real positions, a huge
-        negative number at padding."""
-        return np.where(self.valid, 0.0, NEG_LOGIT)
+        """Additive attention bias per key: 0, as no position is padding."""
+        return np.zeros(self.valid.shape)
 
 
-def build_layout(num_objects: int, num_tokens: int,
-                 object_valid=None, text_valid=None) -> SequenceLayout:
-    ov = np.ones(num_objects, dtype=bool) if object_valid is None else np.asarray(object_valid, dtype=bool)
-    tv = np.ones(num_tokens, dtype=bool) if text_valid is None else np.asarray(text_valid, dtype=bool)
-    if ov.shape != (num_objects,) or tv.shape != (num_tokens,):
-        raise ValueError("validity masks do not match the declared lengths")
-    valid = np.concatenate([[True], ov, tv])
-    return SequenceLayout(image_length=num_objects + 1, text_length=num_tokens, valid=valid)
+def build_layout(num_objects: int, num_tokens: int) -> SequenceLayout:
+    return SequenceLayout(image_length=num_objects + 1, text_length=num_tokens)
 
 
 @dataclass

@@ -2,16 +2,17 @@
 concatenated image+text sequence, per-modality extraction stacks on top,
 and the three pretraining heads.
 
-The forward pass takes a padded batch of B samples. Past the embeddings it
-computes only the N real positions: one gather packs them into rank-2 rows,
-(N, hidden), so every projection is one ``nt.linear`` and every FFN and norm
-a row-wise op over real rows. Attention alone works on padded grids, inside
-one ``nt.attention`` node: K and V go into (B, heads, L, d) grids, a
-(B, 1, 1, L) key bias hides padding, Q goes into a (B, heads, Lq, d) grid
-sized to the most query rows of any one sample, and the context comes back
-as packed rows. The last extraction layer computes only the rows the caller
-reads, so there Lq is the most rows read in any one sample.
-A single sample is the B=1 case of the same path.
+The forward pass takes a padded batch of B samples. The embeddings drop the
+padding: they embed only the N real positions, as rank-2 rows (N, hidden),
+stream-major: every image row, sample by sample, then every text row. So
+every projection is one ``nt.linear``, every FFN and norm a row-wise op over
+real rows, and the streams split back into two slices. Attention alone works
+on padded grids, inside one ``nt.attention`` node: K and V go into
+(B, heads, L, d) grids, a (B, 1, 1, L) key bias hides padding, Q goes into a
+(B, heads, Lq, d) grid sized to the most query rows of any one sample, and
+the context comes back as packed rows. The last extraction layer computes
+only the rows the caller reads, so there Lq is the most rows read in any one
+sample. A single sample is the B=1 case of the same path.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .config import (
     VARIANT_SINGLE_STREAM,
     ModelConfig,
     PaddedBatch,
-    build_layout,
 )
 
 GEOMETRY_DIM = 5  # x1/W, y1/H, x2/W, y2/H, box area / image area
@@ -109,8 +109,8 @@ def init_parameters(config: ModelConfig, seed: int, dtype=np.float64) -> Paramet
 
 @dataclass
 class ModelOutputs:
-    h_image: Tensor       # (B*(m+1), hidden), each sample's summary row first; or the read rows
-    h_text: Tensor        # (B*n_tokens, hidden); or the read rows
+    h_image: Tensor       # (real image rows, hidden), sample by sample, summary row first; or the read rows
+    h_text: Tensor        # (real tokens, hidden), sample by sample; or the read rows
     pooled_image: Tensor  # (B, hidden)
     pooled_text: Tensor   # (B, hidden)
 
@@ -131,20 +131,25 @@ def image_geometry(bboxes: np.ndarray, width, height) -> np.ndarray:
 @dataclass
 class _Rows:
     """Packed rows of a padded grid of B sequences of length L: row r of a
-    packed (N, hidden) tensor sits at flat grid position ``positions[r]``."""
+    packed (N, hidden) tensor sits at flat grid position ``positions[r]``.
+    A fused image+text grid packs its rows stream-major (see ``of``), a
+    one-stream grid in grid order."""
 
     bias: np.ndarray       # (B, 1, 1, L) additive attention bias of the grid's keys
-    positions: np.ndarray  # (N,) ascending flat indices into the B*L grid
+    positions: np.ndarray  # (N,) flat indices into the B*L grid
     image_length: int = 0  # of a fused image+text grid: where each text block starts
 
     @classmethod
     def of(cls, source) -> "_Rows":
-        """Every real position of a padded batch or of one layout; a grid
+        """Every real position of a padded batch or of one layout, stream-major:
+        all image positions, sample by sample, then all text positions. A grid
         already built passes through."""
         if isinstance(source, _Rows):
             return source
         valid = np.atleast_2d(source.valid)
-        return cls(np.where(valid, 0.0, NEG_LOGIT)[:, None, None, :], np.flatnonzero(valid), source.image_length)
+        image = np.arange(valid.shape[1]) < source.image_length
+        positions = np.concatenate([np.flatnonzero(valid & image), np.flatnonzero(valid & ~image)])
+        return cls(np.where(valid, 0.0, NEG_LOGIT)[:, None, None, :], positions, source.image_length)
 
     @property
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +162,8 @@ class _Rows:
         return np.arange(self.bias.shape[0]) * self.bias.shape[-1]
 
     def index(self, flat_rows) -> np.ndarray:
-        """Packed index of each flat grid row; padded rows are refused."""
+        """Packed index of each flat row of a one-stream grid; padded rows
+        are refused."""
         rows = np.asarray(flat_rows, dtype=np.int64)
         found = np.minimum(np.searchsorted(self.positions, rows), self.positions.size - 1)
         if np.any(self.positions[found] != rows):
@@ -171,25 +177,22 @@ class _Rows:
 
 
 def _split_streams(fused: Tensor, grid: _Rows) -> list[tuple[Tensor, _Rows]]:
-    """Packed fused rows of ``grid`` -> the packed image rows and the packed
-    text rows, each with its own grid."""
-    at = grid.image_length
-    length = grid.bias.shape[-1]
-    seq, col = np.divmod(grid.positions, length)
-    image = col < at
-    return [(nt.embedding_lookup(fused, np.flatnonzero(keep)), _Rows(bias, positions[keep]))
-            for keep, bias, positions in ((image, grid.bias[..., :at], seq * at + col),
-                                          (~image, grid.bias[..., at:], seq * (length - at) + col - at))]
+    """Stream-major packed rows of ``grid`` -> the image rows and the text
+    rows, two slices, each with its own grid."""
+    at, length = grid.image_length, grid.bias.shape[-1]
+    seq, col = grid.cells
+    n = int(np.count_nonzero(col < at))
+    image = _Rows(grid.bias[..., :at], seq[:n] * at + col[:n])
+    text = _Rows(grid.bias[..., at:], seq[n:] * (length - at) + col[n:] - at)
+    return [(nt.narrow(fused, 0, 0, n), image), (nt.narrow(fused, 0, n, col.size - n), text)]
 
 
 def _outputs(image, text) -> ModelOutputs:
     """Each stream is (packed rows, their grid, the flat grid rows the caller
-    reads). Without rows to read, every grid row comes out, zero at padding."""
+    reads). Without rows to read, every packed row comes out."""
 
     def read(rows: Tensor, grid: _Rows, wanted) -> Tensor:
-        if wanted is None:
-            return nt.scatter_rows(rows, grid.positions, grid.bias.shape[0] * grid.bias.shape[-1])
-        return nt.embedding_lookup(rows, grid.index(wanted))
+        return rows if wanted is None else nt.embedding_lookup(rows, grid.index(wanted))
 
     def pooled(rows: Tensor, grid: _Rows, _) -> Tensor:
         return nt.embedding_lookup(rows, grid.index(grid.first_rows))
@@ -198,13 +201,13 @@ def _outputs(image, text) -> ModelOutputs:
                         pooled_image=pooled(*image), pooled_text=pooled(*text))
 
 
-def _sample_batch(tokens, features, bboxes, width, height, text_valid, object_valid) -> PaddedBatch:
-    """One sample, with optional validity masks, as a padded batch of one."""
+def _sample_batch(tokens, features, bboxes, width, height) -> PaddedBatch:
+    """One sample as a batch of one without padding."""
     ids = np.asarray(tokens, dtype=np.int64)
     feats = np.asarray(features, dtype=np.float64)
     return PaddedBatch(tokens=ids[None], features=feats[None], bboxes=np.asarray(bboxes, dtype=np.float64)[None],
                        widths=np.array([width]), heights=np.array([height]),
-                       valid=build_layout(feats.shape[0], ids.size, object_valid, text_valid).valid[None])
+                       valid=np.ones((1, 1 + feats.shape[0] + ids.size), dtype=bool))
 
 
 class InterBert:
@@ -232,18 +235,18 @@ class InterBert:
 
     # -- embeddings ----------------------------------------------------
 
-    def embed_text(self, token_ids) -> Tensor:
-        """Token + learned positional + segment embedding, normalized; ids
-        are (B, n), rows come out (B*n, hidden)."""
-        ids = np.asarray(token_ids, dtype=np.int64)
-        batch, length = ids.shape
+    def embed_text(self, batch: PaddedBatch) -> Tensor:
+        """Token + learned positional + segment embedding, normalized, of the
+        batch's real tokens only: one row each, sample by sample."""
+        length = batch.tokens.shape[1]
         if length > self.config.max_text_len:
             raise ValueError(f"text length {length} exceeds max_text_len {self.config.max_text_len}")
+        valid = batch.valid[:, batch.image_length:]
         p = self.params
         x = nt.add(
             nt.add(
-                nt.embedding_lookup(p["embed.token_table"], ids.reshape(-1)),
-                nt.embedding_lookup(p["embed.position_table"], np.tile(np.arange(length), batch)),
+                nt.embedding_lookup(p["embed.token_table"], batch.tokens[valid]),
+                nt.embedding_lookup(p["embed.position_table"], np.nonzero(valid)[1]),
             ),
             nt.embedding_lookup(p["embed.segment_table"], [TEXT_SEGMENT]),
         )
@@ -253,26 +256,26 @@ class InterBert:
         """Project the batch's region features to the hidden size and add
         box-geometry and segment embeddings. The summary row is the mean of
         the real object features, pooled in feature space before projection.
-        Rows come out (B*(m+1), hidden), each sample's summary row first."""
+        Only real rows come out: sample by sample, the summary row first."""
         feats, boxes = batch.features, batch.bboxes
-        size, m = feats.shape[:2]
-        if m < 1:
+        if feats.shape[1] < 1:
             raise ValueError("image must contribute at least one object")
         if feats.shape[2] != self.config.object_feature_dim:
             raise ValueError(f"expected features of width {self.config.object_feature_dim}, got {feats.shape[1:]}")
-        valid = batch.valid[:, 1:batch.image_length]
-        if not valid.any(axis=1).all():
+        valid = batch.valid[:, :batch.image_length]
+        objects = valid[:, 1:]
+        if not objects.any(axis=1).all():
             raise ValueError("image must have at least one valid object")
-        real = boxes[valid]
-        real_sizes = np.repeat(np.stack([batch.widths, batch.heights], axis=1), valid.sum(axis=1), axis=0)
+        real = boxes[objects]
+        real_sizes = np.repeat(np.stack([batch.widths, batch.heights], axis=1), objects.sum(axis=1), axis=0)
         if np.any(real[:, 2] <= real[:, 0]) or np.any(real[:, 3] <= real[:, 1]):
             raise ValueError("degenerate bounding box")
         if real.min() < 0 or np.any(real[:, 2:] > real_sizes):
             raise ValueError("bounding box outside image bounds")
 
-        summary = (feats * valid[..., None]).sum(axis=1, keepdims=True) / valid.sum(axis=1)[:, None, None]
-        stacked = np.concatenate([summary, feats], axis=1).reshape(size * (m + 1), -1)
-        geometry = image_geometry(boxes, batch.widths, batch.heights).reshape(size * (m + 1), GEOMETRY_DIM)
+        summary = (feats * objects[..., None]).sum(axis=1, keepdims=True) / objects.sum(axis=1)[:, None, None]
+        stacked = np.concatenate([summary, feats], axis=1)[valid]
+        geometry = image_geometry(boxes, batch.widths, batch.heights)[valid]
         p = self.params
         dtype = p["embed.feature_proj.w"].values.dtype  # keep float32 runs in float32
         projected = nt.linear(Tensor(stacked.astype(dtype)), p["embed.feature_proj.w"], p["embed.feature_proj.b"])
@@ -309,7 +312,8 @@ class InterBert:
     def interaction_forward(self, fused: Tensor, layout) -> Tensor:
         """Full-context encoder over the concatenated image+text sequences of
         a padded batch, one layout or their grid; ``fused`` holds only their
-        real positions, sample by sample, one row each."""
+        real positions, one row each, stream-major (see ``_Rows.of``): for one
+        sample, layout order."""
         grid = _Rows.of(layout)
         if fused.shape[0] != grid.positions.size:
             raise ValueError(f"{fused.shape[0]} fused rows for {grid.positions.size} real positions "
@@ -320,11 +324,12 @@ class InterBert:
         return x
 
     def extraction_forward(self, fused: Tensor, layout, image_rows=None, text_rows=None) -> ModelOutputs:
-        """Split the packed fused rows back into streams and encode each with
-        its own stack; attention never crosses the stream boundary. Given
-        flat rows of a padded stream grid to read, that stream's last layer
-        computes queries, the FFN and the norms for those rows and each
-        sample's first row only, and only the rows read come out."""
+        """Slice the stream-major fused rows into the two streams and encode
+        each with its own stack; attention never crosses the stream boundary.
+        Without rows to read, every real row comes out. Given flat rows of a
+        padded stream grid to read, that stream's last layer computes
+        queries, the FFN and the norms for those rows and each sample's
+        first row only, and only the rows read come out."""
         if self.config.architecture_variant != VARIANT_INTERBERT:
             raise ValueError("extraction module is absent under the single_stream variant")
         last = self.config.num_extraction_layers - 1
@@ -340,28 +345,19 @@ class InterBert:
     # -- composition -----------------------------------------------------
 
     def forward(self, tokens=None, features=None, bboxes=None, width=None, height=None,
-                text_valid=None, object_valid=None, batch: PaddedBatch | None = None,
-                image_rows=None, text_rows=None) -> ModelOutputs:
+                batch: PaddedBatch | None = None, image_rows=None, text_rows=None) -> ModelOutputs:
         """Forward a padded batch (see ``data.make_batch``) or, given one
         sample's arrays instead, that sample as the B=1 case of the same path.
 
-        Only real positions are computed. ``image_rows`` / ``text_rows`` are
-        the flat rows of the padded (B*(m+1)) image or (B*n_tokens) text grid
-        the caller will read, and ``h_image`` / ``h_text`` are those rows in
-        order (empty: pooled rows only); by default every grid row comes out,
-        zero at padding."""
+        Only real positions are computed: the embeddings drop the padding.
+        ``image_rows`` / ``text_rows`` are the flat rows of the padded
+        (B*(m+1)) image or (B*n_tokens) text grid the caller will read, and
+        ``h_image`` / ``h_text`` are those rows in order (empty: pooled rows
+        only); by default every real row comes out, packed sample by sample."""
         if batch is None:
-            batch = _sample_batch(tokens, features, bboxes, width, height, text_valid, object_valid)
-        size, at = len(batch), batch.image_length
-        image = self.embed_image(batch)
-        text = self.embed_text(batch.tokens)
-        # stacked rows are [every image row; every text row]; packed rows are the real ones, sample by sample
-        stacked = np.concatenate([np.arange(size * at).reshape(size, at),
-                                  size * at + np.arange(batch.tokens.size).reshape(batch.tokens.shape)],
-                                 axis=1).reshape(-1)
+            batch = _sample_batch(tokens, features, bboxes, width, height)
         grid = _Rows.of(batch)
-        fused = nt.embedding_lookup(nt.concat([image, text], axis=0), stacked[grid.positions])
-        encoded = self.interaction_forward(fused, grid)
+        encoded = self.interaction_forward(nt.concat([self.embed_image(batch), self.embed_text(batch)]), grid)
         if self.config.architecture_variant == VARIANT_SINGLE_STREAM:
             return _outputs(*[(x, stream, wanted) for (x, stream), wanted
                               in zip(_split_streams(encoded, grid), (image_rows, text_rows))])

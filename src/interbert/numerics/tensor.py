@@ -453,20 +453,6 @@ def embedding_lookup(table, ids) -> Tensor:
     return _make(table.values[idx], [(table, to_parent)])
 
 
-def scatter_rows(rows, ids, num_rows: int) -> Tensor:
-    """Place ``rows`` at the distinct row ``ids`` of a zero (num_rows, ...)
-    array: the inverse of ``embedding_lookup``, whose gather is the backward."""
-    rows = as_tensor(rows)
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.shape != rows.values.shape[:1]:
-        raise NumericsError(f"{idx.shape} row ids for {rows.values.shape[0]} rows")
-    if idx.size and (idx.min() < 0 or idx.max() >= num_rows or np.bincount(idx).max() > 1):
-        raise NumericsError(f"row ids must be distinct and inside [0, {num_rows})")
-    out = np.zeros((num_rows,) + rows.values.shape[1:], dtype=rows.values.dtype)
-    out[idx] = rows.values
-    return _make(out, [(rows, lambda g: g[idx])])
-
-
 def cross_entropy_logits(logits, targets, ignore_index: int = IGNORE_INDEX) -> Tensor:
     """Mean negative log-likelihood over positions whose target is not
     ``ignore_index``; exactly zero when every position is ignored."""

@@ -439,6 +439,48 @@ def test_config_values_of_the_wrong_type_are_refused(tmp_path, data_dir, negativ
     assert not (tmp_path / "out").exists()  # refused before any work
 
 
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+@pytest.mark.parametrize("stored, named", [
+    ({"hidden_size": "16"}, 'hidden_size must be int, got "16"'),
+    ({"model": {"hidden_size": 16, "tie_msm_weights": 1}}, "tie_msm_weights must be bool, got 1"),
+    ({"model": {"hidden_sise": 16}}, "unknown config keys: ['hidden_sise']"),
+], ids=["flat-str", "section-bool", "section-unknown"])
+def test_checkpoint_model_config_is_checked_naming_the_file(tmp_path, data_dir, capsys, command, stored, named):
+    model_config = tmp_path / "model.json"
+    model_config.write_text(json.dumps(stored))
+    capsys.readouterr()
+    assert run_cli(command, "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.json",
+                   "--checkpoint", tmp_path / "never-read.ibt", "--model-config", model_config,
+                   "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err.strip()
+    assert named in err and str(model_config) in err and "\n" not in err
+
+
+def synth_defaults():
+    from interbert.cli import COMMANDS
+
+    return dict(COMMANDS["synth-data"][1])
+
+
+@pytest.mark.parametrize("manifest, named", [
+    ({"command": "synth-data"}, "expected an object in config, got null"),
+    ({"command": "synth-data", "config": [1]}, "expected an object in config, got [1]"),
+    ({"command": "synth-data", "config": {k: v for k, v in synth_defaults().items() if k != "seed"}},
+     "config lacks keys ['seed']"),
+    ({"command": "synth-data", "config": {**synth_defaults(), "bogus": 1}}, "['bogus']"),
+    ({"command": "synth-data", "config": {**synth_defaults(), "num_images": "5"}},
+     'num_images in config must be int, got "5"'),
+], ids=["missing", "not-an-object", "missing-key", "extra-key", "wrong-type"])
+def test_replay_refuses_a_malformed_manifest_before_any_work(tmp_path, capsys, manifest, named):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("replay", "--manifest", path, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err.strip()
+    assert named in err and str(path) in err and "\n" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_values_may_widen_int_to_float_and_fill_null_defaults(tmp_path):
     config = tmp_path / "ok.json"
     config.write_text(json.dumps({"model": {"vocab_size": None, "object_feature_dim": 8},

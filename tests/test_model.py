@@ -18,6 +18,7 @@ from interbert.model import (
     init_parameters,
     parameter_spec,
 )
+from interbert.model.config import PaddedBatch
 from interbert.numerics import ParameterSet, Tensor, backward, finite_diff_check
 
 
@@ -99,15 +100,29 @@ def test_config_validation():
     tiny_config(num_extraction_layers=0, architecture_variant=VARIANT_SINGLE_STREAM).validate()
     with pytest.raises(ValueError):
         ModelConfig.from_dict({"hidden": 4})
+    for heads in (0, -4):  # -4 divides 8, so only a sign check refuses it
+        with pytest.raises(ValueError, match="num_heads"):
+            tiny_config(num_heads=heads).validate()
 
 
 # ---------------------------------------------------------------------------
 # embeddings
 # ---------------------------------------------------------------------------
 
+def image_batch(features, bboxes, tokens=(1, 2)):
+    """One 100x100 image's objects, and a caption, as a padded batch of one."""
+    return make_batch([ImageTextPair(image_id=0, caption_id=0, tokens=tokens, width=100, height=100,
+                                     features=features, bboxes=bboxes, labels=np.zeros(len(bboxes)))])
+
+
+def caption_batch(tokens):
+    """One caption, beside a one-object image, as a batch of one."""
+    return image_batch(np.zeros((1, 6)), np.array([[0.0, 0.0, 10.0, 10.0]]), tokens)
+
+
 def test_embed_text_shape_and_position_effect(rng):
     model = InterBert.create(tiny_config(), seed=0)
-    out = model.embed_text([[1, 7, 7, 2]])
+    out = model.embed_text(caption_batch([1, 7, 7, 2]))
     assert out.shape == (4, 8)
     # same token at different positions embeds differently
     assert not np.allclose(out.values[1], out.values[2])
@@ -118,7 +133,7 @@ def test_embed_text_zeroed_tables_yield_bias_rows():
     for name in ("embed.token_table", "embed.position_table", "embed.segment_table"):
         model.params[name].values[...] = 0.0
     bias = model.params["embed.text_ln.bias"].values
-    out = model.embed_text([[1, 5, 2]]).values
+    out = model.embed_text(caption_batch([1, 5, 2])).values
     for row in out:
         np.testing.assert_allclose(row, bias, atol=1e-5)
 
@@ -126,13 +141,7 @@ def test_embed_text_zeroed_tables_yield_bias_rows():
 def test_embed_text_length_limit():
     model = InterBert.create(tiny_config(max_text_len=4), seed=0)
     with pytest.raises(ValueError):
-        model.embed_text([[1, 5, 5, 5, 2]])
-
-
-def image_batch(features, bboxes):
-    """One 100x100 image's objects as a padded batch of one."""
-    return make_batch([ImageTextPair(image_id=0, caption_id=0, tokens=[1, 2], width=100, height=100,
-                                     features=features, bboxes=bboxes, labels=np.zeros(len(bboxes)))])
+        model.embed_text(caption_batch([1, 5, 5, 5, 2]))
 
 
 def test_embed_image_shapes(rng):
@@ -414,51 +423,39 @@ def test_forward_deterministic(rng):
     assert np.array_equal(a.h_text.values, b.h_text.values)
 
 
+def junk_padded_batch(rng, inputs, objects, tokens):
+    """One sample as a batch of one padded by ``objects`` object slots and
+    ``tokens`` token slots of junk: ids outside the vocabulary, wild
+    features and boxes."""
+    (m, width), n = inputs["features"].shape, len(inputs["tokens"])
+    valid = np.zeros(1 + m + objects + n + tokens, dtype=bool)
+    valid[:1 + m] = valid[1 + m + objects:1 + m + objects + n] = True
+    return PaddedBatch(
+        tokens=np.concatenate([inputs["tokens"], rng.integers(-100, 10**6, size=tokens)])[None],
+        features=np.concatenate([inputs["features"], rng.normal(0, 100, size=(objects, width))])[None],
+        bboxes=np.concatenate([inputs["bboxes"], rng.uniform(-50, 500, size=(objects, 4))])[None],
+        widths=np.array([inputs["width"]]), heights=np.array([inputs["height"]]), valid=valid[None])
+
+
 def test_forward_padding_invariance(rng):
     cfg = tiny_config()
     model = InterBert.create(cfg, seed=0)
     inputs = tiny_inputs(rng, m=3, n_tokens=5)
     plain = model.forward(**inputs)
-
-    # pad with one junk object and two junk tokens, masked out
-    padded_tokens = np.concatenate([inputs["tokens"], [0, 0]])
-    padded_features = np.concatenate([inputs["features"], rng.normal(size=(1, cfg.object_feature_dim))])
-    padded_bboxes = np.concatenate([inputs["bboxes"], [[0, 0, 1, 1]]])
-    padded = model.forward(
-        tokens=padded_tokens,
-        features=padded_features,
-        bboxes=padded_bboxes,
-        width=100, height=100,
-        text_valid=np.array([True] * 5 + [False] * 2),
-        object_valid=np.array([True] * 3 + [False]),
-    )
-    assert np.max(np.abs(padded.h_image.values[:4] - plain.h_image.values)) < 1e-8
-    assert np.max(np.abs(padded.h_text.values[:5] - plain.h_text.values)) < 1e-8
-    assert np.max(np.abs(padded.pooled_image.values - plain.pooled_image.values)) < 1e-8
+    padded = model.forward(batch=junk_padded_batch(rng, inputs, objects=1, tokens=2))
+    for field in ("h_image", "h_text", "pooled_image", "pooled_text"):
+        got, want = getattr(padded, field).values, getattr(plain, field).values
+        assert got.shape == want.shape and np.max(np.abs(got - want)) < 1e-8
 
 
 def test_forward_ignores_padded_value_changes(rng):
     cfg = tiny_config()
     model = InterBert.create(cfg, seed=1)
     inputs = tiny_inputs(rng, m=2, n_tokens=4)
-    text_valid = np.array([True] * 4 + [False])
-    object_valid = np.array([True, True, False])
-    base = dict(
-        tokens=np.concatenate([inputs["tokens"], [0]]),
-        features=np.concatenate([inputs["features"], np.zeros((1, cfg.object_feature_dim))]),
-        bboxes=np.concatenate([inputs["bboxes"], [[0, 0, 1, 1]]]),
-        width=100, height=100, text_valid=text_valid, object_valid=object_valid,
-    )
-    out_a = model.forward(**base)
-    altered = dict(base)
-    altered["tokens"] = base["tokens"].copy()
-    altered["tokens"][-1] = 7  # junk token id at a padded position
-    altered["features"] = base["features"].copy()
-    altered["features"][-1] = rng.normal(size=cfg.object_feature_dim)
-    out_b = model.forward(**altered)
-    # valid-position outputs are unchanged well within 1e-8
-    assert np.max(np.abs(out_a.h_text.values[:4] - out_b.h_text.values[:4])) < 1e-8
-    assert np.max(np.abs(out_a.h_image.values[:3] - out_b.h_image.values[:3])) < 1e-8
+    out_a = model.forward(batch=junk_padded_batch(rng, inputs, objects=1, tokens=1))
+    out_b = model.forward(batch=junk_padded_batch(rng, inputs, objects=1, tokens=1))
+    for field in ("h_image", "h_text", "pooled_image", "pooled_text"):
+        assert np.array_equal(getattr(out_a, field).values, getattr(out_b, field).values)
 
 
 def test_single_stream_variant_shapes(rng):
@@ -515,10 +512,12 @@ def ragged_pairs(rng, cfg, shapes):
 
 
 def sample_rows(out, batch, i, pair):
-    """Sample i's valid rows of a batched forward."""
-    li, lt = batch.image_length, batch.tokens.shape[1]
-    return (out.h_image.values[i * li: i * li + pair.num_objects + 1],
-            out.h_text.values[i * lt: i * lt + pair.num_tokens],
+    """Sample i's rows of a batched forward, whose real rows come packed,
+    sample by sample."""
+    valid = batch.valid[:, :batch.image_length], batch.valid[:, batch.image_length:]
+    image, text = (int(v[:i].sum()) for v in valid)
+    return (out.h_image.values[image: image + pair.num_objects + 1],
+            out.h_text.values[text: text + pair.num_tokens],
             out.pooled_image.values[i], out.pooled_text.values[i])
 
 
@@ -663,8 +662,12 @@ def test_read_rows_match_full_and_single_sample_forwards(rng, variant):
     assert read.h_image.shape == (image_rows.size, cfg.hidden_size)
     assert read.h_text.shape == (text_rows.size, cfg.hidden_size)
     assert pooled_only.h_image.shape == pooled_only.h_text.shape == (0, cfg.hidden_size)
-    assert np.max(np.abs(read.h_image.values - full.h_image.values[image_rows])) <= 1e-12
-    assert np.max(np.abs(read.h_text.values - full.h_text.values[text_rows])) <= 1e-12
+    # the full forward packs real rows: a padded row's packed index counts the real rows before it
+    image_valid, text_valid = batch.valid[:, :li].reshape(-1), batch.valid[:, li:].reshape(-1)
+    packed_image = np.cumsum(image_valid)[image_rows] - 1
+    packed_text = np.cumsum(text_valid)[text_rows] - 1
+    assert np.max(np.abs(read.h_image.values - full.h_image.values[packed_image])) <= 1e-12
+    assert np.max(np.abs(read.h_text.values - full.h_text.values[packed_text])) <= 1e-12
     for out in (read, pooled_only):
         assert np.max(np.abs(out.pooled_image.values - full.pooled_image.values)) <= 1e-12
         assert np.max(np.abs(out.pooled_text.values - full.pooled_text.values)) <= 1e-12
@@ -693,14 +696,19 @@ def test_projections_receive_only_real_rows(rng, monkeypatch):
     pairs = ragged_pairs(rng, cfg, [(2, 5), (5, 8), (3, 4)])
     batch = make_batch(pairs)
     names = {id(t): name for name, t in model.params.items()}
-    seen = []
-    linear = nt.linear
+    seen, looked_up = [], []
+    linear, lookup = nt.linear, nt.embedding_lookup
 
     def spy(a, b, bias=None):
         seen.append((names.get(id(b), ""), a.shape[0]))
         return linear(a, b, bias)
 
+    def lookup_spy(table, ids):
+        looked_up.append((names.get(id(table), ""), np.asarray(ids)))
+        return lookup(table, ids)
+
     monkeypatch.setattr(nt, "linear", spy)
+    monkeypatch.setattr(nt, "embedding_lookup", lookup_spy)
     n_image = sum(p.num_objects + 1 for p in pairs)
     n_text = sum(p.num_tokens for p in pairs)
     assert n_image + n_text < batch.valid.size  # the batch has padding
@@ -711,6 +719,11 @@ def test_projections_receive_only_real_rows(rng, monkeypatch):
         return rows
 
     model.forward(batch=batch)
+    # the embeddings drop padding: projections and the token table see only real rows
+    embedded = {name: n for name, n in seen if name.startswith("embed.")}
+    assert embedded == {"embed.feature_proj.w": n_image, "embed.box_proj.w": n_image}
+    token_ids = [ids for name, ids in looked_up if name == "embed.token_table"]
+    assert len(token_ids) == 1 and np.array_equal(token_ids[0], np.concatenate([p.tokens for p in pairs]))
     expected = {"interaction": n_image + n_text, "extract_image": n_image, "extract_text": n_text}
     got = layer_rows()
     assert got and all(n == expected[block] for (block, _), n in got.items())

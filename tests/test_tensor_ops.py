@@ -410,28 +410,6 @@ def test_embedding_out_of_range():
         nt.embedding_lookup(table, [-1])
 
 
-def test_scatter_rows_inverts_embedding_lookup(rng):
-    rows = rng.normal(size=(3, 4))
-    out = nt.scatter_rows(Tensor(rows), [4, 0, 2], 6).values
-    np.testing.assert_array_equal(out[[4, 0, 2]], rows)
-    np.testing.assert_array_equal(out[[1, 3, 5]], np.zeros((3, 4)))
-    back = nt.embedding_lookup(nt.scatter_rows(Tensor(rows), [4, 0, 2], 6), [4, 0, 2]).values
-    np.testing.assert_array_equal(back, rows)
-
-
-def test_scatter_rows_gradcheck(rng):
-    ps = make_params(rng, rows=(3, 2, 2))
-    w = rng.normal(size=(5, 2, 2))
-    gradcheck(lambda: sum_all(nt.mul(nt.scatter_rows(ps["rows"], [3, 1, 4], 5), w)), ps)
-
-
-def test_scatter_rows_refuses_bad_ids():
-    rows = Tensor(np.ones((2, 3)))
-    for ids in ([1, 1], [0, 5], [-1, 0], [0]):
-        with pytest.raises(NumericsError):
-            nt.scatter_rows(rows, ids, 5)
-
-
 # ---------------------------------------------------------------------------
 # cross_entropy_logits
 # ---------------------------------------------------------------------------
