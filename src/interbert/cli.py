@@ -151,16 +151,14 @@ def _seed_default(explicit: int | None, config_seed=None) -> int:
         raise CommandError(f"IBT_SEED must be an integer, got {env!r}") from None
 
 
-def _resolve_model_config(model_cfg: dict, corpus) -> dict:
-    """Fill the data-dependent fields from the corpus when unset."""
-    resolved = dict(model_cfg)
-    if resolved.get("vocab_size") is None:
-        resolved["vocab_size"] = corpus.vocab.size
-    if resolved.get("object_feature_dim") is None:
-        resolved["object_feature_dim"] = int(corpus.pairs[0].features.shape[1]) if corpus.pairs else 1
-    if resolved.get("num_object_classes") is None:
-        top = max((int(p.labels.max()) for p in corpus.pairs), default=0)
-        resolved["num_object_classes"] = top + 1
+def _resolve_model_config(model_cfg: dict, corpus=None) -> dict:
+    """Fill the data-dependent fields from the corpus when unset; without a
+    corpus, leave them to ModelConfig's defaults."""
+    resolved = {key: value for key, value in model_cfg.items() if value is not None}
+    if corpus is not None:
+        resolved.setdefault("vocab_size", corpus.vocab.size)
+        resolved.setdefault("object_feature_dim", int(corpus.pairs[0].features.shape[1]) if corpus.pairs else 1)
+        resolved.setdefault("num_object_classes", max((int(p.labels.max()) for p in corpus.pairs), default=0) + 1)
     return resolved
 
 
@@ -239,7 +237,7 @@ def _check_corpus(config: dict, corpus, **limits) -> None:
         raise CommandError(f"{config['corpus']}: {exc}") from None
 
 
-def _model_config_for_checkpoint(config: dict, corpus):
+def _model_config_for_checkpoint(config: dict, corpus=None):
     from .model import ModelConfig
 
     path = config.get("model_config")
@@ -252,6 +250,21 @@ def _model_config_for_checkpoint(config: dict, corpus):
     model_section = stored.get("model", stored)
     _check_section(model_section, TOY_MODEL_PRESET, path)  # a missing key keeps ModelConfig's default
     return ModelConfig.from_dict(_resolve_model_config(model_section, corpus))
+
+
+def _check_configs(config: dict) -> None:
+    """Build and validate the model and training configs a command reads,
+    with the sizes resolved from the corpus left at their defaults, so that
+    a value they refuse stops the command before --out is created."""
+    from .model import ModelConfig
+    from .training import TrainConfig
+
+    if "model_config" in config:
+        _model_config_for_checkpoint(config).validate()
+    elif "model" in config:
+        ModelConfig.from_dict(_resolve_model_config(config["model"])).validate()
+    if "train" in config:
+        TrainConfig.from_dict(config["train"])
 
 
 def run_finetune(config: dict, out_dir: Path) -> list[str]:
@@ -387,6 +400,7 @@ RUNNERS = {
 
 
 def _execute(command: str, config: dict, out: str) -> None:
+    _check_configs(config)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _utc_now()

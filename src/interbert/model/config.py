@@ -101,7 +101,9 @@ def build_layout(num_objects: int, num_tokens: int) -> SequenceLayout:
 class PaddedBatch:
     """Samples padded to the batch maxima. ``valid`` flags each sample's real
     positions in ``SequenceLayout.valid``'s order: the summary slot, the M
-    object slots, then the T token slots."""
+    object slots, then the T token slots. The model reads the padded arrays
+    through ``valid`` only: it embeds the real positions, and past the
+    embeddings no row names a padded position."""
 
     tokens: np.ndarray    # (B, T) int64, 0 at padding
     features: np.ndarray  # (B, M, feature_dim), zeros at padding

@@ -4,15 +4,14 @@ and the three pretraining heads.
 
 The forward pass takes a padded batch of B samples. The embeddings drop the
 padding: they embed only the N real positions, as rank-2 rows (N, hidden),
-stream-major: every image row, sample by sample, then every text row. So
-every projection is one ``nt.linear``, every FFN and norm a row-wise op over
-real rows, and the streams split back into two slices. Attention alone works
-on padded grids, inside one ``nt.attention`` node: K and V go into
-(B, heads, L, d) grids, a (B, 1, 1, L) key bias hides padding, Q goes into a
-(B, heads, Lq, d) grid sized to the most query rows of any one sample, and
-the context comes back as packed rows. The last extraction layer computes
-only the rows the caller reads, so there Lq is the most rows read in any one
-sample. A single sample is the B=1 case of the same path.
+stream-major: every image row, sample by sample, then every text row. Past
+them each row is tagged only by its sequence id, the sample it belongs to.
+So every projection is one ``nt.linear``, every FFN and norm a row-wise op
+over real rows, and the streams split back into two slices. Attention takes
+the sequence ids of its query and key rows; padded grids exist only as
+scratch space inside the one ``nt.attention`` node, the key grid as wide as
+the longest real sequence. The last extraction layer computes only the rows
+the caller reads. A single sample is the B=1 case of the same path.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .. import numerics as nt
-from ..numerics import NEG_LOGIT, ParameterSet, Tensor, load_checkpoint
+from ..numerics import ParameterSet, Tensor, load_checkpoint
 from .config import (
     IMAGE_SEGMENT,
     TEXT_SEGMENT,
@@ -109,8 +108,8 @@ def init_parameters(config: ModelConfig, seed: int, dtype=np.float64) -> Paramet
 
 @dataclass
 class ModelOutputs:
-    h_image: Tensor       # (real image rows, hidden), sample by sample, summary row first; or the read rows
-    h_text: Tensor        # (real tokens, hidden), sample by sample; or the read rows
+    h_image: Tensor       # (real image rows, hidden), sample by sample, summary row first; or the rows image_rows names
+    h_text: Tensor        # (real tokens, hidden), sample by sample; or the rows text_rows names
     pooled_image: Tensor  # (B, hidden)
     pooled_text: Tensor   # (B, hidden)
 
@@ -128,77 +127,19 @@ def image_geometry(bboxes: np.ndarray, width, height) -> np.ndarray:
     return np.concatenate([summary, rows], axis=-2)
 
 
-@dataclass
-class _Rows:
-    """Packed rows of a padded grid of B sequences of length L: row r of a
-    packed (N, hidden) tensor sits at flat grid position ``positions[r]``.
-    A fused image+text grid packs its rows stream-major (see ``of``), a
-    one-stream grid in grid order."""
-
-    bias: np.ndarray       # (B, 1, 1, L) additive attention bias of the grid's keys
-    positions: np.ndarray  # (N,) flat indices into the B*L grid
-    image_length: int = 0  # of a fused image+text grid: where each text block starts
-
-    @classmethod
-    def of(cls, source) -> "_Rows":
-        """Every real position of a padded batch or of one layout, stream-major:
-        all image positions, sample by sample, then all text positions. A grid
-        already built passes through."""
-        if isinstance(source, _Rows):
-            return source
-        valid = np.atleast_2d(source.valid)
-        image = np.arange(valid.shape[1]) < source.image_length
-        positions = np.concatenate([np.flatnonzero(valid & image), np.flatnonzero(valid & ~image)])
-        return cls(np.where(valid, 0.0, NEG_LOGIT)[:, None, None, :], positions, source.image_length)
-
-    @property
-    def cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sequence, position) of every packed row."""
-        return np.divmod(self.positions, self.bias.shape[-1])
-
-    @property
-    def first_rows(self) -> np.ndarray:
-        """Flat grid row of each sequence's first position."""
-        return np.arange(self.bias.shape[0]) * self.bias.shape[-1]
-
-    def index(self, flat_rows) -> np.ndarray:
-        """Packed index of each flat row of a one-stream grid; padded rows
-        are refused."""
-        rows = np.asarray(flat_rows, dtype=np.int64)
-        found = np.minimum(np.searchsorted(self.positions, rows), self.positions.size - 1)
-        if np.any(self.positions[found] != rows):
-            raise ValueError("requested rows include padded or out-of-range positions")
-        return found
-
-    def reading(self, wanted) -> "_Rows":
-        """The same grid with only the flat rows ``wanted`` and each
-        sequence's first row packed."""
-        return _Rows(self.bias, self.positions[np.unique(self.index(np.concatenate([self.first_rows, wanted])))])
+def _sequences(layout) -> tuple[np.ndarray, int]:
+    """The sequence id of every real position of a padded batch or of one
+    layout, stream-major: every image row, sample by sample, then every text
+    row (for one sample, layout order); and the number of image rows."""
+    valid = np.atleast_2d(layout.valid)
+    image = valid & (np.arange(valid.shape[1]) < layout.image_length)
+    return np.concatenate([np.nonzero(image)[0], np.nonzero(valid & ~image)[0]]), int(np.count_nonzero(image))
 
 
-def _split_streams(fused: Tensor, grid: _Rows) -> list[tuple[Tensor, _Rows]]:
-    """Stream-major packed rows of ``grid`` -> the image rows and the text
-    rows, two slices, each with its own grid."""
-    at, length = grid.image_length, grid.bias.shape[-1]
-    seq, col = grid.cells
-    n = int(np.count_nonzero(col < at))
-    image = _Rows(grid.bias[..., :at], seq[:n] * at + col[:n])
-    text = _Rows(grid.bias[..., at:], seq[n:] * (length - at) + col[n:] - at)
-    return [(nt.narrow(fused, 0, 0, n), image), (nt.narrow(fused, 0, n, col.size - n), text)]
-
-
-def _outputs(image, text) -> ModelOutputs:
-    """Each stream is (packed rows, their grid, the flat grid rows the caller
-    reads). Without rows to read, every packed row comes out."""
-
-    def read(rows: Tensor, grid: _Rows, wanted) -> Tensor:
-        return rows if wanted is None else nt.embedding_lookup(rows, grid.index(wanted))
-
-    def pooled(rows: Tensor, grid: _Rows, _) -> Tensor:
-        return nt.embedding_lookup(rows, grid.index(grid.first_rows))
-
-    return ModelOutputs(h_image=read(*image), h_text=read(*text),
-                        pooled_image=pooled(*image), pooled_text=pooled(*text))
+def _split_streams(fused: Tensor, seq: np.ndarray, n: int) -> list[tuple[Tensor, np.ndarray]]:
+    """Stream-major packed rows -> the image rows and the text rows, two
+    slices, each with its rows' sequence ids."""
+    return [(nt.narrow(fused, 0, 0, n), seq[:n]), (nt.narrow(fused, 0, n, seq.size - n), seq[n:])]
 
 
 def _sample_batch(tokens, features, bboxes, width, height) -> PaddedBatch:
@@ -286,24 +227,24 @@ class InterBert:
 
     # -- transformer blocks ---------------------------------------------
 
-    def _attention(self, rows: Tensor, x: Tensor, prefix: str, keys: _Rows, queries: _Rows) -> Tensor:
-        """Multi-head attention of the packed query ``rows`` (at ``queries``)
-        over the packed rows ``x`` (at ``keys``): one fused ``nt.attention``
-        between the projections, the key bias giving padded keys zero weight."""
+    def _attention(self, rows: Tensor, x: Tensor, prefix: str, queries: np.ndarray, keys: np.ndarray) -> Tensor:
+        """Multi-head attention of the packed query ``rows`` over the packed
+        rows ``x``, given the sequence id of each: one fused ``nt.attention``
+        between the projections."""
         p = self.params
         q = nt.linear(rows, p[prefix + "attn.wq"], p[prefix + "attn.bq"])
         k = nt.linear(x, p[prefix + "attn.wk"])
         v = nt.linear(x, p[prefix + "attn.wv"], p[prefix + "attn.bv"])
-        context = nt.attention(q, k, v, queries.cells, keys.cells, keys.bias, self.config.num_heads)
+        context = nt.attention(q, k, v, queries, keys, self.config.num_heads)
         return nt.linear(context, p[prefix + "attn.wo"], p[prefix + "attn.bo"])
 
-    def _encoder_layer(self, x: Tensor, prefix: str, grid: _Rows, out: _Rows | None = None) -> Tensor:
-        """One post-LN encoder layer over the packed rows ``x`` of ``grid``.
-        Keys and values come from every row; given ``out``, a subset of the
-        grid's rows, only those rows are computed and returned."""
+    def _encoder_layer(self, x: Tensor, prefix: str, seq: np.ndarray, out: np.ndarray | None = None) -> Tensor:
+        """One post-LN encoder layer over the packed rows ``x`` of sequences
+        ``seq``. Keys and values come from every row; given ``out``, indices
+        of some rows, only those rows are computed and returned."""
         p, eps = self.params, self.config.ln_eps
-        rows = x if out is None else nt.embedding_lookup(x, grid.index(out.positions))
-        attended = self._attention(rows, x, prefix, grid, grid if out is None else out)
+        rows = x if out is None else nt.embedding_lookup(x, out)
+        attended = self._attention(rows, x, prefix, seq if out is None else seq[out], seq)
         mid = nt.layer_norm(nt.add(rows, attended), p[prefix + "ln1.gain"], p[prefix + "ln1.bias"], eps)
         inner = nt.gelu(nt.linear(mid, p[prefix + "ffn.w1"], p[prefix + "ffn.b1"]))
         ff = nt.linear(inner, p[prefix + "ffn.w2"], p[prefix + "ffn.b2"])
@@ -311,36 +252,49 @@ class InterBert:
 
     def interaction_forward(self, fused: Tensor, layout) -> Tensor:
         """Full-context encoder over the concatenated image+text sequences of
-        a padded batch, one layout or their grid; ``fused`` holds only their
-        real positions, one row each, stream-major (see ``_Rows.of``): for one
+        a padded batch or one layout; ``fused`` holds only their real
+        positions, one row each, stream-major (see ``_sequences``): for one
         sample, layout order."""
-        grid = _Rows.of(layout)
-        if fused.shape[0] != grid.positions.size:
-            raise ValueError(f"{fused.shape[0]} fused rows for {grid.positions.size} real positions "
-                             f"of {grid.bias.shape[0]} sequences")
+        seq, _ = _sequences(layout)
+        if fused.shape[0] != seq.size:
+            raise ValueError(f"{fused.shape[0]} fused rows for {seq.size} real positions")
         x = fused
         for i in range(self.config.num_interaction_layers):
-            x = self._encoder_layer(x, f"interaction.layer{i}.", grid)
+            x = self._encoder_layer(x, f"interaction.layer{i}.", seq)
         return x
 
     def extraction_forward(self, fused: Tensor, layout, image_rows=None, text_rows=None) -> ModelOutputs:
         """Slice the stream-major fused rows into the two streams and encode
         each with its own stack; attention never crosses the stream boundary.
-        Without rows to read, every real row comes out. Given flat rows of a
-        padded stream grid to read, that stream's last layer computes
-        queries, the FFN and the norms for those rows and each sample's
-        first row only, and only the rows read come out."""
+        ``image_rows`` / ``text_rows`` index each stream's packed real rows,
+        as in ``forward``."""
         if self.config.architecture_variant != VARIANT_INTERBERT:
             raise ValueError("extraction module is absent under the single_stream variant")
-        last = self.config.num_extraction_layers - 1
-        streams = []
-        split = _split_streams(fused, _Rows.of(layout))
-        for name, (x, grid), wanted in zip(("extract_image", "extract_text"), split, (image_rows, text_rows)):
-            read = None if wanted is None else grid.reading(wanted)
-            for i in range(last + 1):
-                x = self._encoder_layer(x, f"{name}.layer{i}.", grid, read if i == last else None)
-            streams.append((x, grid if read is None else read, wanted))
-        return _outputs(*streams)
+        return self._streams(fused, layout, image_rows, text_rows, self.config.num_extraction_layers)
+
+    def _streams(self, fused: Tensor, layout, image_rows, text_rows, layers: int) -> ModelOutputs:
+        """Split the fused rows into the two streams, run ``layers`` layers of
+        each stream's stack and read the outputs. Given indices into a
+        stream's real rows to read, its last layer computes queries, the FFN
+        and the norms for those rows and each sample's first row only (which
+        pooling reads: where the sequence id changes)."""
+        outputs = []
+        for name, (x, seq), wanted in zip(("image", "text"), _split_streams(fused, *_sequences(layout)),
+                                          (image_rows, text_rows)):
+            first = np.flatnonzero(np.diff(seq, prepend=-1))
+            if wanted is not None:
+                wanted = np.asarray(wanted, dtype=np.int64).reshape(-1)
+                if np.any((wanted < 0) | (wanted >= seq.size)):  # a negative row would wrap around
+                    raise ValueError(f"{name}_rows must index the stream's {seq.size} real rows, "
+                                     f"got {wanted.min()}..{wanted.max()}")
+            kept = np.union1d(first, wanted) if wanted is not None and layers else None
+            for i in range(layers):
+                x = self._encoder_layer(x, f"extract_{name}.layer{i}.", seq, kept if i == layers - 1 else None)
+            if kept is not None:  # the last layer returned the kept rows only
+                wanted, first = np.searchsorted(kept, wanted), np.searchsorted(kept, first)
+            outputs += [x if wanted is None else nt.embedding_lookup(x, wanted), nt.embedding_lookup(x, first)]
+        h_image, pooled_image, h_text, pooled_text = outputs
+        return ModelOutputs(h_image, h_text, pooled_image, pooled_text)
 
     # -- composition -----------------------------------------------------
 
@@ -349,19 +303,17 @@ class InterBert:
         """Forward a padded batch (see ``data.make_batch``) or, given one
         sample's arrays instead, that sample as the B=1 case of the same path.
 
-        Only real positions are computed: the embeddings drop the padding.
-        ``image_rows`` / ``text_rows`` are the flat rows of the padded
-        (B*(m+1)) image or (B*n_tokens) text grid the caller will read, and
-        ``h_image`` / ``h_text`` are those rows in order (empty: pooled rows
-        only); by default every real row comes out, packed sample by sample."""
+        Only real positions are computed: the embeddings drop the padding,
+        and by default every real row comes out, packed sample by sample.
+        ``image_rows`` / ``text_rows`` index those packed image or text rows;
+        given them, ``h_image`` / ``h_text`` are those rows in order (empty:
+        pooled rows only)."""
         if batch is None:
             batch = _sample_batch(tokens, features, bboxes, width, height)
-        grid = _Rows.of(batch)
-        encoded = self.interaction_forward(nt.concat([self.embed_image(batch), self.embed_text(batch)]), grid)
+        encoded = self.interaction_forward(nt.concat([self.embed_image(batch), self.embed_text(batch)]), batch)
         if self.config.architecture_variant == VARIANT_SINGLE_STREAM:
-            return _outputs(*[(x, stream, wanted) for (x, stream), wanted
-                              in zip(_split_streams(encoded, grid), (image_rows, text_rows))])
-        return self.extraction_forward(encoded, grid, image_rows, text_rows)
+            return self._streams(encoded, batch, image_rows, text_rows, 0)
+        return self.extraction_forward(encoded, batch, image_rows, text_rows)
 
     # -- heads ------------------------------------------------------------
 

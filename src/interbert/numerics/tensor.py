@@ -317,34 +317,43 @@ def _row_mean(x: np.ndarray) -> np.ndarray:
     return _row_sum(x, 1.0 / x.shape[-1])
 
 
-def attention(q, k, v, queries, keys, bias, heads: int) -> Tensor:
+def _ranks(seq: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's rank among the rows of its own sequence, in the order
+    given, and the row count of every sequence 0..batch-1."""
+    counts = np.bincount(seq, minlength=batch)
+    rank = np.empty(seq.size, np.int64)
+    rank[np.argsort(seq, kind="stable")] = np.arange(seq.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rank, counts
+
+
+def attention(q, k, v, queries, keys, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
     ``q`` holds packed query rows and ``k``, ``v`` packed key/value rows,
-    (N, hidden) each; ``queries`` and ``keys`` give the (sequence, position)
-    of every row in a padded B×L grid, and ``bias`` is the grid's (B, 1, 1, L)
-    additive key bias, which must hide every position no key row fills. Keys
-    and values go straight into head-major (B, heads, L, d) grids (keys
-    transposed). Queries go into a compact (B, heads, Lq, d) grid, each row
-    at its rank among its own sequence's query rows in the order given, Lq
-    the most query rows of any one sequence; so scores and probabilities are
-    (B, heads, Lq, L), and a query's position plays no part beyond naming its
-    sequence. The (Nq, hidden) context comes back gathered at the query rows.
-    The tape keeps the three grids and the probabilities only.
+    (N, hidden) each; ``queries`` and ``keys`` are the sequence id of every
+    q row and of every k/v row, so a query attends to the keys of its own
+    sequence only. The padded layout is scratch space inside this op: each
+    row goes to its rank among its own sequence's rows in the order given,
+    keys and values into head-major (B, heads, L, d) grids (keys transposed),
+    L the most keys of any one sequence, queries into a (B, heads, Lq, d)
+    grid, Lq the most queries of any one sequence, and a (B, 1, 1, L) key
+    bias built from the key counts hides the unfilled key slots. The
+    (Nq, hidden) context comes back gathered at the query rows. The tape
+    keeps the three grids and the probabilities only.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    (qb, _), (kb, kl) = queries, keys
-    batch, length = bias.shape[0], bias.shape[-1]
+    qb, kb = np.asarray(queries, np.int64), np.asarray(keys, np.int64)
     rows, hidden = q.values.shape
     if hidden % heads or k.values.shape != v.values.shape or k.values.shape[1] != hidden:
         raise NumericsError(f"attention over {heads} heads got q {q.values.shape}, k {k.values.shape}, "
                             f"v {v.values.shape}")
-    counts = np.bincount(qb, minlength=batch)
-    order = np.argsort(qb, kind="stable")
-    ql = np.empty(rows, np.int64)
-    ql[order] = np.arange(rows) - np.repeat(np.cumsum(counts) - counts, counts)  # rank within its sequence
-    d, dtype = hidden // heads, q.values.dtype
-    qh = np.zeros((batch, heads, counts.max(initial=0), d), dtype)
+    batch = max(qb.max(initial=-1), kb.max(initial=-1)) + 1
+    (ql, q_counts), (kl, k_counts) = _ranks(qb, batch), _ranks(kb, batch)
+    if np.any(k_counts[qb] == 0):
+        raise NumericsError("attention got a query row whose sequence has no key row")
+    d, dtype, length = hidden // heads, q.values.dtype, k_counts.max(initial=0)
+    bias = np.where(np.arange(length) < k_counts[:, None, None, None], 0.0, NEG_LOGIT).astype(dtype)
+    qh = np.zeros((batch, heads, q_counts.max(initial=0), d), dtype)
     kt = np.zeros((batch, heads, d, length), dtype)
     vh = np.zeros((batch, heads, length, d), dtype)
     qh[qb, :, ql, :] = q.values.reshape(rows, heads, d)
@@ -353,7 +362,7 @@ def attention(q, k, v, queries, keys, bias, heads: int) -> Tensor:
     scale = dtype.type(1.0 / math.sqrt(d))  # a float64 scalar would promote float32 runs
     probs = np.matmul(qh, kt)
     probs *= scale
-    probs += bias.astype(dtype, copy=False)
+    probs += bias
     probs -= _row_max(probs)
     np.exp(probs, out=probs)
     probs /= _row_sum(probs)

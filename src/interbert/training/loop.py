@@ -152,13 +152,11 @@ def _batch_losses(model: InterBert, batch: list[MaskedSample], cfg: TrainConfig)
     assemble the three loss components."""
     padded = make_batch(batch, **model.config.limits)
 
-    # MGM targets laid out like the padded rows; an object's row follows its summary row
-    text_targets = np.full(padded.tokens.shape, IGNORE_INDEX)
-    image_targets = np.full((len(batch), padded.image_length), IGNORE_INDEX)
-    for i, sample in enumerate(batch):
-        if sample.itm_label == 1 or cfg.mgm_on_negatives:
-            text_targets[i, :len(sample.msm_targets)] = sample.msm_targets
-            image_targets[i, 1:1 + len(sample.mrm_targets)] = sample.mrm_targets
+    # MGM targets as packed rows per stream: a sample's tokens; its summary row, then its objects
+    keep = [sample.itm_label == 1 or cfg.mgm_on_negatives for sample in batch]
+    text_targets = np.concatenate([np.where(k, s.msm_targets, IGNORE_INDEX) for k, s in zip(keep, batch)])
+    image_targets = np.concatenate([np.where(k, np.r_[IGNORE_INDEX, s.mrm_targets], IGNORE_INDEX)
+                                    for k, s in zip(keep, batch)])
     token_rows = np.flatnonzero(text_targets != IGNORE_INDEX)
     region_rows = np.flatnonzero(image_targets != IGNORE_INDEX)
 
@@ -172,9 +170,8 @@ def _batch_losses(model: InterBert, batch: list[MaskedSample], cfg: TrainConfig)
     logit_vec = nt.reshape(model.itm_score(itm_out.pooled_image, itm_out.pooled_text), (len(batch),))
 
     l_itm = itm_loss(logit_vec, itm_labels)
-    l_msm = msm_loss(model.msm_logits(out.h_text), text_targets.reshape(-1)[token_rows])
-    l_mrm = mrm_loss(model.mrm_logits(out.h_image, np.arange(region_rows.size)),
-                     image_targets.reshape(-1)[region_rows])
+    l_msm = msm_loss(model.msm_logits(out.h_text), text_targets[token_rows])
+    l_mrm = mrm_loss(model.mrm_logits(out.h_image, np.arange(region_rows.size)), image_targets[region_rows])
     predictions = logit_vec.values > 0.0
     accuracy = float(np.mean(predictions == (np.asarray(itm_labels) > 0.5)))
     return l_msm, l_mrm, l_itm, accuracy

@@ -156,8 +156,7 @@ def test_tape_frees_values_no_closure_reads():
     attention, a product feeding only the loss's sum) is freed once the forward drops it; linear's input and mul's
     operands stay alive; and the gradients equal, bit for bit, those of a
     run that holds every tensor until the sweep is done."""
-    cells = (np.repeat([0, 1], 3), np.tile([0, 1, 2], 2))  # two sequences of three rows
-    bias = np.zeros((2, 1, 1, 3))
+    seq = np.repeat([0, 1], 3)  # two sequences of three rows
 
     def forward():
         gen = np.random.default_rng(5)
@@ -170,7 +169,7 @@ def test_tape_frees_values_no_closure_reads():
         t["normed"] = nt.layer_norm(t["add"], ps["gain"], ps["shift"])
         for name in "qkv":
             t[name] = nt.linear(t["normed"], ps["w" + name])
-        t["ctx"] = nt.attention(t["q"], t["k"], t["v"], cells, cells, bias, heads=2)
+        t["ctx"] = nt.attention(t["q"], t["k"], t["v"], seq, seq, heads=2)
         t["gate"] = nt.gelu(t["ctx"])
         t["prod"] = nt.mul(t["ctx"], t["gate"])
         return ps, sum_all(t["prod"]), t

@@ -456,6 +456,23 @@ def test_checkpoint_model_config_is_checked_naming_the_file(tmp_path, data_dir, 
     assert named in err and str(model_config) in err and "\n" not in err
 
 
+@pytest.mark.parametrize("command, flags, named", [
+    ("pretrain", ("--num-heads", -4, "--steps", 1, "--warmup", 0), "num_heads must be positive"),
+    ("pretrain", ("--steps", 1), "need 0 <= warmup_steps <= total_steps"),  # the default warmup is 100
+    ("eval", ("--model-config", "model.json"), 'hidden_size must be int, got "16"'),
+], ids=["model-value", "train-value", "checkpoint-model-config"])
+def test_a_refused_config_leaves_no_out_directory(tmp_path, data_dir, negatives_dir, capsys, command, flags, named):
+    (tmp_path / "model.json").write_text(json.dumps({"hidden_size": "16"}))
+    inputs = {"pretrain": ("--negatives", negatives_dir / "negatives.jsonl"),
+              "eval": ("--checkpoint", tmp_path / "never-read.ibt")}[command]
+    flags = [tmp_path / flag if flag == "model.json" else flag for flag in flags]
+    capsys.readouterr()
+    assert run_cli(command, "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.json",
+                   *inputs, *flags, "--out", tmp_path / "out") == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def synth_defaults():
     from interbert.cli import COMMANDS
 

@@ -639,13 +639,17 @@ def test_from_checkpoint_builds_the_spec_parameters_from_the_file(tmp_path, rng)
 # packed rows and read rows
 # ---------------------------------------------------------------------------
 
-def real_rows(batch, pairs, keep):
-    """Flat padded image and text rows of the real positions (summary and
-    first token included) for which ``keep(sample, position)`` holds."""
-    li, lt = batch.image_length, batch.tokens.shape[1]
-    image = [i * li + j for i, p in enumerate(pairs) for j in range(p.num_objects + 1) if keep(i, j)]
-    text = [i * lt + j for i, p in enumerate(pairs) for j in range(p.num_tokens) if keep(i, j)]
-    return np.array(image, dtype=np.int64), np.array(text, dtype=np.int64)
+def real_rows(pairs, keep):
+    """Of the packed image rows and the packed text rows, those of the real
+    positions (summary and first token included) for which
+    ``keep(sample, position)`` holds: (packed rows, their (sample, position))
+    per stream."""
+    streams = []
+    for length in (lambda p: p.num_objects + 1, lambda p: p.num_tokens):
+        cells = [(i, j) for i, p in enumerate(pairs) for j in range(length(p))]
+        rows = [r for r, cell in enumerate(cells) if keep(*cell)]
+        streams.append((np.array(rows, dtype=np.int64), [cells[r] for r in rows]))
+    return streams
 
 
 @pytest.mark.parametrize("variant", ["interbert", VARIANT_SINGLE_STREAM])
@@ -654,40 +658,34 @@ def test_read_rows_match_full_and_single_sample_forwards(rng, variant):
     model = InterBert.create(cfg, seed=6)
     pairs = ragged_pairs(rng, cfg, [(2, 5), (5, 8), (3, 4), (1, 6)])
     batch = make_batch(pairs)
-    li, lt = batch.image_length, batch.tokens.shape[1]
-    image_rows, text_rows = real_rows(batch, pairs, lambda i, j: j > 0 and (i + j) % 2 == 1)
+    (image_rows, image_cells), (text_rows, text_cells) = real_rows(pairs, lambda i, j: j > 0 and (i + j) % 2 == 1)
     full = model.forward(batch=batch)
     read = model.forward(batch=batch, image_rows=image_rows, text_rows=text_rows)
     pooled_only = model.forward(batch=batch, image_rows=[], text_rows=[])
     assert read.h_image.shape == (image_rows.size, cfg.hidden_size)
     assert read.h_text.shape == (text_rows.size, cfg.hidden_size)
     assert pooled_only.h_image.shape == pooled_only.h_text.shape == (0, cfg.hidden_size)
-    # the full forward packs real rows: a padded row's packed index counts the real rows before it
-    image_valid, text_valid = batch.valid[:, :li].reshape(-1), batch.valid[:, li:].reshape(-1)
-    packed_image = np.cumsum(image_valid)[image_rows] - 1
-    packed_text = np.cumsum(text_valid)[text_rows] - 1
-    assert np.max(np.abs(read.h_image.values - full.h_image.values[packed_image])) <= 1e-12
-    assert np.max(np.abs(read.h_text.values - full.h_text.values[packed_text])) <= 1e-12
+    # read rows index the packed rows the full forward returns
+    assert np.max(np.abs(read.h_image.values - full.h_image.values[image_rows])) <= 1e-12
+    assert np.max(np.abs(read.h_text.values - full.h_text.values[text_rows])) <= 1e-12
     for out in (read, pooled_only):
         assert np.max(np.abs(out.pooled_image.values - full.pooled_image.values)) <= 1e-12
         assert np.max(np.abs(out.pooled_text.values - full.pooled_text.values)) <= 1e-12
     ones = [model.forward(tokens=p.tokens, features=p.features, bboxes=p.bboxes, width=p.width,
                           height=p.height) for p in pairs]
-    for got, rows, length, field in ((read.h_image, image_rows, li, "h_image"), (read.h_text, text_rows, lt, "h_text")):
-        for k, row in enumerate(rows):
-            sample, position = divmod(int(row), length)
+    for got, cells, field in ((read.h_image, image_cells, "h_image"), (read.h_text, text_cells, "h_text")):
+        for k, (sample, position) in enumerate(cells):
             assert np.max(np.abs(got.values[k] - getattr(ones[sample], field).values[position])) <= 1e-12
 
 
-def test_read_rows_refuse_padding(rng):
-    cfg = tiny_config()
-    model = InterBert.create(cfg, seed=6)
-    pairs = ragged_pairs(rng, cfg, [(2, 5), (5, 8)])
-    batch = make_batch(pairs)
-    with pytest.raises(ValueError, match="padded"):
-        model.forward(batch=batch, image_rows=[], text_rows=[5])  # sample 0 has 5 tokens of 8
-    with pytest.raises(ValueError, match="padded"):
-        model.forward(batch=batch, image_rows=[3], text_rows=[])  # sample 0 has 2 objects of 5
+def test_read_rows_outside_a_stream_are_refused(rng):
+    for variant in ("interbert", VARIANT_SINGLE_STREAM):
+        model = InterBert.create(tiny_config(architecture_variant=variant), seed=6)
+        batch = make_batch(ragged_pairs(rng, model.config, [(2, 5), (5, 8)]))
+        for name, count in (("image_rows", 3 + 6), ("text_rows", 5 + 8)):  # summary rows included
+            for row in (count, -1):  # one past the end; -1 must not wrap around to the last row
+                with pytest.raises(ValueError, match=f"{name} .* {count} real rows"):
+                    model.forward(batch=batch, **{"image_rows": [], "text_rows": [], name: [0, row]})
 
 
 def test_projections_receive_only_real_rows(rng, monkeypatch):
@@ -729,7 +727,7 @@ def test_projections_receive_only_real_rows(rng, monkeypatch):
     assert got and all(n == expected[block] for (block, _), n in got.items())
 
     # read rows: the last layer's keys and values see every real row, the rest only the rows read
-    model.forward(batch=batch, image_rows=[], text_rows=[batch.tokens.shape[1] + 2])
+    model.forward(batch=batch, image_rows=[], text_rows=[pairs[0].num_tokens + 2])  # sample 1's third token
     got = layer_rows()
     for block, read in (("extract_image", len(pairs)), ("extract_text", len(pairs) + 1)):
         assert got[(block, "wk")] == got[(block, "wv")] == expected[block]
@@ -745,8 +743,9 @@ def test_long_companion_leaves_a_sample_loss_unchanged(rng):
 
     def loss_and_grads(pairs, slot):
         batch = make_batch(pairs)
-        li, lt = batch.image_length, batch.tokens.shape[1]
-        out = model.forward(batch=batch, image_rows=[slot * li + 2], text_rows=[slot * lt + 1, slot * lt + 2])
+        image_at = sum(p.num_objects + 1 for p in pairs[:slot])  # packed offset of the slot's first row
+        text_at = sum(p.num_tokens for p in pairs[:slot])
+        out = model.forward(batch=batch, image_rows=[image_at + 2], text_rows=[text_at + 1, text_at + 2])
         logit = nt.reshape(nt.embedding_lookup(model.itm_score(out.pooled_image, out.pooled_text), [slot]), (1,))
         loss = nt.add(nt.add(nt.cross_entropy_logits(model.msm_logits(out.h_text), [7, 9]),
                              nt.cross_entropy_logits(model.mrm_logits(out.h_image, [0]), [3])),

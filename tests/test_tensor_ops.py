@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 import interbert.numerics as nt
@@ -91,35 +93,31 @@ HEADS = 2
 
 
 # Query rows go to a compact grid by their rank among their own sequence's
-# query rows, so a sequence may hold any number of them, none included, at
-# any positions, and the rows need not come in sequence order.
-QUERY_CELLS = {
-    "subset": [(0, 2), (0, 5), (1, 0), (1, 3), (1, 4), (2, 4)],
-    "ragged": [(0, 3), (1, 0), (1, 2), (1, 4), (1, 5)],
-    "unordered": [(1, 4), (0, 3), (1, 0), (1, 5), (1, 2)],
+# query rows, so a sequence may hold any number of them, none included, and
+# the rows need not come in sequence order.
+QUERY_SEQUENCES = {
+    "subset": [0, 0, 1, 1, 1, 2],
+    "ragged": [0, 1, 1, 1, 1],
+    "unordered": [1, 0, 1, 1, 1],
 }
 
 
 def ragged_attention_case(rng, dtype=np.float64, layout="subset"):
-    """Three sequences in a 6-wide grid holding 4, 6 and 2 key rows at
-    scattered positions; the query rows are some of them (``QUERY_CELLS``)."""
-    key_cells = [(0, 0), (0, 2), (0, 3), (0, 5), *[(1, l) for l in range(6)], (2, 1), (2, 4)]
-    query_cells = QUERY_CELLS[layout]
-    keys = tuple(np.array(axis) for axis in zip(*key_cells))
-    queries = tuple(np.array(axis) for axis in zip(*query_cells))
-    bias = np.full((3, 1, 1, 6), nt.NEG_LOGIT)
-    bias[keys[0], 0, 0, keys[1]] = 0.0
+    """Three sequences holding 4, 6 and 2 key rows; the query rows belong
+    to the sequences ``QUERY_SEQUENCES`` names."""
+    keys = np.repeat([0, 1, 2], [4, 6, 2])
+    queries = np.array(QUERY_SEQUENCES[layout])
     hidden = 4 * HEADS
-    q, k, v = (rng.normal(size=(n, hidden)).astype(dtype) for n in (len(query_cells), len(key_cells), len(key_cells)))
-    return q, k, v, queries, keys, bias
+    q, k, v = (rng.normal(size=(n, hidden)).astype(dtype) for n in (queries.size, keys.size, keys.size))
+    return q, k, v, queries, keys
 
 
 def naive_attention(q, k, v, queries, keys):
     """Per query row and head: softmax over the keys of its own sequence."""
     d = q.shape[1] // HEADS
     out = np.zeros_like(q)
-    for r, seq in enumerate(queries[0]):
-        own = keys[0] == seq
+    for r, seq in enumerate(queries):
+        own = np.asarray(keys) == seq
         for h in range(HEADS):
             cols = slice(h * d, (h + 1) * d)
             scores = k[own, cols] @ q[r, cols] / math.sqrt(d)
@@ -129,21 +127,21 @@ def naive_attention(q, k, v, queries, keys):
 
 
 def test_attention_matches_naive_per_head_reference(rng):
-    for layout in QUERY_CELLS:
-        q, k, v, queries, keys, bias = ragged_attention_case(rng, layout=layout)
-        got = nt.attention(Tensor(q), Tensor(k), Tensor(v), queries, keys, bias, HEADS).values
+    for layout in QUERY_SEQUENCES:
+        q, k, v, queries, keys = ragged_attention_case(rng, layout=layout)
+        got = nt.attention(Tensor(q), Tensor(k), Tensor(v), queries, keys, HEADS).values
         assert got.shape == q.shape
         assert np.max(np.abs(got - naive_attention(q, k, v, queries, keys))) <= 1e-12, layout
 
 
 def test_attention_gradcheck(rng):
-    for layout in QUERY_CELLS:
-        q, k, v, queries, keys, bias = ragged_attention_case(rng, layout=layout)
+    for layout in QUERY_SEQUENCES:
+        q, k, v, queries, keys = ragged_attention_case(rng, layout=layout)
         ps = ParameterSet()
         for name, values in (("q", q), ("k", k), ("v", v)):
             ps.add(name, Tensor(values, requires_grad=True))
         weights = rng.normal(size=q.shape)
-        gradcheck(lambda: sum_all(nt.mul(nt.attention(ps["q"], ps["k"], ps["v"], queries, keys, bias, HEADS),
+        gradcheck(lambda: sum_all(nt.mul(nt.attention(ps["q"], ps["k"], ps["v"], queries, keys, HEADS),
                                             weights)), ps)
 
 
@@ -156,8 +154,8 @@ def primitive_attention(q, k, v, queries, keys):
         return nt.narrow(nt.embedding_lookup(t, ids), 1, h * d, d)
 
     rows = []
-    for r, seq in enumerate(queries[0]):
-        own = np.flatnonzero(keys[0] == seq)
+    for r, seq in enumerate(queries):
+        own = np.flatnonzero(keys == seq)
         heads = []
         for h in range(HEADS):
             scores = nt.mul(nt.matmul(head(q, [r], h), nt.transpose(head(k, own, h))), 1.0 / math.sqrt(d))
@@ -169,10 +167,10 @@ def primitive_attention(q, k, v, queries, keys):
 def test_attention_repeated_backward_matches_primitive_ops(rng):
     """Two backward calls through one attention node leave q, k and v with
     the gradients the same two calls give through primitive ops."""
-    q, k, v, queries, keys, bias = ragged_attention_case(rng)
+    q, k, v, queries, keys = ragged_attention_case(rng)
     w1, w2 = rng.normal(size=q.shape), rng.normal(size=q.shape)
     grads = []
-    for attend in (lambda *t: nt.attention(*t, queries, keys, bias, HEADS),
+    for attend in (lambda *t: nt.attention(*t, queries, keys, HEADS),
                    lambda *t: primitive_attention(*t, queries, keys)):
         inputs = [Tensor(a, requires_grad=True) for a in (q, k, v)]
         out = attend(*inputs)
@@ -184,13 +182,34 @@ def test_attention_repeated_backward_matches_primitive_ops(rng):
 
 
 def test_attention_float32_stays_float32(rng):
-    q, k, v, queries, keys, bias = ragged_attention_case(rng, np.float32)
+    q, k, v, queries, keys = ragged_attention_case(rng, np.float32)
     inputs = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-    out = nt.attention(*inputs, queries, keys, bias, HEADS)
+    out = nt.attention(*inputs, queries, keys, HEADS)
     assert out.dtype == np.float32
     backward(sum_all(out))
     assert all(t.grad.dtype == np.float32 for t in inputs)
     assert np.max(np.abs(out.values - naive_attention(q, k, v, queries, keys))) <= 1e-5
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_attention_matches_naive_on_drawn_sequence_ids(data):
+    """Sequence ids drawn at random: rows in any order, sequences with no
+    query rows (or no rows at all) and sequences with a single key."""
+    key_counts = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(any))
+    keys = np.array(data.draw(st.permutations(np.repeat(np.arange(len(key_counts)), key_counts).tolist())))
+    queries = np.array(data.draw(st.lists(st.sampled_from(np.unique(keys).tolist()), max_size=10)), np.int64)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    q, k, v = (rng.normal(size=(n, 4 * HEADS)) for n in (queries.size, keys.size, keys.size))
+    got = nt.attention(Tensor(q), Tensor(k), Tensor(v), queries, keys, HEADS).values
+    assert got.shape == q.shape
+    assert np.max(np.abs(got - naive_attention(q, k, v, queries, keys)), initial=0.0) <= 1e-12
+
+
+def test_attention_refuses_a_query_whose_sequence_has_no_key(rng):
+    q, k, v, _, keys = ragged_attention_case(rng)
+    with pytest.raises(NumericsError, match="no key row"):
+        nt.attention(Tensor(q[:1]), Tensor(k), Tensor(v), np.array([3]), keys, HEADS)
 
 
 def test_row_max_is_bit_equal_to_numpy_max(rng):
