@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from datetime import datetime, timezone
@@ -352,7 +353,7 @@ def run_gradcheck(config: dict, out_dir: Path) -> list[str]:
 
     train_cfg = TrainConfig()
 
-    def loss_fn():  # the trainer's own batch loss over a padded two-sample batch
+    def loss_fn():  # the trainer's own batch loss over a packed two-sample batch
         l_msm, l_mrm, l_itm, _ = _batch_losses(model, [positive, negative], train_cfg)
         return total_loss(l_msm, l_mrm, l_itm)
 
@@ -402,10 +403,20 @@ RUNNERS = {
 def _execute(command: str, config: dict, out: str) -> None:
     _check_configs(config)
     out_dir = Path(out)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # what mkdir makes, innermost first
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _utc_now()
-    outputs = RUNNERS[command](config, out_dir)
-    _write_manifest(out_dir, command, config, outputs, started)
+    try:
+        _write_manifest(out_dir, command, config, RUNNERS[command](config, out_dir), started)
+    except BaseException:
+        if created:  # a new out_dir goes, then each parent mkdir made, innermost first, while it is empty
+            shutil.rmtree(out_dir, ignore_errors=True)
+            for parent in created[1:]:
+                try:
+                    parent.rmdir()
+                except OSError:  # another run's output is in it
+                    break
+        raise
 
 
 # ---------------------------------------------------------------------------

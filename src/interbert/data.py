@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model.config import PaddedBatch
+from .model.config import PackedBatch
 
 
 class CorpusError(ValueError):
@@ -377,35 +377,18 @@ def check_limits(items, max_text_len: int | None = None, max_objects: int | None
                               f"model's {num_classes} classes")
 
 
-def make_batch(items, **limits) -> PaddedBatch:
-    """Pad pairs or masked samples to the batch maxima. Truncation is
-    forbidden: a sample breaking the ``check_limits`` keywords given is an
-    error. Text padding is id 0: padded positions are invisible to attention
-    and never reach a real row, so the id only has to exist."""
+def make_batch(items, **limits) -> PackedBatch:
+    """Concatenate pairs or masked samples end to end, sample by sample, with
+    each sample's lengths. Truncation is forbidden: a sample breaking the
+    ``check_limits`` keywords given is an error."""
     if not items:
         raise CorpusError("cannot batch zero samples")
     check_limits(items, **limits)
-
-    batch = len(items)
-    t_max = max(len(p.tokens) for p in items)
-    m_max = max(len(p.features) for p in items)
-    feature_dim = items[0].features.shape[1]
-
-    tokens = np.zeros((batch, t_max), dtype=np.int64)
-    features = np.zeros((batch, m_max, feature_dim))
-    bboxes = np.tile(np.array([0.0, 0.0, 1.0, 1.0]), (batch, m_max, 1))
-    valid = np.zeros((batch, 1 + m_max + t_max), dtype=bool)  # summary slot, objects, tokens
-    valid[:, 0] = True
-    for i, item in enumerate(items):
-        if item.features.shape[1] != feature_dim:
-            raise CorpusError("feature dimensions differ across the batch")
-        n, m = len(item.tokens), len(item.features)
-        tokens[i, :n] = item.tokens
-        features[i, :m] = item.features
-        bboxes[i, :m] = item.bboxes
-        valid[i, 1:1 + m] = True
-        valid[i, 1 + m_max:1 + m_max + n] = True
-
-    return PaddedBatch(tokens=tokens, features=features, bboxes=bboxes,
-                       widths=np.array([p.width for p in items]),
-                       heights=np.array([p.height for p in items]), valid=valid)
+    if len({p.features.shape[1] for p in items}) > 1:
+        raise CorpusError("feature dimensions differ across the batch")
+    return PackedBatch(tokens=np.concatenate([p.tokens for p in items], dtype=np.int64),
+                       features=np.concatenate([p.features for p in items], dtype=np.float64),
+                       bboxes=np.concatenate([p.bboxes for p in items], dtype=np.float64),
+                       widths=np.array([p.width for p in items]), heights=np.array([p.height for p in items]),
+                       image_length=np.array([1 + len(p.features) for p in items]),
+                       text_length=np.array([len(p.tokens) for p in items]))

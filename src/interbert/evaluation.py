@@ -53,7 +53,7 @@ def score_pairs(model: InterBert, captions: Sequence[np.ndarray],
     """Matching logit (N,) and pooled image x text product (N, hidden), the
     matching head's input, of each caption paired with the image at the same
     position, unmasked and without the tape. Pairs run in order, in the
-    fewest padded batches of at most ``SCORE_BATCH``, their sizes at most one
+    fewest packed batches of at most ``SCORE_BATCH``, their sizes at most one
     apart; inputs over the model's limits are refused before the first forward."""
     n = len(captions)
     if n != len(images):

@@ -1,4 +1,4 @@
-"""Architecture hyperparameters, fused-sequence layouts and padded batches."""
+"""Architecture hyperparameters, fused-sequence layouts and packed batches."""
 
 from __future__ import annotations
 
@@ -73,24 +73,18 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class SequenceLayout:
-    """Index bookkeeping for one fused image+text sequence without padding.
+    """Index bookkeeping for one fused image+text sequence.
 
     Position 0 is the image summary slot, positions 1..image_length-1 the
     objects, and the remaining text_length positions the token row block.
-    Padding lives only in a ``PaddedBatch``.
     """
 
     image_length: int
     text_length: int
 
-    @property
-    def valid(self) -> np.ndarray:
-        """Every position is real."""
-        return np.ones(self.image_length + self.text_length, dtype=bool)
-
     def key_bias(self) -> np.ndarray:
         """Additive attention bias per key: 0, as no position is padding."""
-        return np.zeros(self.valid.shape)
+        return np.zeros(self.image_length + self.text_length)
 
 
 def build_layout(num_objects: int, num_tokens: int) -> SequenceLayout:
@@ -98,24 +92,18 @@ def build_layout(num_objects: int, num_tokens: int) -> SequenceLayout:
 
 
 @dataclass
-class PaddedBatch:
-    """Samples padded to the batch maxima. ``valid`` flags each sample's real
-    positions in ``SequenceLayout.valid``'s order: the summary slot, the M
-    object slots, then the T token slots. The model reads the padded arrays
-    through ``valid`` only: it embeds the real positions, and past the
-    embeddings no row names a padded position."""
+class PackedBatch:
+    """Samples concatenated end to end, without padding: each array holds
+    every sample's rows in turn, and the per-sample lengths, named as in
+    ``SequenceLayout``, split them."""
 
-    tokens: np.ndarray    # (B, T) int64, 0 at padding
-    features: np.ndarray  # (B, M, feature_dim), zeros at padding
-    bboxes: np.ndarray    # (B, M, 4), (0,0,1,1) at padding
-    widths: np.ndarray    # (B,)
-    heights: np.ndarray   # (B,)
-    valid: np.ndarray     # (B, 1+M+T) bool
+    tokens: np.ndarray        # (sum of text_length,) int64
+    features: np.ndarray      # (sum of objects, feature_dim)
+    bboxes: np.ndarray        # (sum of objects, 4)
+    widths: np.ndarray        # (B,)
+    heights: np.ndarray       # (B,)
+    image_length: np.ndarray  # (B,) the summary slot plus the objects
+    text_length: np.ndarray   # (B,) the tokens
 
     def __len__(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def image_length(self) -> int:
-        """The summary slot plus the object slots: where each sample's tokens start."""
-        return 1 + self.features.shape[1]
+        return self.widths.shape[0]

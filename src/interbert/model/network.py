@@ -2,16 +2,16 @@
 concatenated image+text sequence, per-modality extraction stacks on top,
 and the three pretraining heads.
 
-The forward pass takes a padded batch of B samples. The embeddings drop the
-padding: they embed only the N real positions, as rank-2 rows (N, hidden),
-stream-major: every image row, sample by sample, then every text row. Past
-them each row is tagged only by its sequence id, the sample it belongs to.
-So every projection is one ``nt.linear``, every FFN and norm a row-wise op
-over real rows, and the streams split back into two slices. Attention takes
-the sequence ids of its query and key rows; padded grids exist only as
-scratch space inside the one ``nt.attention`` node, the key grid as wide as
-the longest real sequence. The last extraction layer computes only the rows
-the caller reads. A single sample is the B=1 case of the same path.
+The forward pass takes a packed batch of B samples, concatenated end to end.
+The embeddings read it as it is and give N rows (N, hidden), stream-major:
+every image row, sample by sample, then every text row. Past them each row
+is tagged only by its sequence id, the sample it belongs to. So every
+projection is one ``nt.linear``, every FFN and norm a row-wise op, and the
+streams split back into two slices. Attention takes the sequence ids of its
+query and key rows; padded grids exist only as scratch space inside the one
+``nt.attention`` node, the key grid as wide as the longest sequence. The
+last extraction layer computes only the rows the caller reads. A single
+sample is the B=1 case of the same path.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .config import (
     VARIANT_INTERBERT,
     VARIANT_SINGLE_STREAM,
     ModelConfig,
-    PaddedBatch,
+    PackedBatch,
 )
 
 GEOMETRY_DIM = 5  # x1/W, y1/H, x2/W, y2/H, box area / image area
@@ -115,25 +115,19 @@ class ModelOutputs:
 
 
 def image_geometry(bboxes: np.ndarray, width, height) -> np.ndarray:
-    """Per-row geometry vectors with the whole-image row for the summary
-    slot prepended; ``bboxes`` is (B, m, 4) with one size per sample."""
-    boxes = np.asarray(bboxes, dtype=np.float64)
-    w = np.asarray(width, dtype=np.float64)[..., None]
-    h = np.asarray(height, dtype=np.float64)[..., None]
-    x1, y1, x2, y2 = np.moveaxis(boxes, -1, 0)
-    area = (x2 - x1) * (y2 - y1) / (w * h)
-    rows = np.stack([x1 / w, y1 / h, x2 / w, y2 / h, area], axis=-1)
-    summary = np.broadcast_to([0.0, 0.0, 1.0, 1.0, 1.0], rows.shape[:-2] + (1, GEOMETRY_DIM))
-    return np.concatenate([summary, rows], axis=-2)
+    """Geometry vectors of (N, 4) boxes, each in its own image's size."""
+    x1, y1, x2, y2 = np.asarray(bboxes, dtype=np.float64).T
+    w, h = np.asarray(width, dtype=np.float64), np.asarray(height, dtype=np.float64)
+    return np.stack([x1 / w, y1 / h, x2 / w, y2 / h, (x2 - x1) * (y2 - y1) / (w * h)], axis=-1)
 
 
 def _sequences(layout) -> tuple[np.ndarray, int]:
-    """The sequence id of every real position of a padded batch or of one
-    layout, stream-major: every image row, sample by sample, then every text
-    row (for one sample, layout order); and the number of image rows."""
-    valid = np.atleast_2d(layout.valid)
-    image = valid & (np.arange(valid.shape[1]) < layout.image_length)
-    return np.concatenate([np.nonzero(image)[0], np.nonzero(valid & ~image)[0]]), int(np.count_nonzero(image))
+    """The sequence id of every position of a packed batch or of one layout,
+    stream-major: every image row, sample by sample, then every text row
+    (for one sample, layout order); and the number of image rows."""
+    image, text = np.atleast_1d(layout.image_length), np.atleast_1d(layout.text_length)
+    ids = np.arange(image.size)
+    return np.concatenate([np.repeat(ids, image), np.repeat(ids, text)]), int(image.sum())
 
 
 def _split_streams(fused: Tensor, seq: np.ndarray, n: int) -> list[tuple[Tensor, np.ndarray]]:
@@ -142,13 +136,12 @@ def _split_streams(fused: Tensor, seq: np.ndarray, n: int) -> list[tuple[Tensor,
     return [(nt.narrow(fused, 0, 0, n), seq[:n]), (nt.narrow(fused, 0, n, seq.size - n), seq[n:])]
 
 
-def _sample_batch(tokens, features, bboxes, width, height) -> PaddedBatch:
-    """One sample as a batch of one without padding."""
-    ids = np.asarray(tokens, dtype=np.int64)
-    feats = np.asarray(features, dtype=np.float64)
-    return PaddedBatch(tokens=ids[None], features=feats[None], bboxes=np.asarray(bboxes, dtype=np.float64)[None],
+def _sample_batch(tokens, features, bboxes, width, height) -> PackedBatch:
+    """One sample as a batch of one."""
+    ids, feats = np.asarray(tokens, dtype=np.int64), np.asarray(features, dtype=np.float64)
+    return PackedBatch(tokens=ids, features=feats, bboxes=np.asarray(bboxes, dtype=np.float64),
                        widths=np.array([width]), heights=np.array([height]),
-                       valid=np.ones((1, 1 + feats.shape[0] + ids.size), dtype=bool))
+                       image_length=np.array([1 + len(feats)]), text_length=np.array([ids.size]))
 
 
 class InterBert:
@@ -176,47 +169,45 @@ class InterBert:
 
     # -- embeddings ----------------------------------------------------
 
-    def embed_text(self, batch: PaddedBatch) -> Tensor:
+    def embed_text(self, batch: PackedBatch) -> Tensor:
         """Token + learned positional + segment embedding, normalized, of the
-        batch's real tokens only: one row each, sample by sample."""
-        length = batch.tokens.shape[1]
-        if length > self.config.max_text_len:
-            raise ValueError(f"text length {length} exceeds max_text_len {self.config.max_text_len}")
-        valid = batch.valid[:, batch.image_length:]
+        batch's tokens: one row each, sample by sample. A token's position is
+        its rank within its sample."""
+        lengths = batch.text_length
+        if lengths.max() > self.config.max_text_len:
+            raise ValueError(f"text length {lengths.max()} exceeds max_text_len {self.config.max_text_len}")
+        positions = np.arange(batch.tokens.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         p = self.params
         x = nt.add(
             nt.add(
-                nt.embedding_lookup(p["embed.token_table"], batch.tokens[valid]),
-                nt.embedding_lookup(p["embed.position_table"], np.nonzero(valid)[1]),
+                nt.embedding_lookup(p["embed.token_table"], batch.tokens),
+                nt.embedding_lookup(p["embed.position_table"], positions),
             ),
             nt.embedding_lookup(p["embed.segment_table"], [TEXT_SEGMENT]),
         )
         return nt.layer_norm(x, p["embed.text_ln.gain"], p["embed.text_ln.bias"], self.config.ln_eps)
 
-    def embed_image(self, batch: PaddedBatch) -> Tensor:
+    def embed_image(self, batch: PackedBatch) -> Tensor:
         """Project the batch's region features to the hidden size and add
         box-geometry and segment embeddings. The summary row is the mean of
-        the real object features, pooled in feature space before projection.
-        Only real rows come out: sample by sample, the summary row first."""
-        feats, boxes = batch.features, batch.bboxes
-        if feats.shape[1] < 1:
+        a sample's object features, pooled in feature space before
+        projection, with the whole image as its box. Rows come out sample by
+        sample, the summary row first."""
+        feats, boxes, objects = batch.features, batch.bboxes, batch.image_length - 1
+        if np.any(objects < 1):
             raise ValueError("image must contribute at least one object")
-        if feats.shape[2] != self.config.object_feature_dim:
-            raise ValueError(f"expected features of width {self.config.object_feature_dim}, got {feats.shape[1:]}")
-        valid = batch.valid[:, :batch.image_length]
-        objects = valid[:, 1:]
-        if not objects.any(axis=1).all():
-            raise ValueError("image must have at least one valid object")
-        real = boxes[objects]
-        real_sizes = np.repeat(np.stack([batch.widths, batch.heights], axis=1), objects.sum(axis=1), axis=0)
-        if np.any(real[:, 2] <= real[:, 0]) or np.any(real[:, 3] <= real[:, 1]):
+        if feats.shape[1] != self.config.object_feature_dim:
+            raise ValueError(f"expected features of width {self.config.object_feature_dim}, got {feats.shape[1]}")
+        widths, heights = np.repeat(batch.widths, objects), np.repeat(batch.heights, objects)
+        if np.any(boxes[:, 2] <= boxes[:, 0]) or np.any(boxes[:, 3] <= boxes[:, 1]):
             raise ValueError("degenerate bounding box")
-        if real.min() < 0 or np.any(real[:, 2:] > real_sizes):
+        if boxes.min() < 0 or np.any(boxes[:, 2] > widths) or np.any(boxes[:, 3] > heights):
             raise ValueError("bounding box outside image bounds")
 
-        summary = (feats * objects[..., None]).sum(axis=1, keepdims=True) / objects.sum(axis=1)[:, None, None]
-        stacked = np.concatenate([summary, feats], axis=1)[valid]
-        geometry = image_geometry(boxes, batch.widths, batch.heights)[valid]
+        starts = np.cumsum(objects) - objects
+        summary = [feats[s:s + m].sum(axis=0) / m for s, m in zip(starts, objects)]
+        stacked = np.insert(feats, starts, summary, axis=0)
+        geometry = np.insert(image_geometry(boxes, widths, heights), starts, [0.0, 0.0, 1.0, 1.0, 1.0], axis=0)
         p = self.params
         dtype = p["embed.feature_proj.w"].values.dtype  # keep float32 runs in float32
         projected = nt.linear(Tensor(stacked.astype(dtype)), p["embed.feature_proj.w"], p["embed.feature_proj.b"])
@@ -252,12 +243,11 @@ class InterBert:
 
     def interaction_forward(self, fused: Tensor, layout) -> Tensor:
         """Full-context encoder over the concatenated image+text sequences of
-        a padded batch or one layout; ``fused`` holds only their real
-        positions, one row each, stream-major (see ``_sequences``): for one
-        sample, layout order."""
+        a packed batch or one layout; ``fused`` holds their positions, one row
+        each, stream-major (see ``_sequences``): for one sample, layout order."""
         seq, _ = _sequences(layout)
         if fused.shape[0] != seq.size:
-            raise ValueError(f"{fused.shape[0]} fused rows for {seq.size} real positions")
+            raise ValueError(f"{fused.shape[0]} fused rows for {seq.size} positions")
         x = fused
         for i in range(self.config.num_interaction_layers):
             x = self._encoder_layer(x, f"interaction.layer{i}.", seq)
@@ -299,12 +289,11 @@ class InterBert:
     # -- composition -----------------------------------------------------
 
     def forward(self, tokens=None, features=None, bboxes=None, width=None, height=None,
-                batch: PaddedBatch | None = None, image_rows=None, text_rows=None) -> ModelOutputs:
-        """Forward a padded batch (see ``data.make_batch``) or, given one
+                batch: PackedBatch | None = None, image_rows=None, text_rows=None) -> ModelOutputs:
+        """Forward a packed batch (see ``data.make_batch``) or, given one
         sample's arrays instead, that sample as the B=1 case of the same path.
 
-        Only real positions are computed: the embeddings drop the padding,
-        and by default every real row comes out, packed sample by sample.
+        By default every row comes out, packed sample by sample.
         ``image_rows`` / ``text_rows`` index those packed image or text rows;
         given them, ``h_image`` / ``h_text`` are those rows in order (empty:
         pooled rows only)."""

@@ -147,10 +147,10 @@ def _optimise(model: InterBert, cfg: TrainConfig, step_loss, row_type, on_step) 
 
 
 def _batch_losses(model: InterBert, batch: list[MaskedSample], cfg: TrainConfig):
-    """Forward the batch as one padded batch (plus its unmasked inputs when
+    """Forward the batch as one packed batch (plus its unmasked inputs when
     matching reads those), computing only the rows the losses read, and
     assemble the three loss components."""
-    padded = make_batch(batch, **model.config.limits)
+    packed = make_batch(batch, **model.config.limits)
 
     # MGM targets as packed rows per stream: a sample's tokens; its summary row, then its objects
     keep = [sample.itm_label == 1 or cfg.mgm_on_negatives for sample in batch]
@@ -160,7 +160,7 @@ def _batch_losses(model: InterBert, batch: list[MaskedSample], cfg: TrainConfig)
     token_rows = np.flatnonzero(text_targets != IGNORE_INDEX)
     region_rows = np.flatnonzero(image_targets != IGNORE_INDEX)
 
-    out = model.forward(batch=padded, image_rows=region_rows, text_rows=token_rows)
+    out = model.forward(batch=packed, image_rows=region_rows, text_rows=token_rows)
     if cfg.itm_on_masked:
         itm_out = out
     else:
@@ -188,7 +188,7 @@ def pretrain(corpus: Corpus, table: dict, model_cfg: ModelConfig, train_cfg: Tra
     """Run the masked-group + matching pretraining loop.
 
     Per step: assemble a half-positive batch with mined negatives in the
-    mix, forward it as one padded batch, combine the weighted losses,
+    mix, forward it as one packed batch, combine the weighted losses,
     backpropagate, and apply one scheduled AdamW update. Aborts on
     non-finite loss; refuses a corpus the model cannot take (over its length
     limits, another feature width, class labels outside its classes), or a
@@ -226,7 +226,7 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
 
     Each example scores the true image and sampled distractor images
     against the caption with the reused matching head, all examples of a
-    step in one padded batch; softmax cross-entropy over the choice logits
+    step in one packed batch; softmax cross-entropy over the choice logits
     trains the full network. No masking is applied. An exponential moving
     average of the parameters is maintained and returned alongside the raw
     weights. The accuracy column counts a tie for the top logit as a

@@ -473,6 +473,37 @@ def test_a_refused_config_leaves_no_out_directory(tmp_path, data_dir, negatives_
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out, existing", [("out", False), ("out", True), ("new/deeper/out", False)],
+                         ids=["new-out", "existing-out", "new-parents"])
+def test_a_runner_failure_leaves_out_as_it_was(tmp_path, capsys, out, existing):
+    out = tmp_path / out
+    if existing:
+        out.mkdir()
+        (out / "kept.txt").write_text("kept")
+    capsys.readouterr()
+    assert run_cli("gradcheck", "--num-heads", 3, "--out", out) == 1  # the runner builds and refuses the config
+    assert "hidden_size 8 must be a positive multiple of num_heads 3" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == (["out"] if existing else [])
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["kept.txt"] and (out / "kept.txt").read_text() == "kept"
+
+
+def test_a_runner_failure_keeps_a_sibling_run_under_a_new_parent(tmp_path, capsys, monkeypatch):
+    from interbert import cli
+
+    def sibling_then_fail(config, out_dir):  # a run started beside this one writes runs/b into the new runs/
+        (out_dir.parent / "b").mkdir()
+        (out_dir.parent / "b" / "model.ibt").write_text("theirs")
+        raise cli.CommandError("refused")
+
+    monkeypatch.setitem(cli.RUNNERS, "gradcheck", sibling_then_fail)
+    capsys.readouterr()
+    assert run_cli("gradcheck", "--out", tmp_path / "runs" / "a") == 1
+    assert "refused" in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "runs").iterdir()] == ["b"]
+    assert (tmp_path / "runs" / "b" / "model.ibt").read_text() == "theirs"
+
+
 def synth_defaults():
     from interbert.cli import COMMANDS
 

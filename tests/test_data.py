@@ -1,10 +1,12 @@
-"""Corpus files, synthetic corpus construction, and batch padding."""
+"""Corpus files, synthetic corpus construction, and batch packing."""
 
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interbert.data import (
     Corpus,
@@ -19,6 +21,7 @@ from interbert.data import (
     synth_corpus,
     synth_vocabulary,
 )
+from interbert.model.network import _sequences
 
 
 def small_vocab():
@@ -232,14 +235,41 @@ def test_synth_corpus_feature_dim_guard():
 # batching
 # ---------------------------------------------------------------------------
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)), min_size=1, max_size=6))
+def test_make_batch_is_lossless(shapes):
+    """Slicing the packed arrays by the drawn (objects, tokens) lengths gives
+    back every sample, in order, and ``_sequences`` gives sample i its
+    1 + objects image rows and its token rows."""
+    rng = np.random.default_rng([m for m, _ in shapes] + [n for _, n in shapes])
+    pairs = [ImageTextPair(image_id=i, caption_id=i, tokens=rng.integers(0, 12, size=n), width=100 + i,
+                           height=80 + 2 * i, features=rng.normal(size=(m, 4)), bboxes=rng.uniform(0, 50, size=(m, 4)),
+                           labels=np.zeros(m)) for i, (m, n) in enumerate(shapes)]
+    batch = make_batch(pairs)
+    objects, tokens = (np.array([0] + [shape[k] for shape in shapes]).cumsum() for k in (0, 1))
+    assert len(batch) == len(pairs)
+    assert batch.tokens.shape == (tokens[-1],) and batch.features.shape[0] == batch.bboxes.shape[0] == objects[-1]
+    for i, pair in enumerate(pairs):
+        assert np.array_equal(batch.tokens[tokens[i]:tokens[i + 1]], pair.tokens)
+        assert np.array_equal(batch.features[objects[i]:objects[i + 1]], pair.features)
+        assert np.array_equal(batch.bboxes[objects[i]:objects[i + 1]], pair.bboxes)
+        assert (batch.widths[i], batch.heights[i]) == (pair.width, pair.height)
+    seq, n_image = _sequences(batch)
+    ids = np.arange(len(pairs))
+    assert np.array_equal(seq[:n_image], np.repeat(ids, [1 + m for m, _ in shapes]))
+    assert np.array_equal(seq[n_image:], np.repeat(ids, [n for _, n in shapes]))
+
+
 def test_make_batch_single_sample_layout():
     vocab = small_vocab()
     pair = make_pair(vocab, m=3)
     batch = make_batch([pair])
-    assert batch.image_length == 4  # 3 objects + summary slot
-    assert batch.tokens.shape[1] == 4
-    assert batch.valid.shape == (1, 8)
-    assert batch.valid.all()
+    assert len(batch) == 1
+    assert batch.image_length.tolist() == [4]  # 3 objects + summary slot
+    assert batch.text_length.tolist() == [4]
+    assert batch.tokens.shape == (4,) and batch.features.shape[0] == 3
+    seq, n_image = _sequences(batch)
+    assert n_image == 4 and seq.tolist() == [0] * 8
 
 
 def test_make_batch_mixed_lengths():
@@ -247,14 +277,14 @@ def test_make_batch_mixed_lengths():
     short = make_pair(vocab, caption_id=0, tokens=(1, 5, 2), m=1)
     long = make_pair(vocab, caption_id=1, image_id=1, tokens=(1, 5, 6, 7, 2), m=3)
     batch = make_batch([short, long])
-    assert batch.tokens.shape == (2, 5)
-    assert batch.features.shape[1] == 3
-    assert batch.valid[0, 4:].tolist() == [True, True, True, False, False]
-    assert batch.valid[0, 1:4].tolist() == [True, False, False]
-    assert batch.valid[:, 0].all()  # the summary slot
-    # padding carries neutral values
-    assert batch.tokens[0, 3] == 0
-    assert np.all(batch.features[0, 1:] == 0.0)
+    # end to end, no padding: 3 + 5 tokens and 1 + 3 objects
+    assert batch.tokens.tolist() == [1, 5, 2, 1, 5, 6, 7, 2]
+    assert batch.features.shape[0] == batch.bboxes.shape[0] == 4
+    assert batch.image_length.tolist() == [2, 4]
+    assert batch.text_length.tolist() == [3, 5]
+    seq, n_image = _sequences(batch)
+    assert n_image == 6
+    assert seq.tolist() == [0, 0, 1, 1, 1, 1] + [0, 0, 0, 1, 1, 1, 1, 1]
 
 
 def test_make_batch_truncation_forbidden():

@@ -244,7 +244,7 @@ def record_batch_sizes(model, monkeypatch) -> list[int]:
     sizes, forward = [], model.forward
 
     def recorded(*args, batch, **kwargs):
-        sizes.append(len(batch.tokens))
+        sizes.append(len(batch))
         return forward(*args, batch=batch, **kwargs)
 
     monkeypatch.setattr(model, "forward", recorded)

@@ -18,7 +18,6 @@ from interbert.model import (
     init_parameters,
     parameter_spec,
 )
-from interbert.model.config import PaddedBatch
 from interbert.numerics import ParameterSet, Tensor, backward, finite_diff_check
 
 
@@ -110,7 +109,7 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 def image_batch(features, bboxes, tokens=(1, 2)):
-    """One 100x100 image's objects, and a caption, as a padded batch of one."""
+    """One 100x100 image's objects, and a caption, as a batch of one."""
     return make_batch([ImageTextPair(image_id=0, caption_id=0, tokens=tokens, width=100, height=100,
                                      features=features, bboxes=bboxes, labels=np.zeros(len(bboxes)))])
 
@@ -179,6 +178,19 @@ def test_embed_image_errors(rng):
         model.embed_image(image_batch(np.zeros((0, 6)), np.zeros((0, 4))))
     with pytest.raises(ValueError):
         model.embed_image(image_batch(np.zeros((1, 6)), np.array([[0.0, 0.0, 120.0, 50.0]])))
+
+    def pair(objects, width=100):
+        return ImageTextPair(image_id=0, caption_id=0, tokens=(1, 2), width=width, height=100,
+                             features=np.ones((objects, 6)), bboxes=np.tile([0.0, 0.0, 80.0, 40.0], (objects, 1)),
+                             labels=np.zeros(objects))
+
+    # a zero-object sample between two others: its summary would be a mean of nothing
+    with pytest.raises(ValueError, match="at least one object"):
+        model.embed_image(make_batch([pair(2), pair(0), pair(1)]))
+    # each box is checked against its own image: x2 = 80 fits 100 wide, not 50
+    with pytest.raises(ValueError, match="outside image bounds"):
+        model.embed_image(make_batch([pair(1), pair(1, width=50)]))
+    assert model.embed_image(make_batch([pair(1), pair(1, width=80)])).shape == (4, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -423,41 +435,6 @@ def test_forward_deterministic(rng):
     assert np.array_equal(a.h_text.values, b.h_text.values)
 
 
-def junk_padded_batch(rng, inputs, objects, tokens):
-    """One sample as a batch of one padded by ``objects`` object slots and
-    ``tokens`` token slots of junk: ids outside the vocabulary, wild
-    features and boxes."""
-    (m, width), n = inputs["features"].shape, len(inputs["tokens"])
-    valid = np.zeros(1 + m + objects + n + tokens, dtype=bool)
-    valid[:1 + m] = valid[1 + m + objects:1 + m + objects + n] = True
-    return PaddedBatch(
-        tokens=np.concatenate([inputs["tokens"], rng.integers(-100, 10**6, size=tokens)])[None],
-        features=np.concatenate([inputs["features"], rng.normal(0, 100, size=(objects, width))])[None],
-        bboxes=np.concatenate([inputs["bboxes"], rng.uniform(-50, 500, size=(objects, 4))])[None],
-        widths=np.array([inputs["width"]]), heights=np.array([inputs["height"]]), valid=valid[None])
-
-
-def test_forward_padding_invariance(rng):
-    cfg = tiny_config()
-    model = InterBert.create(cfg, seed=0)
-    inputs = tiny_inputs(rng, m=3, n_tokens=5)
-    plain = model.forward(**inputs)
-    padded = model.forward(batch=junk_padded_batch(rng, inputs, objects=1, tokens=2))
-    for field in ("h_image", "h_text", "pooled_image", "pooled_text"):
-        got, want = getattr(padded, field).values, getattr(plain, field).values
-        assert got.shape == want.shape and np.max(np.abs(got - want)) < 1e-8
-
-
-def test_forward_ignores_padded_value_changes(rng):
-    cfg = tiny_config()
-    model = InterBert.create(cfg, seed=1)
-    inputs = tiny_inputs(rng, m=2, n_tokens=4)
-    out_a = model.forward(batch=junk_padded_batch(rng, inputs, objects=1, tokens=1))
-    out_b = model.forward(batch=junk_padded_batch(rng, inputs, objects=1, tokens=1))
-    for field in ("h_image", "h_text", "pooled_image", "pooled_text"):
-        assert np.array_equal(getattr(out_a, field).values, getattr(out_b, field).values)
-
-
 def test_single_stream_variant_shapes(rng):
     cfg = tiny_config(num_extraction_layers=0, architecture_variant=VARIANT_SINGLE_STREAM)
     model = InterBert.create(cfg, seed=0)
@@ -497,7 +474,7 @@ def test_masked_feature_blackout(rng):
 
 
 # ---------------------------------------------------------------------------
-# padded batches
+# packed batches
 # ---------------------------------------------------------------------------
 
 def ragged_pairs(rng, cfg, shapes):
@@ -512,10 +489,9 @@ def ragged_pairs(rng, cfg, shapes):
 
 
 def sample_rows(out, batch, i, pair):
-    """Sample i's rows of a batched forward, whose real rows come packed,
-    sample by sample."""
-    valid = batch.valid[:, :batch.image_length], batch.valid[:, batch.image_length:]
-    image, text = (int(v[:i].sum()) for v in valid)
+    """Sample i's rows of a batched forward, whose rows come packed, sample
+    by sample."""
+    image, text = int(batch.image_length[:i].sum()), int(batch.text_length[:i].sum())
     return (out.h_image.values[image: image + pair.num_objects + 1],
             out.h_text.values[text: text + pair.num_tokens],
             out.pooled_image.values[i], out.pooled_text.values[i])
@@ -555,8 +531,8 @@ def test_sample_outputs_ignore_batch_companions(rng):
     cfg = tiny_config()
     model = InterBert.create(cfg, seed=4)
     target, *companions = ragged_pairs(rng, cfg, [(3, 5), (2, 4), (6, 11), (1, 3)])
-    first = make_batch([target, companions[0]])  # the target sets the padded lengths
-    second = make_batch([companions[1], target, companions[2]])  # longer padding, other slot
+    first = make_batch([target, companions[0]])  # the target is the longest sample
+    second = make_batch([companions[1], target, companions[2]])  # a longer companion, other slot
     rows_a = sample_rows(model.forward(batch=first), first, 0, target)
     rows_b = sample_rows(model.forward(batch=second), second, 1, target)
     for a, b in zip(rows_a, rows_b):
@@ -709,7 +685,7 @@ def test_projections_receive_only_real_rows(rng, monkeypatch):
     monkeypatch.setattr(nt, "embedding_lookup", lookup_spy)
     n_image = sum(p.num_objects + 1 for p in pairs)
     n_text = sum(p.num_tokens for p in pairs)
-    assert n_image + n_text < batch.valid.size  # the batch has padding
+    assert batch.features.shape[0] + len(batch) == n_image and batch.tokens.size == n_text  # exactly the real rows
 
     def layer_rows():
         rows = {(name.split(".")[0], name.rsplit(".", 1)[1]): n for name, n in seen if ".layer" in name}
@@ -717,7 +693,7 @@ def test_projections_receive_only_real_rows(rng, monkeypatch):
         return rows
 
     model.forward(batch=batch)
-    # the embeddings drop padding: projections and the token table see only real rows
+    # projections and the token table see only real rows
     embedded = {name: n for name, n in seen if name.startswith("embed.")}
     assert embedded == {"embed.feature_proj.w": n_image, "embed.box_proj.w": n_image}
     token_ids = [ids for name, ids in looked_up if name == "embed.token_table"]

@@ -1,0 +1,169 @@
+"""Paired benchmark runs of a parent commit against the change, written as
+one BENCH_<n>.json.
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --out BENCH_18.json
+
+Run from anywhere inside the repository. The parent's committed files are
+exported with ``git archive`` into a fresh directory under ``--scratch``
+(a new temporary directory by default); the change is the checkout's
+files as they are, tracked and untracked but not ignored, copied into a
+second fresh directory, so both sides run from the same layout with no
+leftover ``perfbench/_work``. Each run is one process of the unchanged
+``perfbench/run.py`` with ``--seed 0 --trace 0`` at the run length
+``BENCHMARK.json`` sets, over every workload it lists; the pairs alternate
+which side runs first. The last line of each run's output is its JSON result.
+
+Per workload and end-to-end metric the file records both sides' medians
+and quartiles, the pairs the change won (ties count for neither), and the
+parent's spread (interquartile range over median) against the bound
+``BENCHMARK.json`` fixes. A metric whose change median is worse than the
+parent's by more than the bound is ``regressed``; otherwise one whose
+parent spread exceeds the bound is ``unresolved``, unless every change run
+beats every parent run; the rest are ``within bound``. No file is written
+when any run is not ``correct`` or has a failed operation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout
+
+
+def export_commit(rev: str, dest: Path) -> None:
+    """The committed files of ``rev`` in ``dest``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True,
+                             check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def export_checkout(dest: Path) -> None:
+    """The checkout's files as they are, tracked and untracked, ignored ones left out, in ``dest``."""
+    for name in filter(None, git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted in the checkout is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
+def run_once(tree: Path, command: list[str], workload: str) -> dict:
+    """One ``perfbench/run.py`` process in ``tree``: its JSON result and its
+    environment line. A failed process, a run that is not ``correct`` and a
+    failed operation stop the whole measurement, before any file is written."""
+    done = subprocess.run([*command, "--workload", workload], cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"{workload} in {tree} exited with code {done.returncode}: {done.stderr.strip()[-2000:]}")
+    result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"{workload} in {tree}: correct {result['correct']}, {result['failed']} of "
+                         f"{result['attempted']} operations failed; no file written")
+    env = [line.split(" ", 1)[1] for line in lines if line.startswith("environment ")]
+    result["environment"] = json.loads(env[0]) if env else None
+    return result
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Both sides' quartiles, the pairs the change won, the parent's spread and the verdict."""
+    sign = 1.0 if better == "higher" else -1.0
+    p, c = quartiles(parent), quartiles(change)
+    won = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    worse = sign * (p["median"] - c["median"]) / abs(p["median"]) if p["median"] else 0.0
+    spread = (p["q3"] - p["q1"]) / abs(p["median"]) if p["median"] else 0.0
+    if worse > bound:
+        verdict = "regressed"
+    elif spread > bound and not min(sign * v for v in change) > max(sign * v for v in parent):
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    return {"parent": p, "change": c, "relative_change": (c["median"] - p["median"]) / abs(p["median"])
+            if p["median"] else None, "pairs_won": won, "pairs": len(parent), "parent_spread": spread,
+            "bound": bound, "verdict": verdict}
+
+
+def summarize(runs: dict, benchmark: dict) -> dict:
+    """Per workload: every end-to-end metric's comparison, from
+    ``runs[workload][side]``, each a list of run results in pair order."""
+    return {workload: {m["name"]: {"unit": m["unit"], "better": m["better"], **compare(
+        *([r["metrics"][m["name"]]["value"] for r in sides[side]] for side in SIDES), m["better"], m["bound"])}
+        for m in benchmark["end_to_end"]} for workload, sides in runs.items()}
+
+
+def measure(args, benchmark: dict, scratch: Path) -> dict:
+    """Export both trees into ``scratch`` and run the pairs: the record to write."""
+    trees = {side: scratch / side for side in SIDES}
+    for tree in trees.values():
+        if tree.exists():
+            raise SystemExit(f"{tree} exists; give an empty --scratch")
+        tree.mkdir(parents=True)
+    parent = git("rev-parse", args.parent).strip()
+    export_commit(parent, trees["parent"])
+    export_checkout(trees["change"])
+
+    flags = ["--seed", "0", "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
+    command = [sys.executable, *benchmark["command"][1:], *flags]
+    runs = {w["name"]: {side: [] for side in SIDES} for w in benchmark["workloads"]}
+    for pair in range(args.pairs):
+        for workload in runs:
+            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                runs[workload][side].append(run_once(trees[side], command, workload))
+                print(f"pair {pair + 1}/{args.pairs} {workload} {side}: "
+                      f"{json.dumps(runs[workload][side][-1]['metrics'])}", flush=True)
+    return {
+        "parent": parent,
+        "change": f"checkout at {git('rev-parse', 'HEAD').strip()}"
+                  + (" with uncommitted changes" if git("status", "--porcelain").strip() else ""),
+        "command": " ".join([*benchmark["command"], "--workload <workload>", *flags]),
+        "pairs": args.pairs,
+        "order": "pair i runs the parent first when i is even, the change first when it is odd",
+        "workloads": summarize(runs, benchmark),
+        "runs": runs,
+    }
+
+
+def main(argv=None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    parser = argparse.ArgumentParser(description="Paired benchmark runs of a parent commit against the change.")
+    parser.add_argument("--parent", required=True, help="the parent commit")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
+    parser.add_argument("--scratch", help="where the two trees go; default a new temporary directory")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    if args.scratch:
+        record = measure(args, benchmark, Path(args.scratch))
+    else:
+        with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
+            record = measure(args, benchmark, Path(scratch))
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    for workload, metrics in record["workloads"].items():
+        for name, m in metrics.items():
+            print(f"{workload:14s} {name:12s} parent {m['parent']['median']:.4g}  change {m['change']['median']:.4g}"
+                  f"  won {m['pairs_won']}/{m['pairs']}  spread {m['parent_spread']:.1%}  {m['verdict']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
