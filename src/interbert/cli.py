@@ -79,6 +79,8 @@ def _git_describe() -> str:
 
 def _write_manifest(out_dir: Path, command: str, config: dict,
                     outputs: list[str], started: str) -> None:
+    from .numerics import MALLOC_SETTINGS
+
     manifest = {
         "command": command,
         "config": config,
@@ -87,6 +89,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
         "started": started,
         "finished": _utc_now(),
         "outputs": sorted(outputs),
+        "malloc": MALLOC_SETTINGS,
     }
     _write_json(out_dir / "manifest.json.tmp", manifest)
     os.replace(out_dir / "manifest.json.tmp", out_dir / "manifest.json")

@@ -121,6 +121,16 @@ def image_geometry(bboxes: np.ndarray, width, height) -> np.ndarray:
     return np.stack([x1 / w, y1 / h, x2 / w, y2 / h, (x2 - x1) * (y2 - y1) / (w * h)], axis=-1)
 
 
+def summary_rows(feats: np.ndarray, objects: np.ndarray) -> np.ndarray:
+    """Each sample's mean row of ``feats``, which holds ``objects[s]`` rows of sample s in turn;
+    summed rank by rank, one vector step each, in the order of a per-sample sum down the rows."""
+    starts, total = np.cumsum(objects) - objects, np.zeros((objects.size, feats.shape[1]), dtype=feats.dtype)
+    for rank in range(objects.max(initial=0)):
+        has = objects > rank
+        total[has] += feats[starts[has] + rank]
+    return total / objects[:, None]
+
+
 def _sequences(layout) -> tuple[np.ndarray, int]:
     """The sequence id of every position of a packed batch or of one layout,
     stream-major: every image row, sample by sample, then every text row
@@ -157,15 +167,16 @@ class InterBert:
         return cls(config, init_parameters(config, seed, dtype))
 
     @classmethod
-    def from_checkpoint(cls, config: ModelConfig, path) -> "InterBert":
-        """The network holding a checkpoint's parameters, whose names and
+    def from_values(cls, config: ModelConfig, values) -> "InterBert":
+        """The network holding the very arrays of ``values``, whose names and
         shapes must be exactly those of ``parameter_spec``."""
+        return cls(config, ParameterSet.holding({name: shape for name, shape, _ in parameter_spec(config)}, values))
+
+    @classmethod
+    def from_checkpoint(cls, config: ModelConfig, path) -> "InterBert":
+        """The network holding a checkpoint's parameters in the arrays they were read into."""
         config.validate()
-        params = ParameterSet()
-        for name, shape, _ in parameter_spec(config):
-            params.add(name, Tensor(np.empty(shape)))
-        params.load_values(load_checkpoint(path))
-        return cls(config, params)
+        return cls.from_values(config, load_checkpoint(path))
 
     # -- embeddings ----------------------------------------------------
 
@@ -205,8 +216,7 @@ class InterBert:
             raise ValueError("bounding box outside image bounds")
 
         starts = np.cumsum(objects) - objects
-        summary = [feats[s:s + m].sum(axis=0) / m for s, m in zip(starts, objects)]
-        stacked = np.insert(feats, starts, summary, axis=0)
+        stacked = np.insert(feats, starts, summary_rows(feats, objects), axis=0)
         geometry = np.insert(image_geometry(boxes, widths, heights), starts, [0.0, 0.0, 1.0, 1.0, 1.0], axis=0)
         p = self.params
         dtype = p["embed.feature_proj.w"].values.dtype  # keep float32 runs in float32

@@ -9,6 +9,7 @@ name, the u32 rank, one u32 per dimension, and the values as little-endian
 from __future__ import annotations
 
 import math
+import os
 import struct
 from typing import Iterator, Mapping
 
@@ -51,9 +52,6 @@ class ParameterSet:
     def items(self):
         return self._params.items()
 
-    def tensors(self):
-        return self._params.values()
-
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
@@ -66,15 +64,31 @@ class ParameterSet:
 
     def load_values(self, values: Mapping[str, np.ndarray]) -> None:
         """Overwrite every parameter in place; key sets and shapes must match."""
-        missing = [n for n in self._params if n not in values]
-        extra = [n for n in values if n not in self._params]
-        if missing or extra:
-            raise NumericsError(f"parameter names disagree (missing={missing[:3]}, extra={extra[:3]})")
-        for name, t in self._params.items():
-            src = np.asarray(values[name])
-            if src.shape != t.values.shape:
-                raise NumericsError(f"shape mismatch for {name}: {src.shape} vs {t.values.shape}")
-            t.values[...] = src
+        for name, src in _agreeing({n: t.values.shape for n, t in self._params.items()}, values):
+            self._params[name].values[...] = src
+
+    @classmethod
+    def holding(cls, shapes: Mapping[str, tuple], values: Mapping[str, np.ndarray]) -> "ParameterSet":
+        """The parameters named in ``shapes``, in its order, holding the very
+        arrays of ``values``; key sets and shapes must match."""
+        params = cls()
+        for name, src in _agreeing(shapes, values):
+            params.add(name, Tensor(src))
+        return params
+
+
+def _agreeing(shapes: Mapping[str, tuple], values: Mapping[str, np.ndarray]):
+    """Each name of ``shapes`` with its array in ``values``; refuses missing,
+    extra and misshapen names."""
+    missing = [n for n in shapes if n not in values]
+    extra = [n for n in values if n not in shapes]
+    if missing or extra:
+        raise NumericsError(f"parameter names disagree (missing={missing[:3]}, extra={extra[:3]})")
+    for name, shape in shapes.items():
+        src = np.asarray(values[name])
+        if src.shape != tuple(shape):
+            raise NumericsError(f"shape mismatch for {name}: {src.shape} vs {tuple(shape)}")
+        yield name, src
 
 
 def save_checkpoint(path, params) -> None:
@@ -92,45 +106,47 @@ def save_checkpoint(path, params) -> None:
             fh.write(encoded)
             fh.write(struct.pack("<I", values.ndim))
             fh.write(struct.pack(f"<{values.ndim}I", *values.shape))
-            fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(values, dtype="<f8"))
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into an insertion-ordered name->array mapping."""
+    """Read a checkpoint back into an insertion-ordered name->array mapping,
+    each array read straight from the file into its own buffer: one copy of
+    the values, and no buffer allocated for bytes the file does not hold."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        remaining = os.fstat(fh.fileno()).st_size
 
-    def take(n: int) -> bytes:
-        nonlocal offset
-        if offset + n > len(blob):
-            raise NumericsError(f"truncated checkpoint: {path}")
-        piece = blob[offset:offset + n]
-        offset += n
-        return piece
+        def take(n: int, make=bytearray):
+            nonlocal remaining
+            if n > remaining:
+                raise NumericsError(f"truncated checkpoint: {path}")
+            buffer = make(n)
+            if fh.readinto(buffer) != n:  # the file shrank while it was read
+                raise NumericsError(f"truncated checkpoint: {path}")
+            remaining -= n
+            return buffer
 
-    offset = 0
-    if take(4) != CHECKPOINT_MAGIC:
-        raise NumericsError(f"not a checkpoint file (bad magic): {path}")
-    version, count = struct.unpack("<II", take(8))
-    if version != CHECKPOINT_VERSION:
-        raise NumericsError(f"unsupported checkpoint version {version}")
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
-        try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError:
-            raise NumericsError(f"parameter name is not UTF-8: {path}") from None
-        if name in out:
-            raise NumericsError(f"repeated parameter name {name!r}: {path}")
-        (rank,) = struct.unpack("<I", take(4))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        size = math.prod(dims)  # exact, so a huge shape is refused as truncation
-        values = np.frombuffer(take(8 * size), dtype="<f8")
-        try:  # an empty shape can still be one numpy refuses: too many or too large dims
-            out[name] = values.reshape(dims).copy()
-        except ValueError:
-            raise NumericsError(f"impossible shape {dims} for parameter {name!r}: {path}") from None
-    if offset != len(blob):
+        if take(4) != CHECKPOINT_MAGIC:
+            raise NumericsError(f"not a checkpoint file (bad magic): {path}")
+        version, count = struct.unpack("<II", take(8))
+        if version != CHECKPOINT_VERSION:
+            raise NumericsError(f"unsupported checkpoint version {version}")
+        out: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4))
+            try:
+                name = take(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise NumericsError(f"parameter name is not UTF-8: {path}") from None
+            if name in out:
+                raise NumericsError(f"repeated parameter name {name!r}: {path}")
+            (rank,) = struct.unpack("<I", take(4))
+            dims = struct.unpack(f"<{rank}I", take(4 * rank))
+            size = 8 * math.prod(dims)  # exact, so a huge shape is refused as truncation
+            try:  # an empty shape can still be one numpy refuses: too many or too large dims
+                out[name] = take(size, lambda _: np.empty(dims, dtype="<f8"))
+            except ValueError:
+                raise NumericsError(f"impossible shape {dims} for parameter {name!r}: {path}") from None
+    if remaining:
         raise NumericsError(f"trailing bytes after checkpoint payload: {path}")
     return out

@@ -238,8 +238,8 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
     image_ids = corpus.image_ids()
     if len(image_ids) < train_cfg.num_distractors + 1:
         raise ValueError(f"need at least {train_cfg.num_distractors + 1} images for multiple choice")
-    model = InterBert.create(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
-    model.params.load_values(init_values)
+    # copies: training never writes into the caller's arrays
+    model = InterBert.from_values(model_cfg, {n: np.array(v, dtype=train_cfg.dtype) for n, v in init_values.items()})
     shadow = model.params.clone_values()
     rng = np.random.default_rng(train_cfg.seed)
     image_index = np.array(image_ids)

@@ -27,3 +27,23 @@ def test_one_pair_has_no_spread():
     got = bench_pairs.compare([2.0], [1.0], "lower", 0.25)
     assert got["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0} and got["parent_spread"] == 0.0
     assert got["relative_change"] == -0.5 and got["verdict"] == "within bound" and got["pairs_won"] == 1
+
+
+PARENT = [100, 102, 98, 101, 99, 100, 103, 97, 100, 100]  # median 100, q1 99.25, q3 100.75: IQR 1.5
+
+
+@pytest.mark.parametrize("change, better, verdict, won", [
+    ([98, 97, 96, 98, 97, 98, 99, 95, 98, 98], "lower", "improved", 10),  # medians 2 apart > IQR 1.5
+    ([98, 97, 96, 98, 97, 98, 99, 95, 101, 100], "lower", "within bound", 8),  # 8 of 10 pairs < nine tenths
+    ([99, 100, 97, 100, 98, 99, 102, 96, 99, 99], "lower", "within bound", 10),  # medians 1 apart < IQR 1.5
+    ([102, 104, 100, 103, 101, 102, 105, 99, 102, 102], "higher", "improved", 10),
+])
+def test_compare_claims_a_gain_only_on_nine_tenths_of_ten_pairs_beyond_the_parent_iqr(change, better, verdict, won):
+    got = bench_pairs.compare(PARENT, change, better, 0.25)
+    assert got["verdict"] == verdict and got["pairs_won"] == won and got["pairs"] == 10
+
+
+def test_improved_outranks_unresolved():
+    parent = [40, 60, 80, 100, 100, 100, 100, 120, 140, 160]  # median 100, IQR 30: spread 30% > 25%
+    got = bench_pairs.compare(parent, [v - 40 for v in parent[:9]] + [parent[9] + 1], "lower", 0.25)
+    assert got["parent_spread"] > 0.25 and got["pairs_won"] == 9 and got["verdict"] == "improved"

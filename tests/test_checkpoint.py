@@ -1,8 +1,11 @@
-"""Binary checkpoint round-trip and error handling."""
+"""Binary checkpoint round-trip, error handling and load memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from interbert.model import InterBert, ModelConfig, count_parameters, parameter_spec
 from interbert.numerics import (
     CHECKPOINT_MAGIC,
     NumericsError,
@@ -106,3 +109,27 @@ def test_checkpoint_with_repeated_name_rejected(tmp_path):
     path.write_bytes(blob[:second + 4] + b"w" + blob[second + 5:])
     with pytest.raises(NumericsError, match=f"repeated parameter name 'w': {path}"):
         load_checkpoint(path)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn`` runs, above what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_load_holds_one_copy_of_the_parameters(tmp_path):
+    """Loading a 17 MB checkpoint, alone or into a network, peaks at one
+    copy of its values: no whole-file buffer and no second array."""
+    cfg = ModelConfig(hidden_size=64, num_heads=2, ffn_size=128, num_interaction_layers=1,
+                      num_extraction_layers=1, vocab_size=16_000, object_feature_dim=16, max_objects=8)
+    path = tmp_path / "big.ibt"
+    save_checkpoint(path, {name: np.full(shape, 0.5) for name, shape, _ in parameter_spec(cfg)})
+    nbytes = 8 * count_parameters(cfg)
+    assert nbytes >= 16 << 20
+    assert traced_peak(lambda: load_checkpoint(path)) <= 1.1 * nbytes
+    assert traced_peak(lambda: InterBert.from_checkpoint(cfg, path)) <= 1.1 * nbytes

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import interbert
+from interbert import numerics
 from interbert.cli import build_parser, main, resolve_config
 from interbert.data import load_corpus
 
@@ -66,6 +67,9 @@ def test_synth_data_outputs(data_dir):
     assert manifest["command"] == "synth-data"
     assert manifest["config"]["seed"] == 3
     assert sorted(manifest["outputs"]) == ["corpus.jsonl", "vocab.json"]
+    # the allocator thresholds interbert.numerics set at import, or null where libc has no mallopt
+    assert manifest["malloc"] in ({"M_TRIM_THRESHOLD": 64 << 20, "M_MMAP_THRESHOLD": 32 << 20}, None)
+    assert manifest["malloc"] == numerics.MALLOC_SETTINGS
 
 
 def test_synth_data_seed_repeatable(tmp_path, data_dir):

@@ -1,6 +1,11 @@
 """Recall metrics against brute-force oracles, scoring behaviour, and the
 nearest-neighbour lookup."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -445,3 +450,31 @@ def test_multiple_choice_accuracy_of_constant_scorer_is_chance():
     model = toy_model(corpus)
     model.params["heads.itm.w2"].values[:] = 0.0  # every logit equals the output bias
     assert multiple_choice_accuracy(model, corpus, np.random.default_rng(0), num_examples=12) == 0.25
+
+
+FAULT_SCRIPT = """
+import resource
+from interbert.data import synth_corpus
+from interbert.evaluation import corpus_retrieval_pools, score_all
+from interbert.model import InterBert, ModelConfig
+
+corpus = synth_corpus(seed=0, num_images=16)
+model = InterBert.create(ModelConfig(
+    vocab_size=corpus.vocab.size, hidden_size=96, num_heads=4, ffn_size=192, num_interaction_layers=3,
+    num_extraction_layers=1, object_feature_dim=16, max_text_len=16, max_objects=8, num_object_classes=12))
+captions, images = corpus_retrieval_pools(corpus)
+score_all(model, captions, images)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+score_all(model, captions, images)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(nt.MALLOC_SETTINGS is None, reason="libc has no mallopt")
+def test_a_second_scoring_pass_keeps_its_heap_resident():
+    """The allocator thresholds set at import keep the first pass's freed heap
+    mapped, so a model built without a checkpoint scores a second time with
+    almost no page faults (glibc's defaults fault in some 17,000 here)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(nt.__file__).parents[2])}
+    done = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 500

@@ -18,6 +18,7 @@ from interbert.model import (
     init_parameters,
     parameter_spec,
 )
+from interbert.model.network import summary_rows
 from interbert.numerics import ParameterSet, Tensor, backward, finite_diff_check
 
 
@@ -170,6 +171,17 @@ def test_embed_image_single_object_summary_equals_object(rng):
     box = np.array([[0.0, 0.0, 100.0, 100.0]])
     out = model.embed_image(image_batch(f, box)).values
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
+
+
+@pytest.mark.parametrize("samples", [7, 48])
+@pytest.mark.parametrize("width", [5, 16, 2048])
+def test_summary_rows_equal_the_per_sample_mean_bit_for_bit(samples, width):
+    rng = np.random.default_rng(samples * width)
+    objects = rng.integers(1, 9, size=samples)
+    feats = rng.normal(size=(objects.sum(), width))
+    starts = np.cumsum(objects) - objects
+    expected = np.stack([feats[s:s + m].sum(axis=0) / m for s, m in zip(starts, objects)])
+    assert np.array_equal(summary_rows(feats, objects), expected)
 
 
 def test_embed_image_errors(rng):

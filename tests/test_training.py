@@ -592,3 +592,18 @@ def test_metrics_csv_formats_read_back_exactly(tmp_path):
         assert lines[0] == header
         read = [[int(v) if col == 0 else float(v) for col, v in enumerate(line.split(","))] for line in lines[1:]]
         assert read == [[getattr(row, name) for name in header.split(",")] for row in rows]
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_finetune_starts_from_a_copy_of_init_values_in_spec_order(precision):
+    corpus, _, model_cfg = small_fixture()
+    values = init_parameters(model_cfg, seed=0).clone_values()
+    kept = {name: v.copy() for name, v in values.items()}
+    fine = finetune_retrieval(corpus, model_cfg, TrainConfig(total_steps=1, warmup_steps=1, batch_size=2,
+                                                             precision=precision), dict(reversed(values.items())))
+    assert fine.model.params.names() == list(values)
+    assert all(t.dtype == np.dtype(precision) and t.values is not values[n] for n, t in fine.model.params.items())
+    assert all(np.array_equal(values[name], kept[name]) for name in values)  # the caller's arrays never train
+    with pytest.raises(NumericsError, match="missing"):
+        finetune_retrieval(corpus, model_cfg, TrainConfig(total_steps=1, warmup_steps=1, batch_size=2),
+                           {n: v for n, v in values.items() if n != "heads.itm.b2"})

@@ -17,9 +17,12 @@ Per workload and end-to-end metric the file records both sides' medians
 and quartiles, the pairs the change won (ties count for neither), and the
 parent's spread (interquartile range over median) against the bound
 ``BENCHMARK.json`` fixes. A metric whose change median is worse than the
-parent's by more than the bound is ``regressed``; otherwise one whose
-parent spread exceeds the bound is ``unresolved``, unless every change run
-beats every parent run; the rest are ``within bound``. No file is written
+parent's by more than the bound is ``regressed``. One measured over at
+least ten pairs, where the change won at least nine tenths of them and its
+median is better than the parent's by more than the parent's interquartile
+range (q3 - q1), is ``improved``: a gain that may be claimed. Otherwise one whose parent spread
+exceeds the bound is ``unresolved``, unless every change run beats every
+parent run; the rest are ``within bound``. No file is written
 when any run is not ``correct`` or has a failed operation.
 """
 
@@ -38,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+CLAIM_PAIRS = 10  # the fewest pairs a claimed gain rests on
 
 
 def git(*args: str) -> str:
@@ -92,6 +96,9 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     spread = (p["q3"] - p["q1"]) / abs(p["median"]) if p["median"] else 0.0
     if worse > bound:
         verdict = "regressed"
+    elif (len(parent) >= CLAIM_PAIRS and won >= 0.9 * len(parent)
+          and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]):
+        verdict = "improved"
     elif spread > bound and not min(sign * v for v in change) > max(sign * v for v in parent):
         verdict = "unresolved"
     else:
