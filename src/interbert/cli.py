@@ -79,6 +79,7 @@ def _git_describe() -> str:
 
 def _write_manifest(out_dir: Path, command: str, config: dict,
                     outputs: list[str], started: str) -> None:
+    from .evaluation import score_workers
     from .numerics import MALLOC_SETTINGS
 
     manifest = {
@@ -90,6 +91,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
         "finished": _utc_now(),
         "outputs": sorted(outputs),
         "malloc": MALLOC_SETTINGS,
+        "score_workers": score_workers(),
     }
     _write_json(out_dir / "manifest.json.tmp", manifest)
     os.replace(out_dir / "manifest.json.tmp", out_dir / "manifest.json")

@@ -3,8 +3,10 @@ lookup over exported item embeddings."""
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -48,27 +50,67 @@ def _check_pool_limits(model: InterBert, captions: Sequence[np.ndarray], images:
     check_limits(images, max_objects=model.config.max_objects, feature_dim=model.config.object_feature_dim)
 
 
+def score_workers() -> int:
+    """Threads that scoring runs its batches on: the CPUs this process may
+    run on, or every CPU where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _even_slices(n: int) -> list[slice]:
+    """The fewest runs of at most ``SCORE_BATCH`` rows out of ``n``, their
+    sizes at most one apart."""
+    count = -(-n // SCORE_BATCH)
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
+
+
+def _score_batches(model: InterBert, batches, logits: np.ndarray, products: np.ndarray | None = None) -> None:
+    """Forward each ``(index, captions, images)`` batch of pairs, unmasked and
+    without the tape, and write its matching logits to ``logits[index]`` and,
+    given ``products``, its pooled image x text products to ``products[index]``.
+    The batches are independent, so they run on up to ``score_workers()``
+    threads at once, inline when that is one. A batch's arithmetic does not
+    depend on the thread it runs on (numpy releases the GIL in its kernels);
+    the first failing batch's exception reaches the caller as it was raised."""
+
+    def run(batch) -> None:
+        index, captions, images = batch
+        with nt.no_grad():
+            out = model.forward(batch=make_batch([replace(image, tokens=tokens)
+                                                  for tokens, image in zip(captions, images)]),
+                                image_rows=[], text_rows=[])
+            if products is not None:
+                products[index] = out.pooled_image.values * out.pooled_text.values
+            logits[index] = model.itm_score(out.pooled_image, out.pooled_text).values[:, 0]
+
+    workers = min(score_workers(), len(batches))
+    if workers <= 1:
+        for batch in batches:
+            run(batch)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(run, batches):  # a failure cancels the batches not yet started
+            pass
+
+
 def score_pairs(model: InterBert, captions: Sequence[np.ndarray],
                 images: Sequence[ImageTextPair]) -> tuple[np.ndarray, np.ndarray]:
     """Matching logit (N,) and pooled image x text product (N, hidden), the
     matching head's input, of each caption paired with the image at the same
-    position, unmasked and without the tape. Pairs run in order, in the
-    fewest packed batches of at most ``SCORE_BATCH``, their sizes at most one
-    apart; inputs over the model's limits are refused before the first forward."""
+    position, unmasked and without the tape. Pairs run in the fewest packed
+    batches of at most ``SCORE_BATCH``, their sizes at most one apart; inputs
+    over the model's limits are refused before the first forward."""
     n = len(captions)
     if n != len(images):
         raise ValueError(f"{n} captions for {len(images)} images")
     _check_pool_limits(model, captions, images)
     logits = np.empty(n)
     products = np.empty((n, model.config.hidden_size))
-    count = -(-n // SCORE_BATCH)
-    with nt.no_grad():
-        for i in range(count):
-            rows = slice(i * n // count, (i + 1) * n // count)
-            batch = make_batch([replace(image, tokens=tokens) for tokens, image in zip(captions[rows], images[rows])])
-            out = model.forward(batch=batch, image_rows=[], text_rows=[])
-            products[rows] = out.pooled_image.values * out.pooled_text.values
-            logits[rows] = model.itm_score(out.pooled_image, out.pooled_text).values[:, 0]
+    _score_batches(model, [(rows, captions[rows], images[rows]) for rows in _even_slices(n)], logits, products)
     return logits, products
 
 
@@ -81,8 +123,8 @@ def score_all(model: InterBert, captions: Sequence[tuple[np.ndarray, int]],
     tokens = [caption for caption, _ in captions]
     _check_pool_limits(model, tokens, images)
     scores = np.empty((len(captions), len(images)))
-    for col, entry in enumerate(images):
-        scores[:, col] = score_pairs(model, tokens, [entry] * len(tokens))[0]
+    _score_batches(model, [((rows, col), tokens[rows], repeat(entry)) for col, entry in enumerate(images)
+                           for rows in _even_slices(len(tokens))], scores)
     return ScoreMatrix(scores=scores, gold=np.array([gold for _, gold in captions]))
 
 

@@ -17,6 +17,7 @@ keeps repeated runs bit-for-bit deterministic.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -37,7 +38,13 @@ NEG_LOGIT = -1.0e30
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Whether this thread records the tape; every thread starts recording."""
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 class NumericsError(ValueError):
@@ -46,14 +53,14 @@ class NumericsError(ValueError):
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (pure inference)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording inside the block (pure inference), in the
+    calling thread only: other threads keep recording."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 class _Node:
@@ -160,7 +167,7 @@ def _make(values: np.ndarray, grads: Sequence[tuple[Tensor, Callable[[np.ndarray
     instead, returning arrays of its own.
     """
     out = Tensor(values)
-    if not _grad_enabled:
+    if not _grad_mode.enabled:
         return out
     tracked = [(p._node, fn) for p, fn in grads if p._node is not None]
     if not tracked:
@@ -366,6 +373,11 @@ def attention(q, k, v, queries, keys, heads: int) -> Tensor:
     probs -= _row_max(probs)
     np.exp(probs, out=probs)
     probs /= _row_sum(probs)
+    if not _grad_mode.enabled or all(t._node is None for t in (q, k, v)):
+        # untracked: the context overwrites the query grid, and the other grids go before the gather
+        np.matmul(probs, vh, out=qh)
+        del probs, kt, vh
+        return Tensor(qh[qb, :, ql, :].reshape(rows, hidden))
     out = np.matmul(probs, vh)[qb, :, ql, :].reshape(rows, hidden)
 
     def grids(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -418,15 +430,18 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
 
 def gelu(x) -> Tensor:
     """Exact Gaussian-CDF form: x * Phi(x). A tracked output saves only its
-    slope, Phi(x) + x * pdf(x), computed in the forward."""
+    slope, Phi(x) + x * pdf(x), computed in the forward; an untracked one is
+    computed in one array."""
     x = as_tensor(x)
     v = x.values
-    cdf = erf(v * _INV_SQRT2)
+    cdf = v * _INV_SQRT2
+    erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
+    if not _grad_mode.enabled or x._node is None:
+        cdf *= v  # v * cdf: the product commutes exactly
+        return Tensor(cdf)
     out = v * cdf
-    if not _grad_enabled or x._node is None:
-        return Tensor(out)
     slope = -0.5 * v
     slope *= v
     np.exp(slope, out=slope)

@@ -1,5 +1,6 @@
 """Tape mechanics: accumulation, determinism, no_grad, memory, gradient checks."""
 
+import threading
 import tracemalloc
 import weakref
 
@@ -209,6 +210,50 @@ def test_no_grad_builds_no_tape():
     assert out._node is None and out._parents == ()
     out = nt.matmul(p, p)
     assert out._node._backward_fn is not None
+
+
+def test_no_grad_holds_only_in_its_own_thread():
+    """Two threads enter ``no_grad`` in turn and leave it in the same order,
+    not nested: neither stops the other from recording, and every thread,
+    the caller's included, records again afterwards."""
+    p = Tensor(np.ones((2, 2)), requires_grad=True)
+    step = threading.Barrier(2, timeout=30)
+    seen = {}
+
+    def records():  # both tape-building paths: _make and gelu's own check
+        return nt.mul(p, p)._node is not None and nt.gelu(p)._node is not None
+
+    def first():
+        with nt.no_grad():
+            step.wait()  # 1: first inside
+            step.wait()  # 2: second inside too
+            seen["first inside"] = records()
+        step.wait()      # 3: first out, second still inside
+        step.wait()      # 4: second out
+        seen["first after"] = records()
+
+    def second():
+        step.wait()      # 1
+        seen["second while first is inside"] = records()
+        with nt.no_grad():
+            step.wait()  # 2
+            step.wait()  # 3
+            seen["second inside"] = records()
+        step.wait()      # 4
+        seen["second after"] = records()
+
+    threads = [threading.Thread(target=first), threading.Thread(target=second)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert seen == {"first inside": False, "second while first is inside": True, "second inside": False,
+                    "first after": True, "second after": True}
+    assert records()
+    with nt.no_grad():
+        assert not records()
+    assert records()
 
 
 def test_constants_stay_off_the_tape():

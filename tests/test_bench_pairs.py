@@ -47,3 +47,30 @@ def test_improved_outranks_unresolved():
     parent = [40, 60, 80, 100, 100, 100, 100, 120, 140, 160]  # median 100, IQR 30: spread 30% > 25%
     got = bench_pairs.compare(parent, [v - 40 for v in parent[:9]] + [parent[9] + 1], "lower", 0.25)
     assert got["parent_spread"] > 0.25 and got["pairs_won"] == 9 and got["verdict"] == "improved"
+
+
+PROC_STAT = """cpu  5254375 0 202170 11414397 9906 0 5482 88601 0 0
+cpu0 2627187 0 101085 5707198 4953 0 2741 44300 0 0
+intr 123 0 0
+"""
+
+
+def test_cpu_times_reads_steal_and_total_from_the_machine_line():
+    steal, total = bench_pairs.cpu_times(PROC_STAT)
+    assert steal == 88601 and total == 5254375 + 202170 + 11414397 + 9906 + 5482 + 88601
+    with pytest.raises(ValueError, match="no steal column"):
+        bench_pairs.cpu_times("cpu  1 2 3 4\n")
+
+
+def test_steal_share_is_stolen_over_elapsed_machine_time():
+    assert bench_pairs.steal_share((100, 1000), (130, 1200)) == 0.15
+    assert bench_pairs.steal_share((100, 1000), (100, 1000)) == 0.0
+    assert bench_pairs.steal_share(None, (100, 1000)) is None
+
+
+def test_contention_lists_both_sides_per_pair():
+    runs = {"w": {"parent": [{"usable_cpus": 2, "steal_share": 0.1}, {"usable_cpus": 2, "steal_share": None}],
+                  "change": [{"usable_cpus": 2, "steal_share": 0.0}, {"usable_cpus": 1, "steal_share": 0.2}]}}
+    assert bench_pairs.contention(runs) == {"w": [
+        {"parent": {"usable_cpus": 2, "steal_share": 0.1}, "change": {"usable_cpus": 2, "steal_share": 0.0}},
+        {"parent": {"usable_cpus": 2, "steal_share": None}, "change": {"usable_cpus": 1, "steal_share": 0.2}}]}

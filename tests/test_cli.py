@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import interbert
-from interbert import numerics
+from interbert import evaluation, numerics
 from interbert.cli import build_parser, main, resolve_config
 from interbert.data import load_corpus
 
@@ -70,6 +70,9 @@ def test_synth_data_outputs(data_dir):
     # the allocator thresholds interbert.numerics set at import, or null where libc has no mallopt
     assert manifest["malloc"] in ({"M_TRIM_THRESHOLD": 64 << 20, "M_MMAP_THRESHOLD": 32 << 20}, None)
     assert manifest["malloc"] == numerics.MALLOC_SETTINGS
+    # the threads retrieval scoring runs its batches on, from the CPU affinity
+    assert manifest["score_workers"] == evaluation.score_workers() >= 1
+    assert "score_workers" not in manifest["config"]
 
 
 def test_synth_data_seed_repeatable(tmp_path, data_dir):

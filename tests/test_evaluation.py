@@ -4,13 +4,16 @@ nearest-neighbour lookup."""
 import os
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from interbert import evaluation
 from interbert import numerics as nt
-from interbert.data import CorpusError, synth_corpus
+from interbert.data import CorpusError, make_batch, synth_corpus
 from interbert.evaluation import (
     SCORE_BATCH,
     ScoreMatrix,
@@ -450,6 +453,122 @@ def test_multiple_choice_accuracy_of_constant_scorer_is_chance():
     model = toy_model(corpus)
     model.params["heads.itm.w2"].values[:] = 0.0  # every logit equals the output bias
     assert multiple_choice_accuracy(model, corpus, np.random.default_rng(0), num_examples=12) == 0.25
+
+
+# ---------------------------------------------------------------------------
+# concurrent batches
+# ---------------------------------------------------------------------------
+
+def serial_plan_scores(model, captions, images):
+    """Logits and pooled products from a plain loop of ``model.forward`` over
+    the batch plan scoring uses: the fewest runs of at most SCORE_BATCH pairs,
+    in order, their sizes at most one apart."""
+    n = len(captions)
+    count = -(-n // SCORE_BATCH)
+    logits, products = [np.empty(0)], [np.empty((0, model.config.hidden_size))]
+    with nt.no_grad():
+        for i in range(count):
+            rows = slice(i * n // count, (i + 1) * n // count)
+            batch = make_batch([replace(image, tokens=tokens) for tokens, image in zip(captions[rows], images[rows])])
+            out = model.forward(batch=batch, image_rows=[], text_rows=[])
+            logits.append(model.itm_score(out.pooled_image, out.pooled_text).values[:, 0])
+            products.append(out.pooled_image.values * out.pooled_text.values)
+    return np.concatenate(logits), np.concatenate(products)
+
+
+WORKERS = (1, 4, None)  # inline; more threads than most test hosts have CPUs; the default (CPU affinity)
+
+
+def at_workers(monkeypatch, workers, run):
+    """``run()`` with scoring held to ``workers`` threads (None: the default)."""
+    with monkeypatch.context() as patch:
+        if workers is not None:
+            patch.setattr(evaluation, "score_workers", lambda: workers)
+        return run()
+
+
+@pytest.mark.parametrize("num_images", [50, 33])
+def test_score_all_gives_the_same_bytes_at_every_worker_count(monkeypatch, num_images):
+    corpus = mixed_pool(num_images) if num_images % SCORE_BATCH else synth_corpus(seed=4, num_images=num_images)
+    model = toy_model(corpus, seed=6)
+    captions, images = corpus_retrieval_pools(corpus)
+    tokens = [caption for caption, _ in captions]
+    want = np.column_stack([serial_plan_scores(model, tokens, [image] * len(tokens))[0] for image in images])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter will, so a misplaced write shows
+    try:
+        for workers in WORKERS:
+            got = at_workers(monkeypatch, workers, lambda: score_all(model, captions, images))
+            assert got.scores.tobytes() == want.tobytes(), workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_score_pairs_gives_the_same_bytes_at_every_worker_count(monkeypatch):
+    corpus = mixed_pool()
+    model = toy_model(corpus, seed=7)
+    for n in (0, 1, 33):
+        pairs = [corpus.pairs[(5 * i) % len(corpus.pairs)] for i in range(n)]
+        captions = [corpus.pairs[i % len(corpus.pairs)].tokens for i in range(n)]
+        want = serial_plan_scores(model, captions, pairs)
+        for workers in WORKERS:
+            got = at_workers(monkeypatch, workers, lambda: score_pairs(model, captions, pairs))
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (n, workers)
+
+
+def test_embeddings_and_accuracies_give_the_same_bytes_at_every_worker_count(monkeypatch):
+    corpus = mixed_pool()
+    model = toy_model(corpus, seed=8)
+    want = serial_plan_scores(model, [pair.tokens for pair in corpus.pairs], corpus.pairs)[1].tobytes()
+    seen = set()
+    for workers in WORKERS:
+        assert at_workers(monkeypatch, workers, lambda: item_embeddings(model, corpus)).tobytes() == want
+        seen.add(at_workers(monkeypatch, workers, lambda: (
+            itm_accuracy(model, corpus, np.random.default_rng(7), num_samples=37).hex(),
+            multiple_choice_accuracy(model, corpus, np.random.default_rng(8), num_examples=9).hex())))
+    assert len(seen) == 1
+
+
+class BatchFailed(RuntimeError):
+    pass
+
+
+def test_scoring_threads_end_with_the_call_and_a_failing_batch_reaches_the_caller_unchanged(monkeypatch):
+    corpus = synth_corpus(seed=4, num_images=50, num_classes=6, feature_dim=8)
+    model = toy_model(corpus)
+    captions, images = corpus_retrieval_pools(corpus)
+    monkeypatch.setattr(evaluation, "score_workers", lambda: 2)
+    before = threading.active_count()
+    score_all(model, captions, images)
+    assert threading.active_count() == before
+
+    calls, lock, forward = [], threading.Lock(), model.forward
+
+    def fails_on_its_third_call(*args, **kwargs):
+        with lock:
+            calls.append(len(calls) + 1)
+            call = calls[-1]
+        if call == 3:
+            raise BatchFailed("batch of call 3 failed")
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", fails_on_its_third_call)
+    with pytest.raises(BatchFailed) as failure:
+        score_all(model, captions, images)
+    assert type(failure.value) is BatchFailed and str(failure.value) == "batch of call 3 failed"
+    assert threading.active_count() == before
+    assert len(calls) < 100  # the batches not started by the failure are cancelled
+
+    model.config.max_text_len = max(len(tokens) for tokens, _ in captions) - 1
+    forbid_forward(model, monkeypatch)
+    with pytest.raises(CorpusError, match="caption at position"):
+        score_all(model, captions, images)
+    with pytest.raises(CorpusError, match="caption at position"):
+        score_pairs(model, [tokens for tokens, _ in captions], images)
+    model.config.max_text_len, model.config.max_objects = 16, 1
+    with pytest.raises(CorpusError, match="objects > limit 1"):
+        score_all(model, captions, images)
+    assert threading.active_count() == before
 
 
 FAULT_SCRIPT = """

@@ -191,6 +191,22 @@ def test_attention_float32_stays_float32(rng):
     assert np.max(np.abs(out.values - naive_attention(q, k, v, queries, keys))) <= 1e-5
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_untracked_attention_and_gelu_give_the_tracked_bytes(rng, dtype):
+    """Without the tape, attention writes its context into the query grid and
+    gelu works in one array; the values are the tracked path's bit for bit."""
+    for layout in QUERY_SEQUENCES:
+        q, k, v, queries, keys = ragged_attention_case(rng, dtype, layout)
+        tracked = nt.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), queries, keys, HEADS)
+        with nt.no_grad():
+            inferred = nt.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), queries, keys, HEADS)
+        constant = nt.attention(Tensor(q), Tensor(k), Tensor(v), queries, keys, HEADS)
+        assert tracked._node is not None and inferred._node is None and constant._node is None
+        assert inferred.values.tobytes() == tracked.values.tobytes() == constant.values.tobytes(), layout
+        x = rng.normal(0.0, 2.0, size=(7, 5)).astype(dtype)
+        assert nt.gelu(Tensor(x)).values.tobytes() == nt.gelu(Tensor(x, requires_grad=True)).values.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_attention_matches_naive_on_drawn_sequence_ids(data):

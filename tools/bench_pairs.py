@@ -12,6 +12,11 @@ leftover ``perfbench/_work``. Each run is one process of the unchanged
 ``perfbench/run.py`` with ``--seed 0 --trace 0`` at the run length
 ``BENCHMARK.json`` sets, over every workload it lists; the pairs alternate
 which side runs first. The last line of each run's output is its JSON result.
+Since scoring runs on every usable CPU, host contention can decide a pair, so
+each run also records the CPUs this process may use and the share of the
+machine's CPU time stolen by the hypervisor while it ran (the ``steal``
+column of ``/proc/stat``, read before and after; null where it cannot be
+read); the file lists both per pair.
 
 Per workload and end-to-end metric the file records both sides' medians
 and quartiles, the pairs the change won (ties count for neither), and the
@@ -31,6 +36,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -65,11 +71,49 @@ def export_checkout(dest: Path) -> None:
             shutil.copy2(source, dest / name)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process (and so each run it starts) may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def cpu_times(stat: str) -> tuple[int, int]:
+    """(steal, total) time of the whole machine from a ``/proc/stat`` text:
+    its ``cpu`` line's user, nice, system, idle, iowait, irq, softirq and
+    steal columns (guest time is already inside user)."""
+    line = next(line for line in stat.splitlines() if line.startswith("cpu "))
+    columns = [int(v) for v in line.split()[1:9]]
+    if len(columns) < 8:
+        raise ValueError(f"no steal column in {line!r}")
+    return columns[7], sum(columns)
+
+
+def read_cpu_times() -> tuple[int, int] | None:
+    try:
+        with open("/proc/stat", encoding="ascii") as fh:
+            return cpu_times(fh.read())
+    except (OSError, StopIteration, ValueError):
+        return None
+
+
+def steal_share(before: tuple[int, int] | None, after: tuple[int, int] | None) -> float | None:
+    """Share of the machine's CPU time stolen between two ``cpu_times`` readings."""
+    if before is None or after is None:
+        return None
+    total = after[1] - before[1]
+    return (after[0] - before[0]) / total if total > 0 else 0.0
+
+
 def run_once(tree: Path, command: list[str], workload: str) -> dict:
-    """One ``perfbench/run.py`` process in ``tree``: its JSON result and its
-    environment line. A failed process, a run that is not ``correct`` and a
-    failed operation stop the whole measurement, before any file is written."""
+    """One ``perfbench/run.py`` process in ``tree``: its JSON result, its
+    environment line, the usable CPU count and the steal share over the run.
+    A failed process, a run that is not ``correct`` and a failed operation
+    stop the whole measurement, before any file is written."""
+    before = read_cpu_times()
     done = subprocess.run([*command, "--workload", workload], cwd=tree, capture_output=True, text=True)
+    after = read_cpu_times()
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{workload} in {tree} exited with code {done.returncode}: {done.stderr.strip()[-2000:]}")
@@ -79,6 +123,7 @@ def run_once(tree: Path, command: list[str], workload: str) -> dict:
                          f"{result['attempted']} operations failed; no file written")
     env = [line.split(" ", 1)[1] for line in lines if line.startswith("environment ")]
     result["environment"] = json.loads(env[0]) if env else None
+    result["usable_cpus"], result["steal_share"] = usable_cpus(), steal_share(before, after)
     return result
 
 
@@ -116,6 +161,12 @@ def summarize(runs: dict, benchmark: dict) -> dict:
         for m in benchmark["end_to_end"]} for workload, sides in runs.items()}
 
 
+def contention(runs: dict) -> dict:
+    """Per workload and pair, each side's usable CPU count and steal share."""
+    return {workload: [{side: {key: sides[side][i][key] for key in ("usable_cpus", "steal_share")} for side in SIDES}
+                       for i in range(len(sides[SIDES[0]]))] for workload, sides in runs.items()}
+
+
 def measure(args, benchmark: dict, scratch: Path) -> dict:
     """Export both trees into ``scratch`` and run the pairs: the record to write."""
     trees = {side: scratch / side for side in SIDES}
@@ -134,8 +185,9 @@ def measure(args, benchmark: dict, scratch: Path) -> dict:
         for workload in runs:
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                 runs[workload][side].append(run_once(trees[side], command, workload))
-                print(f"pair {pair + 1}/{args.pairs} {workload} {side}: "
-                      f"{json.dumps(runs[workload][side][-1]['metrics'])}", flush=True)
+                run = runs[workload][side][-1]
+                print(f"pair {pair + 1}/{args.pairs} {workload} {side}: {json.dumps(run['metrics'])} "
+                      f"cpus {run['usable_cpus']} steal {run['steal_share']}", flush=True)
     return {
         "parent": parent,
         "change": f"checkout at {git('rev-parse', 'HEAD').strip()}"
@@ -144,6 +196,7 @@ def measure(args, benchmark: dict, scratch: Path) -> dict:
         "pairs": args.pairs,
         "order": "pair i runs the parent first when i is even, the change first when it is odd",
         "workloads": summarize(runs, benchmark),
+        "contention": contention(runs),
         "runs": runs,
     }
 
