@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Sequence
@@ -51,7 +52,7 @@ def _check_pool_limits(model: InterBert, captions: Sequence[np.ndarray], images:
 
 
 def score_workers() -> int:
-    """Threads that scoring runs its batches on: the CPUs this process may
+    """Processes that scoring runs its batches in: the CPUs this process may
     run on, or every CPU where the platform cannot say."""
     try:
         return len(os.sched_getaffinity(0))
@@ -59,42 +60,69 @@ def score_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _even_slices(n: int) -> list[slice]:
-    """The fewest runs of at most ``SCORE_BATCH`` rows out of ``n``, their
-    sizes at most one apart."""
-    count = -(-n // SCORE_BATCH)
+def _even_slices(n: int, count: int) -> list[slice]:
+    """``count`` contiguous runs in order out of ``n``, their sizes at most one apart."""
     return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
 
 
-def _score_batches(model: InterBert, batches, logits: np.ndarray, products: np.ndarray | None = None) -> None:
+def _score_batches(model: InterBert, batches: list, logits: np.ndarray, products: np.ndarray | None = None) -> None:
     """Forward each ``(index, captions, images)`` batch of pairs, unmasked and
     without the tape, and write its matching logits to ``logits[index]`` and,
     given ``products``, its pooled image x text products to ``products[index]``.
-    The batches are independent, so they run on up to ``score_workers()``
-    threads at once, inline when that is one. A batch's arithmetic does not
-    depend on the thread it runs on (numpy releases the GIL in its kernels);
-    the first failing batch's exception reaches the caller as it was raised."""
+    A forward mostly holds the interpreter lock, so each worker is a forked
+    child that runs one contiguous share of at least two batches into a shared
+    mapping, copied out after reaping; under four batches, one worker, no
+    ``fork`` or a second live thread (a child would inherit its locks) run
+    inline. A failed child's share runs again in the caller, so a failing
+    batch's exception reaches it as raised. No child outlives the call, and
+    no batch's arithmetic depends on the process it runs in."""
 
-    def run(batch) -> None:
-        index, captions, images = batch
-        with nt.no_grad():
-            out = model.forward(batch=make_batch([replace(image, tokens=tokens)
-                                                  for tokens, image in zip(captions, images)]),
-                                image_rows=[], text_rows=[])
-            if products is not None:
-                products[index] = out.pooled_image.values * out.pooled_text.values
-            logits[index] = model.itm_score(out.pooled_image, out.pooled_text).values[:, 0]
+    def run(share, logits, products=None) -> None:
+        for index, captions, images in share:
+            with nt.no_grad():
+                out = model.forward(batch=make_batch([replace(image, tokens=tokens)
+                                                      for tokens, image in zip(captions, images)]),
+                                    image_rows=[], text_rows=[])
+                if products is not None:
+                    products[index] = out.pooled_image.values * out.pooled_text.values
+                logits[index] = model.itm_score(out.pooled_image, out.pooled_text).values[:, 0]
 
-    workers = min(score_workers(), len(batches))
-    if workers <= 1:
-        for batch in batches:
-            run(batch)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(run, batches):  # a failure cancels the batches not yet started
-            pass
+    workers = min(score_workers(), len(batches) // 2)
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return run(batches, logits, products)
+    import mmap
+    import signal
+    outs = [array for array in (logits, products) if array is not None]
+    shared = mmap.mmap(-1, sum(array.nbytes for array in outs))
+    views = [np.ndarray(array.shape, array.dtype, shared, offset=logits.nbytes * i) for i, array in enumerate(outs)]
+    running = {}  # pid -> share, in fork order
+    try:
+        for share in (batches[rows] for rows in _even_slices(len(batches), workers)):
+            try:
+                pid = os.fork()
+            except OSError:
+                run(share, *views)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    run(share, *views)
+                    status = 0
+                finally:
+                    os._exit(status)  # never the parent's atexit handlers or stdio buffers
+            running[pid] = share
+        for pid, share in list(running.items()):
+            status = os.waitpid(pid, 0)[1]
+            del running[pid]
+            if status:  # the share raises again here, or runs through
+                run(share, *views)
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for index, _, _ in batches:
+        for out, view in zip(outs, views):
+            out[index] = view[index]
 
 
 def score_pairs(model: InterBert, captions: Sequence[np.ndarray],
@@ -110,7 +138,8 @@ def score_pairs(model: InterBert, captions: Sequence[np.ndarray],
     _check_pool_limits(model, captions, images)
     logits = np.empty(n)
     products = np.empty((n, model.config.hidden_size))
-    _score_batches(model, [(rows, captions[rows], images[rows]) for rows in _even_slices(n)], logits, products)
+    _score_batches(model, [(rows, captions[rows], images[rows]) for rows in _even_slices(n, -(-n // SCORE_BATCH))],
+                   logits, products)
     return logits, products
 
 
@@ -123,8 +152,9 @@ def score_all(model: InterBert, captions: Sequence[tuple[np.ndarray, int]],
     tokens = [caption for caption, _ in captions]
     _check_pool_limits(model, tokens, images)
     scores = np.empty((len(captions), len(images)))
+    plan = _even_slices(len(tokens), -(-len(tokens) // SCORE_BATCH))
     _score_batches(model, [((rows, col), tokens[rows], repeat(entry)) for col, entry in enumerate(images)
-                           for rows in _even_slices(len(tokens))], scores)
+                           for rows in plan], scores)
     return ScoreMatrix(scores=scores, gold=np.array([gold for _, gold in captions]))
 
 

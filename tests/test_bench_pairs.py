@@ -1,6 +1,9 @@
 """The paired-run comparison of tools/bench_pairs.py."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +77,44 @@ def test_contention_lists_both_sides_per_pair():
     assert bench_pairs.contention(runs) == {"w": [
         {"parent": {"usable_cpus": 2, "steal_share": 0.1}, "change": {"usable_cpus": 2, "steal_share": 0.0}},
         {"parent": {"usable_cpus": 2, "steal_share": None}, "change": {"usable_cpus": 1, "steal_share": 0.2}}]}
+
+
+FORKS_A_LARGER_CHILD = """
+import os
+def rss_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) / 1024
+own = rss_mb()
+pid = os.fork()
+if pid == 0:
+    held = b"\\1" * (40 << 20)  # 40 MB, every page written
+    os._exit(0)
+os.waitpid(pid, 0)
+print(own)
+"""
+
+# A process started by vfork and exec keeps its starter's peak RSS as a floor
+# of its own, and this test process may have grown large; so the run is
+# started from a fresh interpreter, and the command's child is the grandchild.
+MEASURES_IT = f"""
+import json, sys
+sys.path.insert(0, {str(Path(__file__).parent.parent / "tools")!r})
+import bench_pairs
+print(json.dumps(bench_pairs.run_reaped([sys.executable, "-c", {FORKS_A_LARGER_CHILD!r}], ".")))
+"""
+
+
+def test_a_run_reports_the_peak_rss_of_its_process_tree(tmp_path):
+    done = subprocess.run([sys.executable, "-c", MEASURES_IT], cwd=tmp_path, capture_output=True, text=True,
+                          check=True, timeout=60)
+    returncode, stdout, stderr, tree_peak_rss_mb = json.loads(done.stdout)
+    assert returncode == 0, stderr
+    own_mb = float(stdout)
+    assert own_mb + 35 < tree_peak_rss_mb < own_mb + 60, (own_mb, tree_peak_rss_mb)
+    assert bench_pairs.run_reaped([sys.executable, "-c", "import sys; sys.exit(3)"], tmp_path)[0] == 3
+
+
+def test_tree_peaks_list_both_sides_per_pair():
+    runs = {"w": {"parent": [{"tree_peak_rss_mb": 60.0}, {"tree_peak_rss_mb": 61.0}],
+                  "change": [{"tree_peak_rss_mb": 90.5}, {"tree_peak_rss_mb": 91.5}]}}
+    assert bench_pairs.tree_peaks(runs) == {"w": [{"parent": 60.0, "change": 90.5}, {"parent": 61.0, "change": 91.5}]}

@@ -1,7 +1,9 @@
 """Recall metrics against brute-force oracles, scoring behaviour, and the
 nearest-neighbour lookup."""
 
+import errno
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -263,6 +265,7 @@ def test_score_pairs_runs_the_fewest_batches_of_near_equal_size(monkeypatch):
     corpus = synth_corpus(seed=3, num_images=6, num_classes=6, feature_dim=8)
     model = toy_model(corpus)
     sizes = record_batch_sizes(model, monkeypatch)
+    monkeypatch.setattr(evaluation, "score_workers", lambda: 1)  # forwards in the caller, where they are counted
     assert 25 <= SCORE_BATCH < 50
     for n in (50, SCORE_BATCH + 1, SCORE_BATCH, 3 * SCORE_BATCH - 1, 1):
         sizes.clear()
@@ -284,6 +287,7 @@ def test_score_all_runs_two_forwards_per_column_of_fifty_captions(monkeypatch):
     captions, images = corpus_retrieval_pools(corpus)
     assert (len(captions), len(images)) == (50, 50)
     sizes = record_batch_sizes(model, monkeypatch)
+    monkeypatch.setattr(evaluation, "score_workers", lambda: 1)  # forwards in the caller, where they are counted
     score_all(model, captions, images)
     assert sizes == [25, 25] * 50
 
@@ -476,11 +480,11 @@ def serial_plan_scores(model, captions, images):
     return np.concatenate(logits), np.concatenate(products)
 
 
-WORKERS = (1, 4, None)  # inline; more threads than most test hosts have CPUs; the default (CPU affinity)
+WORKERS = (1, 4, None)  # inline; more processes than most test hosts have CPUs; the default (CPU affinity)
 
 
 def at_workers(monkeypatch, workers, run):
-    """``run()`` with scoring held to ``workers`` threads (None: the default)."""
+    """``run()`` with scoring held to ``workers`` processes (None: the default)."""
     with monkeypatch.context() as patch:
         if workers is not None:
             patch.setattr(evaluation, "score_workers", lambda: workers)
@@ -540,7 +544,7 @@ def test_scoring_threads_end_with_the_call_and_a_failing_batch_reaches_the_calle
     monkeypatch.setattr(evaluation, "score_workers", lambda: 2)
     before = threading.active_count()
     score_all(model, captions, images)
-    assert threading.active_count() == before
+    assert threading.active_count() == before and no_child_left()
 
     calls, lock, forward = [], threading.Lock(), model.forward
 
@@ -556,7 +560,7 @@ def test_scoring_threads_end_with_the_call_and_a_failing_batch_reaches_the_calle
     with pytest.raises(BatchFailed) as failure:
         score_all(model, captions, images)
     assert type(failure.value) is BatchFailed and str(failure.value) == "batch of call 3 failed"
-    assert threading.active_count() == before
+    assert threading.active_count() == before and no_child_left()
     assert len(calls) < 100  # the batches not started by the failure are cancelled
 
     model.config.max_text_len = max(len(tokens) for tokens, _ in captions) - 1
@@ -569,6 +573,155 @@ def test_scoring_threads_end_with_the_call_and_a_failing_batch_reaches_the_calle
     with pytest.raises(CorpusError, match="objects > limit 1"):
         score_all(model, captions, images)
     assert threading.active_count() == before
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child at all, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids ``os.fork`` returns to this process from now on, in fork order."""
+    fork, pids = os.fork, []
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return pids
+
+
+@pytest.mark.parametrize("num_batches", [9, 5, 3])
+def test_each_child_runs_one_contiguous_share_of_at_least_two_batches(monkeypatch, tmp_path, forked, num_batches):
+    corpus = synth_corpus(seed=3, num_images=6, num_classes=6, feature_dim=8)
+    model = toy_model(corpus)
+    n = num_batches * SCORE_BATCH
+    pairs = [replace(corpus.pairs[i % len(corpus.pairs)], caption_id=i) for i in range(n)]
+    captions = [pair.tokens for pair in pairs]
+    log, make = tmp_path / "batches", evaluation.make_batch
+
+    def logged_make_batch(samples):
+        with open(log, "a") as fh:  # one short appended line a batch, from the process that runs it
+            fh.write(f"{os.getpid()} {samples[0].caption_id}\n")
+        return make(samples)
+
+    monkeypatch.setattr(evaluation, "make_batch", logged_make_batch)
+
+    def batch_starts_by_process(workers):
+        log.write_text("")
+        forked.clear()
+        got = at_workers(monkeypatch, workers, lambda: score_pairs(model, captions, pairs))
+        starts = {}
+        for line in log.read_text().splitlines():
+            pid, start = map(int, line.split())
+            starts.setdefault(pid, []).append(start)
+        return got, starts
+
+    want, starts = batch_starts_by_process(1)
+    plan = starts.pop(os.getpid())
+    assert starts == {} and forked == [] and len(plan) == num_batches
+    for workers in (2, 3, 4):
+        got, starts = batch_starts_by_process(workers)
+        if num_batches < 4:  # a child would get fewer than two: every batch runs in the caller
+            assert forked == [] and starts == {os.getpid(): plan}
+        else:
+            shares = [starts.pop(pid) for pid in forked]  # in fork order
+            assert starts == {}, workers  # the caller ran no batch
+            assert len(shares) == min(workers, num_batches // 2), (workers, shares)
+            assert min(map(len, shares)) >= 2 and sum(shares, []) == plan, (workers, shares)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want] and no_child_left()
+
+
+@pytest.fixture
+def forked_pool(monkeypatch, forked):
+    """A model, a pool of at least four batches, the serial loop's score bytes
+    and the pids forked, scoring held to two workers."""
+    corpus = synth_corpus(seed=4, num_images=12, num_classes=6, feature_dim=8)
+    model = toy_model(corpus, seed=5)
+    captions, images = corpus_retrieval_pools(corpus)
+    tokens = [caption for caption, _ in captions]
+    want = np.column_stack([serial_plan_scores(model, tokens, [image] * len(tokens))[0] for image in images])
+    monkeypatch.setattr(evaluation, "score_workers", lambda: 2)
+    return model, captions, images, want.tobytes(), forked
+
+
+def test_a_scoring_call_reaps_every_child_it_forks(forked_pool):
+    model, captions, images, want, forked = forked_pool
+    assert score_all(model, captions, images).scores.tobytes() == want
+    assert len(forked) == 2 and no_child_left()
+
+
+def test_the_share_of_a_killed_child_runs_again_in_the_caller(forked_pool, monkeypatch):
+    model, captions, images, want, forked = forked_pool
+    parent, forward = os.getpid(), model.forward
+
+    def first_child_dies(*args, **kwargs):
+        if os.getpid() != parent and not forked:  # the first child forked before any pid was recorded
+            os.kill(os.getpid(), signal.SIGKILL)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", first_child_dies)
+    assert score_all(model, captions, images).scores.tobytes() == want
+    assert len(forked) == 2 and no_child_left()
+
+
+def test_a_failed_fork_runs_its_share_inline(forked_pool, monkeypatch):
+    model, captions, images, want, _ = forked_pool
+
+    def refused():
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(os, "fork", refused)
+    assert score_all(model, captions, images).scores.tobytes() == want and no_child_left()
+
+
+def test_scoring_runs_inline_without_fork(forked_pool, monkeypatch):
+    model, captions, images, want, _ = forked_pool
+    monkeypatch.delattr(os, "fork")
+    assert score_all(model, captions, images).scores.tobytes() == want and no_child_left()
+
+
+def test_scoring_never_forks_beside_a_second_live_thread(forked_pool, monkeypatch):
+    model, captions, images, want, _ = forked_pool
+
+    def forbidden():
+        pytest.fail("forked while a second thread was alive")
+
+    monkeypatch.setattr(os, "fork", forbidden)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert score_all(model, captions, images).scores.tobytes() == want and no_child_left()
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+
+
+def test_an_interrupted_caller_kills_and_reaps_its_children(forked_pool, monkeypatch):
+    model, captions, images, _, forked = forked_pool
+    waitpid, waited = os.waitpid, []
+
+    def interrupted_once(pid, options):
+        if not waited:
+            waited.append(pid)
+            raise KeyboardInterrupt
+        return waitpid(pid, options)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "waitpid", interrupted_once)
+        with pytest.raises(KeyboardInterrupt):
+            score_all(model, captions, images)
+    assert len(forked) == 2 and waited == forked[:1] and no_child_left()
 
 
 FAULT_SCRIPT = """

@@ -16,7 +16,10 @@ Since scoring runs on every usable CPU, host contention can decide a pair, so
 each run also records the CPUs this process may use and the share of the
 machine's CPU time stolen by the hypervisor while it ran (the ``steal``
 column of ``/proc/stat``, read before and after; null where it cannot be
-read); the file lists both per pair.
+read); the file lists both per pair. Scoring forks worker processes, whose
+memory ``run.py``'s ``peak_rss_mb`` (its own ``RUSAGE_SELF``) cannot see, so
+each run is reaped with ``os.wait4`` and the file also lists, per pair, each
+run's process-tree peak RSS as ``tree_peak_rss_mb``.
 
 Per workload and end-to-end metric the file records both sides' medians
 and quartiles, the pairs the change won (ties count for neither), and the
@@ -106,17 +109,33 @@ def steal_share(before: tuple[int, int] | None, after: tuple[int, int] | None) -
     return (after[0] - before[0]) / total if total > 0 else 0.0
 
 
+def run_reaped(command: list[str], cwd: Path) -> tuple[int, str, str, float]:
+    """Run ``command`` in ``cwd`` to its end and reap it with ``os.wait4``: its
+    exit code, stdout, stderr and the peak resident set of its process tree in
+    MB, the largest of the process and every descendant it reaped (the call's
+    ``ru_maxrss``, in KB on Linux). A process started by vfork and exec keeps
+    its starter's peak as a floor, so the figure is only as low as this one's."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        with subprocess.Popen(command, cwd=cwd, stdout=out, stderr=err) as process:
+            status, usage = os.wait4(process.pid, 0)[1:]
+            process.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return process.returncode, out.read().decode(), err.read().decode(), usage.ru_maxrss / 1024.0
+
+
 def run_once(tree: Path, command: list[str], workload: str) -> dict:
     """One ``perfbench/run.py`` process in ``tree``: its JSON result, its
-    environment line, the usable CPU count and the steal share over the run.
-    A failed process, a run that is not ``correct`` and a failed operation
-    stop the whole measurement, before any file is written."""
+    environment line, the usable CPU count, the steal share over the run and
+    the peak RSS of its process tree (``run.py`` reads only its own). A failed
+    process, a run that is not ``correct`` and a failed operation stop the
+    whole measurement, before any file is written."""
     before = read_cpu_times()
-    done = subprocess.run([*command, "--workload", workload], cwd=tree, capture_output=True, text=True)
+    returncode, stdout, stderr, tree_peak_rss_mb = run_reaped([*command, "--workload", workload], tree)
     after = read_cpu_times()
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        raise SystemExit(f"{workload} in {tree} exited with code {done.returncode}: {done.stderr.strip()[-2000:]}")
+    lines = stdout.strip().splitlines()
+    if returncode != 0 or not lines:
+        raise SystemExit(f"{workload} in {tree} exited with code {returncode}: {stderr.strip()[-2000:]}")
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{workload} in {tree}: correct {result['correct']}, {result['failed']} of "
@@ -124,6 +143,7 @@ def run_once(tree: Path, command: list[str], workload: str) -> dict:
     env = [line.split(" ", 1)[1] for line in lines if line.startswith("environment ")]
     result["environment"] = json.loads(env[0]) if env else None
     result["usable_cpus"], result["steal_share"] = usable_cpus(), steal_share(before, after)
+    result["tree_peak_rss_mb"] = tree_peak_rss_mb
     return result
 
 
@@ -167,6 +187,12 @@ def contention(runs: dict) -> dict:
                        for i in range(len(sides[SIDES[0]]))] for workload, sides in runs.items()}
 
 
+def tree_peaks(runs: dict) -> dict:
+    """Per workload and pair, each side's process-tree peak RSS in MB."""
+    return {workload: [{side: sides[side][i]["tree_peak_rss_mb"] for side in SIDES}
+                       for i in range(len(sides[SIDES[0]]))] for workload, sides in runs.items()}
+
+
 def measure(args, benchmark: dict, scratch: Path) -> dict:
     """Export both trees into ``scratch`` and run the pairs: the record to write."""
     trees = {side: scratch / side for side in SIDES}
@@ -187,7 +213,8 @@ def measure(args, benchmark: dict, scratch: Path) -> dict:
                 runs[workload][side].append(run_once(trees[side], command, workload))
                 run = runs[workload][side][-1]
                 print(f"pair {pair + 1}/{args.pairs} {workload} {side}: {json.dumps(run['metrics'])} "
-                      f"cpus {run['usable_cpus']} steal {run['steal_share']}", flush=True)
+                      f"cpus {run['usable_cpus']} steal {run['steal_share']} "
+                      f"tree peak {run['tree_peak_rss_mb']:.1f} MB", flush=True)
     return {
         "parent": parent,
         "change": f"checkout at {git('rev-parse', 'HEAD').strip()}"
@@ -197,6 +224,7 @@ def measure(args, benchmark: dict, scratch: Path) -> dict:
         "order": "pair i runs the parent first when i is even, the change first when it is odd",
         "workloads": summarize(runs, benchmark),
         "contention": contention(runs),
+        "tree_peak_rss_mb": tree_peaks(runs),
         "runs": runs,
     }
 
