@@ -79,8 +79,8 @@ def _git_describe() -> str:
 
 def _write_manifest(out_dir: Path, command: str, config: dict,
                     outputs: list[str], started: str) -> None:
-    from .evaluation import score_workers
     from .numerics import MALLOC_SETTINGS
+    from .workers import score_workers
 
     manifest = {
         "command": command,
@@ -325,14 +325,18 @@ def run_eval(config: dict, out_dir: Path) -> list[str]:
 
 
 def run_gradcheck(config: dict, out_dir: Path) -> list[str]:
+    import functools
+
     import numpy as np
 
+    from . import numerics as nt
     from .data import synth_corpus
     from .masking import MaskingConfig, mask_pair
     from .model import InterBert, ModelConfig
     from .numerics import finite_diff_check
     from .training import TrainConfig, total_loss
-    from .training.loop import _batch_losses
+    from .training.loop import _batch_losses, _target_counts
+    from .workers import _even_slices
 
     corpus = synth_corpus(seed=config["seed"], num_images=4, num_classes=6,
                           feature_dim=8, min_objects=config["objects"],
@@ -356,11 +360,13 @@ def run_gradcheck(config: dict, out_dir: Path) -> list[str]:
     negative = mask_pair(corpus.pairs[1], corpus.vocab, gen, MaskingConfig(anchor_prob=0.4),
                          itm_label=0, tokens_override=corpus.pairs[2].tokens)
 
-    train_cfg = TrainConfig()
+    train_cfg, batch = TrainConfig(), [positive, negative]
+    totals = _target_counts(batch, train_cfg)
 
-    def loss_fn():  # the trainer's own batch loss over a packed two-sample batch
-        l_msm, l_mrm, l_itm, _ = _batch_losses(model, [positive, negative], train_cfg)
-        return total_loss(l_msm, l_mrm, l_itm)
+    def loss_fn():  # the trainer's own shard losses of a two-sample batch, summed
+        shards = [total_loss(*_batch_losses(model, batch[rows], train_cfg, totals)[:3])
+                  for rows in _even_slices(len(batch), train_cfg.shards)]
+        return functools.reduce(nt.add, shards)
 
     error = finite_diff_check(loss_fn, model.params, step=config["step"],
                               sample_count=config["samples"], seed=config["seed"])
@@ -596,6 +602,17 @@ def _dispatch(args: argparse.Namespace) -> None:
     missing = set(defaults) - set(config)
     if missing:
         raise CommandError(f"config file {args.manifest}: config lacks keys {sorted(missing)}")
+    if "train" in defaults:  # a key left out would replay at today's default, not at what ran
+        from .training import TrainConfig
+
+        full = TrainConfig().to_dict()
+        train = config["train"]
+        missing = [key for key in full if key not in train] + [
+            f"masking.{key}" for key in full["masking"] if isinstance(train.get("masking"), dict)
+            and key not in train["masking"]]
+        if missing:
+            raise CommandError(f"config file {args.manifest}: the train section lacks keys {missing}; "
+                               "a manifest written before a key existed does not replay")
     _execute(command, config, args.out)
 
 

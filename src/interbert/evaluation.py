@@ -3,9 +3,7 @@ lookup over exported item embeddings."""
 
 from __future__ import annotations
 
-import os
 import struct
-import threading
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Sequence
@@ -15,6 +13,7 @@ import numpy as np
 from . import numerics as nt
 from .data import Corpus, CorpusError, ImageTextPair, check_limits, make_batch
 from .model import InterBert
+from .workers import _even_slices, forked, score_workers, shared_array
 
 # Most pairs per inference forward. At the pinned config the cost per pair is
 # flat from 20 to 50 pairs a batch; a 50-caption column runs as 2 x 25.
@@ -51,75 +50,32 @@ def _check_pool_limits(model: InterBert, captions: Sequence[np.ndarray], images:
     check_limits(images, max_objects=model.config.max_objects, feature_dim=model.config.object_feature_dim)
 
 
-def score_workers() -> int:
-    """Processes that scoring runs its batches in: the CPUs this process may
-    run on, or every CPU where the platform cannot say."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _even_slices(n: int, count: int) -> list[slice]:
-    """``count`` contiguous runs in order out of ``n``, their sizes at most one apart."""
-    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
-
-
 def _score_batches(model: InterBert, batches: list, logits: np.ndarray, products: np.ndarray | None = None) -> None:
     """Forward each ``(index, captions, images)`` batch of pairs, unmasked and
     without the tape, and write its matching logits to ``logits[index]`` and,
     given ``products``, its pooled image x text products to ``products[index]``.
-    A forward mostly holds the interpreter lock, so each worker is a forked
-    child that runs one contiguous share of at least two batches into a shared
-    mapping, copied out after reaping; under four batches, one worker, no
-    ``fork`` or a second live thread (a child would inherit its locks) run
-    inline. A failed child's share runs again in the caller, so a failing
-    batch's exception reaches it as raised. No child outlives the call, and
-    no batch's arithmetic depends on the process it runs in."""
+    The batches run as contiguous shares of at least two batches, one per
+    forked child (see ``workers.forked``), into shared arrays copied out at the
+    end; under four batches or at one worker they run in the caller. A caller
+    that forks only waits, so its heap takes no copy-on-write faults. No
+    batch's arithmetic depends on the process it runs in."""
+    outs = [array for array in (logits, products) if array is not None]
+    views = [shared_array(array.shape, array.dtype) for array in outs]
 
-    def run(share, logits, products=None) -> None:
-        for index, captions, images in share:
+    def run(share: slice) -> None:
+        for index, captions, images in batches[share]:
             with nt.no_grad():
                 out = model.forward(batch=make_batch([replace(image, tokens=tokens)
                                                       for tokens, image in zip(captions, images)]),
                                     image_rows=[], text_rows=[])
                 if products is not None:
-                    products[index] = out.pooled_image.values * out.pooled_text.values
-                logits[index] = model.itm_score(out.pooled_image, out.pooled_text).values[:, 0]
+                    views[1][index] = out.pooled_image.values * out.pooled_text.values
+                views[0][index] = model.itm_score(out.pooled_image, out.pooled_text).values[:, 0]
 
     workers = min(score_workers(), len(batches) // 2)
-    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return run(batches, logits, products)
-    import mmap
-    import signal
-    outs = [array for array in (logits, products) if array is not None]
-    shared = mmap.mmap(-1, sum(array.nbytes for array in outs))
-    views = [np.ndarray(array.shape, array.dtype, shared, offset=logits.nbytes * i) for i, array in enumerate(outs)]
-    running = {}  # pid -> share, in fork order
-    try:
-        for share in (batches[rows] for rows in _even_slices(len(batches), workers)):
-            try:
-                pid = os.fork()
-            except OSError:
-                run(share, *views)
-                continue
-            if pid == 0:
-                status = 1
-                try:
-                    run(share, *views)
-                    status = 0
-                finally:
-                    os._exit(status)  # never the parent's atexit handlers or stdio buffers
-            running[pid] = share
-        for pid, share in list(running.items()):
-            status = os.waitpid(pid, 0)[1]
-            del running[pid]
-            if status:  # the share raises again here, or runs through
-                run(share, *views)
-    finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    shares = [slice(0, 0), *_even_slices(len(batches), workers)] if workers > 1 else [slice(0, len(batches))]
+    with forked(len(shares), run) as round_:  # a child finds its batches in the memory it was forked with
+        round_(shares)
     for index, _, _ in batches:
         for out, view in zip(outs, views):
             out[index] = view[index]

@@ -477,9 +477,10 @@ def embedding_lookup(table, ids) -> Tensor:
     return _make(table.values[idx], [(table, to_parent)])
 
 
-def cross_entropy_logits(logits, targets, ignore_index: int = IGNORE_INDEX) -> Tensor:
+def cross_entropy_logits(logits, targets, ignore_index: int = IGNORE_INDEX, scale: float = 1.0) -> Tensor:
     """Mean negative log-likelihood over positions whose target is not
-    ``ignore_index``; exactly zero when every position is ignored."""
+    ``ignore_index``, times ``scale``; exactly zero when every position is
+    ignored. A scale of 1.0 leaves every bit of value and gradient as it is."""
     logits = as_tensor(logits)
     v = logits.values
     if v.ndim != 2:
@@ -500,7 +501,7 @@ def cross_entropy_logits(logits, targets, ignore_index: int = IGNORE_INDEX) -> T
     log_norm = np.log(e.sum(axis=1))
     picked = shifted[np.arange(v.shape[0]), np.where(keep, t, 0)]
     nll = (log_norm - picked)[keep]
-    out = np.asarray(nll.sum() / count, dtype=v.dtype)
+    out = np.asarray(nll.sum() / count * scale, dtype=v.dtype)
     rows = np.flatnonzero(keep)
 
     def to_parent(g: np.ndarray) -> np.ndarray:
@@ -508,14 +509,15 @@ def cross_entropy_logits(logits, targets, ignore_index: int = IGNORE_INDEX) -> T
         grad = np.zeros_like(e)  # e has v's shape, dtype and layout
         grad[rows] = probs[rows]
         grad[rows, t[rows]] -= 1.0
-        grad *= float(g) / count
+        grad *= float(g) * scale / count
         return grad
 
     return _make(out, [(logits, to_parent)])
 
 
-def binary_cross_entropy_logits(logits, labels) -> Tensor:
-    """Mean sigmoid cross-entropy of a logit vector against {0, 1} labels."""
+def binary_cross_entropy_logits(logits, labels, scale: float = 1.0) -> Tensor:
+    """Mean sigmoid cross-entropy of a logit vector against {0, 1} labels,
+    times ``scale`` (1.0 leaves every bit as it is)."""
     logits = as_tensor(logits)
     z = logits.values
     if z.ndim != 1:
@@ -524,11 +526,11 @@ def binary_cross_entropy_logits(logits, labels) -> Tensor:
     if y.shape != z.shape:
         raise NumericsError(f"labels shape {y.shape} does not match logits shape {z.shape}")
     per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    out = np.asarray(per.mean(), dtype=z.dtype)
+    out = np.asarray(per.mean() * scale, dtype=z.dtype)
 
     def to_parent(g: np.ndarray) -> np.ndarray:
         sig = 1.0 / (1.0 + np.exp(-z))
-        return (sig - y) * (float(g) / z.size)
+        return (sig - y) * (float(g) * scale / z.size)
 
     return _make(out, [(logits, to_parent)])
 

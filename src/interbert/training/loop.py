@@ -1,13 +1,17 @@
 """Pretraining and retrieval-finetuning loops.
 
-Both loops are single-threaded and draw every random decision from one
-seeded generator, so a repeated run with the same config is bit-identical,
+Both loops draw every random decision in the caller from one seeded
+generator, then cut each step's batch into ``TrainConfig.shards`` contiguous
+shards whose forward and backward run on up to that many processes
+(``workers.forked``). The shards' gradients are summed in shard order, so a
+repeated run with the same config is bit-identical at any worker count,
 checkpoints included.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import reduce
 
 import numpy as np
 
@@ -18,19 +22,23 @@ from ..masking import MaskedSample, MaskingConfig
 from ..model import InterBert, ModelConfig
 from ..negatives import check_table, make_itm_batch
 from ..numerics import IGNORE_INDEX
+from ..workers import _even_slices, forked, score_workers, shared_array
 from .losses import itm_loss, mrm_loss, msm_loss, total_loss
 from .optim import AdamWState, adamw_step, ema_update, lr_at
 
 
 class TrainingDiverged(RuntimeError):
-    """The loss went non-finite; ``_optimise`` checks it before each backward."""
+    """The loss or the summed gradient went non-finite; ``_optimise`` checks
+    both before each update."""
 
 
 @dataclass
 class TrainConfig:
     """Optimization hyperparameters. Loss weights default to 1 each; the
     hard-negative share stays at 0.2 because pushing it higher makes the
-    matching task hard enough to stall early training."""
+    matching task hard enough to stall early training. ``shards`` is how many
+    contiguous shards each step's batch is cut into; it fixes the arithmetic,
+    while the number of processes that run them follows the machine."""
 
     lambda_msm: float = 1.0
     lambda_mrm: float = 1.0
@@ -50,6 +58,7 @@ class TrainConfig:
     itm_on_masked: bool = True
     num_distractors: int = 3
     precision: str = "float64"
+    shards: int = 2
     masking: MaskingConfig = field(default_factory=MaskingConfig)
 
     def validate(self) -> None:
@@ -70,6 +79,8 @@ class TrainConfig:
             raise ValueError("precision must be float64 or float32")
         if self.num_distractors < 1:
             raise ValueError("need at least one distractor image")
+        if not 1 <= self.shards <= self.batch_size:
+            raise ValueError("shards must lie in [1, batch_size]")
         self.masking.validate()
 
     @property
@@ -123,33 +134,93 @@ def write_metrics_csv(path, rows: list) -> None:
             fh.write(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in values) + "\n")
 
 
-def _optimise(model: InterBert, cfg: TrainConfig, step_loss, row_type, on_step) -> list:
-    """The step both loops run ``cfg.total_steps`` times: ``step_loss()`` forwards
-    a batch and returns the loss tensor and the row's other columns; a
-    non-finite loss raises before any update, else one scheduled AdamW update
-    follows and the ``row_type`` row goes to ``on_step`` (when given) and out."""
-    state = AdamWState.for_params(model.params)
+def _optimise(model: InterBert, cfg: TrainConfig, draw, shard_loss, columns, row_type, on_step) -> list:
+    """The step both loops run ``cfg.total_steps`` times. ``draw()`` makes the
+    step's ``cfg.shards`` shards in the caller, so every random draw keeps its
+    order. ``shard_loss(shard)`` forwards one shard and returns its loss tensor,
+    each mean scaled by the shard's share of the batch, and a small summary;
+    ``columns(summaries)`` turns the summaries, in shard order, into the
+    batch's loss and the row's other columns.
+
+    The parameter values move into one shared mapping for the call. Each
+    shard's forward and backward runs on one of ``min(score_workers(),
+    shards)`` processes (``workers.forked``: the caller and children forked
+    once per call), whose gradients land in the shard's own row of the
+    mapping; the caller sums the rows in shard order. A non-finite loss or
+    summed gradient raises before any value or moment moves, else one
+    scheduled AdamW update follows and the ``row_type`` row goes to
+    ``on_step`` (when given) and out."""
+    params = model.params
+    bounds = np.cumsum([0] + [p.values.size for _, p in params.items()])
+    store = shared_array((1 + cfg.shards, bounds[-1]), cfg.dtype)  # values, then one gradient row a shard
+
+    def views(row: np.ndarray) -> list[np.ndarray]:
+        return [row[a:b].reshape(p.values.shape) for (_, p), a, b in zip(params.items(), bounds, bounds[1:])]
+
+    for (_, p), values in zip(params.items(), views(store[0])):
+        values[...] = p.values
+        p.values = values
+    grads = [views(row) for row in store[1:]]
+
+    def run(task) -> list:  # in whichever process: forward and backward of each (shard, data)
+        summaries = []
+        for shard, data in task:
+            loss, summary = shard_loss(data)
+            if np.isfinite(loss.item()):  # else the caller raises before reading the row
+                params.zero_grad()
+                nt.backward(loss, params)
+                for (_, p), grad in zip(params.items(), grads[shard]):
+                    grad[...] = p.grad
+            del loss  # drop this shard's tape before the next forward
+            summaries.append(summary)
+        return summaries
+
+    workers = min(score_workers(), cfg.shards)
+    plan = _even_slices(cfg.shards, workers)
+    state = AdamWState.for_params(params)
     rows = []
-    for step in range(1, cfg.total_steps + 1):
-        loss, columns = step_loss()
-        if not np.isfinite(loss.item()):
-            raise TrainingDiverged(f"non-finite loss at step {step}")
-        model.params.zero_grad()
-        nt.backward(loss, model.params)
-        del loss  # drop this step's tape before the next forward
-        lr = lr_at(step, cfg.learning_rate, cfg.warmup_steps, cfg.total_steps)
-        adamw_step(model.params, state, lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                   eps=cfg.eps, weight_decay=cfg.weight_decay)
-        rows.append(row_type(step=step, lr=lr, **columns))
-        if on_step is not None:
-            on_step(rows[-1])
+    try:
+        with forked(workers, run) as round_:
+            for step in range(1, cfg.total_steps + 1):
+                shards = list(enumerate(draw()))
+                parts = round_([shards[span] for span in plan])  # each process's summaries, in shard order
+                loss, row = columns([summary for part in parts for summary in part])
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(f"non-finite loss at step {step}")
+                total = reduce(np.add, store[1:])  # in shard order; one shard's row as it is
+                if not np.isfinite(np.dot(total, total)):
+                    bad = next((i for i, g in enumerate(store[1:]) if not np.isfinite(g).all()), None)
+                    raise TrainingDiverged(f"non-finite gradient norm at step {step}"
+                                           + ("" if bad is None else f", first non-finite in shard {bad}"))
+                for (_, p), grad in zip(params.items(), views(total)):
+                    p.grad = grad
+                lr = lr_at(step, cfg.learning_rate, cfg.warmup_steps, cfg.total_steps)
+                adamw_step(params, state, lr, beta1=cfg.beta1, beta2=cfg.beta2,
+                           eps=cfg.eps, weight_decay=cfg.weight_decay)
+                rows.append(row_type(step=step, lr=lr, **row))
+                if on_step is not None:
+                    on_step(rows[-1])
+    finally:
+        for _, p in params.items():  # the model leaves the call holding arrays of its own
+            p.values = np.array(p.values)
     return rows
 
 
-def _batch_losses(model: InterBert, batch: list[MaskedSample], cfg: TrainConfig):
+def _target_counts(batch: list[MaskedSample], cfg: TrainConfig) -> tuple[int, int, int]:
+    """What the three pretraining losses average over: the masked tokens and
+    regions of the samples ``_batch_losses`` keeps MGM targets for, and the samples."""
+    kept = [s for s in batch if s.itm_label == 1 or cfg.mgm_on_negatives]
+    return (sum(int(np.count_nonzero(s.msm_targets != IGNORE_INDEX)) for s in kept),
+            sum(int(np.count_nonzero(s.mrm_targets != IGNORE_INDEX)) for s in kept), len(batch))
+
+
+def _batch_losses(model: InterBert, batch: list[MaskedSample], cfg: TrainConfig, totals=None):
     """Forward the batch as one packed batch (plus its unmasked inputs when
     matching reads those), computing only the rows the losses read, and
-    assemble the three loss components."""
+    assemble the three loss components and the count of correct matching
+    predictions. Given ``totals``, the ``_target_counts`` of a whole batch
+    this one is a shard of, each loss's mean is scaled by the shard's share of
+    its count, so the shards' losses sum to the batch's."""
     packed = make_batch(batch, **model.config.limits)
 
     # MGM targets as packed rows per stream: a sample's tokens; its summary row, then its objects
@@ -159,6 +230,8 @@ def _batch_losses(model: InterBert, batch: list[MaskedSample], cfg: TrainConfig)
                                     for k, s in zip(keep, batch)])
     token_rows = np.flatnonzero(text_targets != IGNORE_INDEX)
     region_rows = np.flatnonzero(image_targets != IGNORE_INDEX)
+    counts = (token_rows.size, region_rows.size, len(batch))
+    scales = [count / max(total, 1) for count, total in zip(counts, totals or counts)]
 
     out = model.forward(batch=packed, image_rows=region_rows, text_rows=token_rows)
     if cfg.itm_on_masked:
@@ -169,12 +242,12 @@ def _batch_losses(model: InterBert, batch: list[MaskedSample], cfg: TrainConfig)
     itm_labels = [float(sample.itm_label) for sample in batch]
     logit_vec = nt.reshape(model.itm_score(itm_out.pooled_image, itm_out.pooled_text), (len(batch),))
 
-    l_itm = itm_loss(logit_vec, itm_labels)
-    l_msm = msm_loss(model.msm_logits(out.h_text), text_targets[token_rows])
-    l_mrm = mrm_loss(model.mrm_logits(out.h_image, np.arange(region_rows.size)), image_targets[region_rows])
-    predictions = logit_vec.values > 0.0
-    accuracy = float(np.mean(predictions == (np.asarray(itm_labels) > 0.5)))
-    return l_msm, l_mrm, l_itm, accuracy
+    l_itm = itm_loss(logit_vec, itm_labels, scales[2])
+    l_msm = msm_loss(model.msm_logits(out.h_text), text_targets[token_rows], scales[0])
+    l_mrm = mrm_loss(model.mrm_logits(out.h_image, np.arange(region_rows.size)), image_targets[region_rows],
+                     scales[1])
+    correct = int(np.sum((logit_vec.values > 0.0) == (np.asarray(itm_labels) > 0.5)))
+    return l_msm, l_mrm, l_itm, correct
 
 
 @dataclass
@@ -188,11 +261,12 @@ def pretrain(corpus: Corpus, table: dict, model_cfg: ModelConfig, train_cfg: Tra
     """Run the masked-group + matching pretraining loop.
 
     Per step: assemble a half-positive batch with mined negatives in the
-    mix, forward it as one packed batch, combine the weighted losses,
-    backpropagate, and apply one scheduled AdamW update. Aborts on
-    non-finite loss; refuses a corpus the model cannot take (over its length
-    limits, another feature width, class labels outside its classes), or a
-    negatives table naming ids the corpus lacks, before the first step.
+    mix, forward each shard of it as one packed batch, combine the weighted
+    losses, backpropagate, and apply one scheduled AdamW update. Aborts on a
+    non-finite loss or gradient; refuses a corpus the model cannot take (over
+    its length limits, another feature width, class labels outside its
+    classes), or a negatives table naming ids the corpus lacks, before the
+    first step.
     """
     model_cfg.validate()
     train_cfg.validate()
@@ -202,15 +276,25 @@ def pretrain(corpus: Corpus, table: dict, model_cfg: ModelConfig, train_cfg: Tra
     rng = np.random.default_rng(train_cfg.seed)
     weights = (train_cfg.lambda_msm, train_cfg.lambda_mrm, train_cfg.lambda_itm)
 
-    def step_loss():
+    def draw():
         batch = make_itm_batch(corpus, table, rng, train_cfg.batch_size,
                                train_cfg.masking, train_cfg.hard_negative_prob)
-        l_msm, l_mrm, l_itm, accuracy = _batch_losses(model, batch, train_cfg)
-        loss = total_loss(l_msm, l_mrm, l_itm, weights)
-        return loss, {"msm_loss": l_msm.item(), "mrm_loss": l_mrm.item(), "itm_loss": l_itm.item(),
-                      "total": loss.item(), "itm_acc": accuracy}
+        totals = _target_counts(batch, train_cfg)
+        return [(batch[rows], totals) for rows in _even_slices(len(batch), train_cfg.shards)]
 
-    return PretrainResult(model=model, metrics=_optimise(model, train_cfg, step_loss, StepMetrics, step_callback))
+    def shard_loss(shard):
+        samples, totals = shard
+        l_msm, l_mrm, l_itm, correct = _batch_losses(model, samples, train_cfg, totals)
+        loss = total_loss(l_msm, l_mrm, l_itm, weights)
+        return loss, (l_msm.item(), l_mrm.item(), l_itm.item(), loss.item(), correct)
+
+    def columns(summaries):
+        msm, mrm, itm, total, correct = (sum(column) for column in zip(*summaries))
+        return total, {"msm_loss": msm, "mrm_loss": mrm, "itm_loss": itm, "total": total,
+                       "itm_acc": correct / train_cfg.batch_size}
+
+    metrics = _optimise(model, train_cfg, draw, shard_loss, columns, StepMetrics, step_callback)
+    return PretrainResult(model=model, metrics=metrics)
 
 
 @dataclass
@@ -226,7 +310,7 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
 
     Each example scores the true image and sampled distractor images
     against the caption with the reused matching head, all examples of a
-    step in one packed batch; softmax cross-entropy over the choice logits
+    shard in one packed batch; softmax cross-entropy over the choice logits
     trains the full network. No masking is applied. An exponential moving
     average of the parameters is maintained and returned alongside the raw
     weights. The accuracy column counts a tie for the top logit as a
@@ -245,23 +329,31 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
     image_index = np.array(image_ids)
     choices = 1 + train_cfg.num_distractors
 
-    def step_loss():
-        picks = rng.integers(0, len(corpus.pairs), size=train_cfg.batch_size)
-        items = []
-        for pick in picks:
+    def draw():  # one example a pick: its caption against its choices
+        examples = []
+        for pick in rng.integers(0, len(corpus.pairs), size=train_cfg.batch_size):
             pair = corpus.pairs[int(pick)]
-            items += [replace(entry, caption_id=pair.caption_id, tokens=pair.tokens)
-                      for entry in choice_images(corpus, image_index, pair.image_id, rng, train_cfg.num_distractors)]
+            examples.append([replace(entry, caption_id=pair.caption_id, tokens=pair.tokens) for entry in
+                             choice_images(corpus, image_index, pair.image_id, rng, train_cfg.num_distractors)])
+        return [examples[rows] for rows in _even_slices(len(examples), train_cfg.shards)]
+
+    def shard_loss(examples):
+        items = [item for example in examples for item in example]
         out = model.forward(batch=make_batch(items, **model_cfg.limits), image_rows=[], text_rows=[])
-        stacked = nt.reshape(model.itm_score(out.pooled_image, out.pooled_text), (len(picks), choices))
-        targets = np.zeros(len(picks), dtype=np.int64)  # true image sits at slot 0
-        loss = nt.cross_entropy_logits(stacked, targets)
-        return loss, {"loss": loss.item(), "accuracy": float(np.mean(choice_credit(stacked.values)))}
+        stacked = nt.reshape(model.itm_score(out.pooled_image, out.pooled_text), (len(examples), choices))
+        targets = np.zeros(len(examples), dtype=np.int64)  # true image sits at slot 0
+        loss = nt.cross_entropy_logits(stacked, targets, scale=len(examples) / train_cfg.batch_size)
+        return loss, (loss.item(), stacked.values)
+
+    def columns(summaries):
+        loss = sum(summary[0] for summary in summaries)
+        credit = choice_credit(np.concatenate([summary[1] for summary in summaries]))
+        return loss, {"loss": loss, "accuracy": float(np.mean(credit))}
 
     def on_step(row):  # the average follows each update, before the caller sees the step
         ema_update(shadow, model.params, train_cfg.ema_rate)
         if step_callback is not None:
             step_callback(row)
 
-    metrics = _optimise(model, train_cfg, step_loss, FinetuneMetrics, on_step)
+    metrics = _optimise(model, train_cfg, draw, shard_loss, columns, FinetuneMetrics, on_step)
     return FinetuneResult(model=model, ema_values=shadow, metrics=metrics)

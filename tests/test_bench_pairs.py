@@ -118,3 +118,38 @@ def test_tree_peaks_list_both_sides_per_pair():
     runs = {"w": {"parent": [{"tree_peak_rss_mb": 60.0}, {"tree_peak_rss_mb": 61.0}],
                   "change": [{"tree_peak_rss_mb": 90.5}, {"tree_peak_rss_mb": 91.5}]}}
     assert bench_pairs.tree_peaks(runs) == {"w": [{"parent": 60.0, "change": 90.5}, {"parent": 61.0, "change": 91.5}]}
+
+
+def test_each_run_records_its_starter_rss_beside_its_tree_peak(monkeypatch, tmp_path):
+    result = {"correct": True, "failed": 0, "attempted": 3, "metrics": {}}
+    started = []
+
+    def reaped(command, cwd):
+        started.append(command)
+        return 0, "environment {}\n" + json.dumps(result) + "\n", "", 123.5
+
+    monkeypatch.setattr(bench_pairs, "run_reaped", reaped)
+    monkeypatch.setattr(bench_pairs, "starter_rss_mb", lambda: 41.25)
+    run = bench_pairs.run_once(tmp_path, ["run.py"], "w")
+    assert started == [["run.py", "--workload", "w"]]
+    assert run["tree_peak_rss_mb"] == 123.5 and run["starter_rss_mb"] == 41.25
+    assert bench_pairs.tree_peaks({"w": {"parent": [run], "change": [run]}}, "starter_rss_mb") == {
+        "w": [{"parent": 41.25, "change": 41.25}]}
+
+
+def test_the_starter_rss_is_this_process_peak_in_mb():
+    import resource
+
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert before <= bench_pairs.starter_rss_mb() <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def test_the_closing_summary_prints_each_side_median_tree_peak_per_workload():
+    metric = bench_pairs.compare([2.0, 2.0, 2.0], [1.0, 1.0, 1.0], "lower", 0.25)
+    runs = {"w": {"parent": [{"tree_peak_rss_mb": v, "starter_rss_mb": 30.0} for v in (60.0, 62.0, 90.0)],
+                  "change": [{"tree_peak_rss_mb": v, "starter_rss_mb": s} for v, s in ((70.5, 30.0), (71.5, 31.5),
+                                                                                       (72.5, 30.0))]}}
+    lines = bench_pairs.closing_summary({"workloads": {"w": {"step_ms.p50": metric}}, "runs": runs})
+    assert lines[0].split()[:2] == ["w", "step_ms.p50"] and lines[0].endswith("within bound")
+    assert lines[1].split() == ["w", "tree_peak_rss_mb", "median", "parent", "62.00", "change", "71.50",
+                                "(starter", "floor", "up", "to", "31.50)"]

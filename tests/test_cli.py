@@ -536,6 +536,28 @@ def test_replay_refuses_a_malformed_manifest_before_any_work(tmp_path, capsys, m
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("drop, named", [
+    (("shards",), "['shards']"),  # a manifest from before the key existed
+    (("weight_decay", "shards"), "['weight_decay', 'shards']"),
+    (("masking", "anchor_prob"), "['masking.anchor_prob']"),
+], ids=["pre-shards", "two-keys", "masking-key"])
+def test_replay_refuses_a_train_section_that_lacks_a_key(tmp_path, capsys, pretrain_dir, drop, named):
+    manifest = json.loads((pretrain_dir / "manifest.json").read_text())
+    train = manifest["config"]["train"]
+    if drop[0] == "masking":
+        del train["masking"][drop[1]]
+    else:
+        for key in drop:
+            del train[key]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("replay", "--manifest", path, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err.strip()
+    assert f"the train section lacks keys {named}" in err and str(path) in err and "\n" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_values_may_widen_int_to_float_and_fill_null_defaults(tmp_path):
     config = tmp_path / "ok.json"
     config.write_text(json.dumps({"model": {"vocab_size": None, "object_feature_dim": 8},

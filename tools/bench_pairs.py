@@ -19,7 +19,10 @@ column of ``/proc/stat``, read before and after; null where it cannot be
 read); the file lists both per pair. Scoring forks worker processes, whose
 memory ``run.py``'s ``peak_rss_mb`` (its own ``RUSAGE_SELF``) cannot see, so
 each run is reaped with ``os.wait4`` and the file also lists, per pair, each
-run's process-tree peak RSS as ``tree_peak_rss_mb``.
+run's process-tree peak RSS as ``tree_peak_rss_mb``. A run started by vfork and
+exec keeps its starter's peak RSS as a floor of its own, so each run also
+records this process's own peak just before it started, as ``starter_rss_mb``;
+the closing summary prints each side's median tree peak per workload.
 
 Per workload and end-to-end metric the file records both sides' medians
 and quartiles, the pairs the change won (ties count for neither), and the
@@ -40,6 +43,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -124,13 +128,20 @@ def run_reaped(command: list[str], cwd: Path) -> tuple[int, str, str, float]:
         return process.returncode, out.read().decode(), err.read().decode(), usage.ru_maxrss / 1024.0
 
 
+def starter_rss_mb() -> float:
+    """This process's own peak RSS in MB: the floor of the peak RSS of every
+    run it starts (see ``run_reaped``)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def run_once(tree: Path, command: list[str], workload: str) -> dict:
     """One ``perfbench/run.py`` process in ``tree``: its JSON result, its
-    environment line, the usable CPU count, the steal share over the run and
-    the peak RSS of its process tree (``run.py`` reads only its own). A failed
+    environment line, the usable CPU count, the steal share over the run, the
+    peak RSS of its process tree (``run.py`` reads only its own) and this
+    process's peak RSS as the run started, the floor of both. A failed
     process, a run that is not ``correct`` and a failed operation stop the
     whole measurement, before any file is written."""
-    before = read_cpu_times()
+    starter, before = starter_rss_mb(), read_cpu_times()
     returncode, stdout, stderr, tree_peak_rss_mb = run_reaped([*command, "--workload", workload], tree)
     after = read_cpu_times()
     lines = stdout.strip().splitlines()
@@ -143,7 +154,7 @@ def run_once(tree: Path, command: list[str], workload: str) -> dict:
     env = [line.split(" ", 1)[1] for line in lines if line.startswith("environment ")]
     result["environment"] = json.loads(env[0]) if env else None
     result["usable_cpus"], result["steal_share"] = usable_cpus(), steal_share(before, after)
-    result["tree_peak_rss_mb"] = tree_peak_rss_mb
+    result["tree_peak_rss_mb"], result["starter_rss_mb"] = tree_peak_rss_mb, starter
     return result
 
 
@@ -187,10 +198,24 @@ def contention(runs: dict) -> dict:
                        for i in range(len(sides[SIDES[0]]))] for workload, sides in runs.items()}
 
 
-def tree_peaks(runs: dict) -> dict:
-    """Per workload and pair, each side's process-tree peak RSS in MB."""
-    return {workload: [{side: sides[side][i]["tree_peak_rss_mb"] for side in SIDES}
+def tree_peaks(runs: dict, key: str = "tree_peak_rss_mb") -> dict:
+    """Per workload and pair, each side's process-tree peak RSS in MB (or its ``key``)."""
+    return {workload: [{side: sides[side][i][key] for side in SIDES}
                        for i in range(len(sides[SIDES[0]]))] for workload, sides in runs.items()}
+
+
+def closing_summary(record: dict) -> list[str]:
+    """One line per workload and end-to-end metric, then one per workload with
+    each side's median process-tree peak RSS beside the largest starter floor."""
+    lines = [f"{workload:14s} {name:12s} parent {m['parent']['median']:.4g}  change {m['change']['median']:.4g}"
+             f"  won {m['pairs_won']}/{m['pairs']}  spread {m['parent_spread']:.1%}  {m['verdict']}"
+             for workload, metrics in record["workloads"].items() for name, m in metrics.items()]
+    for workload, sides in record["runs"].items():
+        peaks = {side: statistics.median(r["tree_peak_rss_mb"] for r in sides[side]) for side in SIDES}
+        floor = max(r["starter_rss_mb"] for side in SIDES for r in sides[side])
+        lines.append(f"{workload:14s} tree_peak_rss_mb median parent {peaks['parent']:.2f}  "
+                     f"change {peaks['change']:.2f}  (starter floor up to {floor:.2f})")
+    return lines
 
 
 def measure(args, benchmark: dict, scratch: Path) -> dict:
@@ -214,7 +239,8 @@ def measure(args, benchmark: dict, scratch: Path) -> dict:
                 run = runs[workload][side][-1]
                 print(f"pair {pair + 1}/{args.pairs} {workload} {side}: {json.dumps(run['metrics'])} "
                       f"cpus {run['usable_cpus']} steal {run['steal_share']} "
-                      f"tree peak {run['tree_peak_rss_mb']:.1f} MB", flush=True)
+                      f"tree peak {run['tree_peak_rss_mb']:.1f} MB starter {run['starter_rss_mb']:.1f} MB",
+                      flush=True)
     return {
         "parent": parent,
         "change": f"checkout at {git('rev-parse', 'HEAD').strip()}"
@@ -225,6 +251,7 @@ def measure(args, benchmark: dict, scratch: Path) -> dict:
         "workloads": summarize(runs, benchmark),
         "contention": contention(runs),
         "tree_peak_rss_mb": tree_peaks(runs),
+        "starter_rss_mb": tree_peaks(runs, "starter_rss_mb"),
         "runs": runs,
     }
 
@@ -246,10 +273,7 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
             record = measure(args, benchmark, Path(scratch))
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    for workload, metrics in record["workloads"].items():
-        for name, m in metrics.items():
-            print(f"{workload:14s} {name:12s} parent {m['parent']['median']:.4g}  change {m['change']['median']:.4g}"
-                  f"  won {m['pairs_won']}/{m['pairs']}  spread {m['parent_spread']:.1%}  {m['verdict']}")
+    print("\n".join(closing_summary(record)))
     return 0
 
 
