@@ -3,15 +3,17 @@
 Both loops draw every random decision in the caller from one seeded
 generator, then cut each step's batch into ``TrainConfig.shards`` contiguous
 shards whose forward and backward run on up to that many processes
-(``workers.forked``). The shards' gradients are summed in shard order, so a
-repeated run with the same config is bit-identical at any worker count,
+(``workers.forked``). Each process then sums the shards' gradients in shard
+order over one even range of the parameters and, once the sum is checked,
+updates that range (AdamW, and finetuning's average) into a second bank that
+the step commits by a flip. Every operation is elementwise or in shard order,
+so a repeated run with the same config is bit-identical at any worker count,
 checkpoints included.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import reduce
 
 import numpy as np
 
@@ -24,7 +26,8 @@ from ..negatives import check_table, make_itm_batch
 from ..numerics import IGNORE_INDEX
 from ..workers import _even_slices, forked, score_workers, shared_array
 from .losses import itm_loss, mrm_loss, msm_loss, total_loss
-from .optim import AdamWState, adamw_step, ema_update, lr_at
+from .optim import AdamWState, adamw_step, ema_update  # noqa: F401  (the per-parameter forms, importable here)
+from .optim import adamw_range, decay_runs, ema_range, lr_at
 
 
 class TrainingDiverged(RuntimeError):
@@ -134,7 +137,18 @@ def write_metrics_csv(path, rows: list) -> None:
             fh.write(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in values) + "\n")
 
 
-def _optimise(model: InterBert, cfg: TrainConfig, draw, shard_loss, columns, row_type, on_step) -> list:
+def _sum_shards(grads: np.ndarray, total: np.ndarray, span: slice) -> float:
+    """Sum the shards' gradient rows over ``span`` into ``total`` in shard order
+    (at one shard ``total`` is that row); return the range's sum of squares."""
+    if len(grads) > 1:
+        np.add(grads[0, span], grads[1, span], out=total[span])
+        for row in grads[2:]:
+            total[span] += row[span]
+    return float(np.dot(total[span], total[span]))
+
+
+def _optimise(model: InterBert, cfg: TrainConfig, draw, shard_loss, columns, row_type, on_step,
+              shadow=None) -> list:
     """The step both loops run ``cfg.total_steps`` times. ``draw()`` makes the
     step's ``cfg.shards`` shards in the caller, so every random draw keeps its
     order. ``shard_loss(shard)`` forwards one shard and returns its loss tensor,
@@ -142,67 +156,91 @@ def _optimise(model: InterBert, cfg: TrainConfig, draw, shard_loss, columns, row
     ``columns(summaries)`` turns the summaries, in shard order, into the
     batch's loss and the row's other columns.
 
-    The parameter values move into one shared mapping for the call. Each
-    shard's forward and backward runs on one of ``min(score_workers(),
-    shards)`` processes (``workers.forked``: the caller and children forked
-    once per call), whose gradients land in the shard's own row of the
-    mapping; the caller sums the rows in shard order. A non-finite loss or
-    summed gradient raises before any value or moment moves, else one
-    scheduled AdamW update follows and the ``row_type`` row goes to
-    ``on_step`` (when given) and out."""
+    One shared store holds two banks each of the values, both AdamW moments
+    and, given ``shadow`` (name -> average, kept at ``cfg.ema_rate`` and
+    written back on exit), the average; then the summed gradient and one
+    gradient row per shard. Each step runs three rounds of ``workers.forked``
+    on ``min(score_workers(), shards)`` processes, forked once per call: A,
+    each shard's forward and backward on the current bank into its row; B,
+    each process sums the rows in shard order over one even range of the
+    elements and returns its sum of squares; C, each process updates its
+    range from the current bank into the other, AdamW then the average. A
+    non-finite loss or sum raises ``TrainingDiverged`` before C; the caller
+    commits C by flipping the bank, so a dead worker's range re-runs in the
+    caller from intact inputs. The ``row_type`` row then goes to ``on_step``
+    (when given) and out."""
     params = model.params
     bounds = np.cumsum([0] + [p.values.size for _, p in params.items()])
-    store = shared_array((1 + cfg.shards, bounds[-1]), cfg.dtype)  # values, then one gradient row a shard
+    kinds, n = (3 if shadow is None else 4), int(bounds[-1])  # values, first and second moments, average
+    store = shared_array((2 * kinds + (cfg.shards > 1) + cfg.shards, n), cfg.dtype)
+    banks, total, grads = store[:2 * kinds].reshape(2, kinds, n), store[2 * kinds], store[-cfg.shards:]
 
     def views(row: np.ndarray) -> list[np.ndarray]:
         return [row[a:b].reshape(p.values.shape) for (_, p), a, b in zip(params.items(), bounds, bounds[1:])]
 
-    for (_, p), values in zip(params.items(), views(store[0])):
+    bank_values, grad_views = [views(bank[0]) for bank in banks], [views(row) for row in grads]
+    for (_, p), values in zip(params.items(), bank_values[0]):
         values[...] = p.values
-        p.values = values
-    grads = [views(row) for row in store[1:]]
+    if shadow is not None:
+        for (name, _), average in zip(params.items(), views(banks[0, 3])):
+            average[...] = shadow[name]
+    decay = decay_runs([p.values for _, p in params.items()])
 
-    def run(task) -> list:  # in whichever process: forward and backward of each (shard, data)
+    def hold(bank: int) -> None:  # point the model at a bank's values
+        for (_, p), values in zip(params.items(), bank_values[bank]):
+            p.values = values
+
+    def shard_grads(bank, task) -> list:  # forward and backward of each (shard, data)
+        hold(bank)
         summaries = []
         for shard, data in task:
             loss, summary = shard_loss(data)
             if np.isfinite(loss.item()):  # else the caller raises before reading the row
                 params.zero_grad()
                 nt.backward(loss, params)
-                for (_, p), grad in zip(params.items(), grads[shard]):
+                for (_, p), grad in zip(params.items(), grad_views[shard]):
                     grad[...] = p.grad
             del loss  # drop this shard's tape before the next forward
             summaries.append(summary)
         return summaries
 
+    def update(bank, span, step, lr) -> None:  # the current bank's range into the other bank
+        src, dst = banks[bank], banks[1 - bank]
+        adamw_range(src[:3], dst[:3], total, span, decay, lr, step, beta1=cfg.beta1, beta2=cfg.beta2,
+                    eps=cfg.eps, weight_decay=cfg.weight_decay)
+        if shadow is not None:
+            ema_range(src[3], dst[3], dst[0], span, cfg.ema_rate)
+
+    rounds = {"A": shard_grads, "B": lambda span: _sum_shards(grads, total, span), "C": update}
     workers = min(score_workers(), cfg.shards)
-    plan = _even_slices(cfg.shards, workers)
-    state = AdamWState.for_params(params)
-    rows = []
+    plan, spans = _even_slices(cfg.shards, workers), _even_slices(n, workers)
+    bank, rows = 0, []
+    hold(bank)
     try:
-        with forked(workers, run) as round_:
+        with forked(workers, lambda task: rounds[task[0]](*task[1:])) as round_:
             for step in range(1, cfg.total_steps + 1):
                 shards = list(enumerate(draw()))
-                parts = round_([shards[span] for span in plan])  # each process's summaries, in shard order
+                parts = round_([("A", bank, shards[part]) for part in plan])  # summaries, in shard order
                 loss, row = columns([summary for part in parts for summary in part])
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"non-finite loss at step {step}")
-                total = reduce(np.add, store[1:])  # in shard order; one shard's row as it is
-                if not np.isfinite(np.dot(total, total)):
-                    bad = next((i for i, g in enumerate(store[1:]) if not np.isfinite(g).all()), None)
+                if not np.isfinite(sum(round_([("B", span) for span in spans]))):
+                    bad = next((i for i, g in enumerate(grads) if not np.isfinite(g).all()), None)
                     raise TrainingDiverged(f"non-finite gradient norm at step {step}"
                                            + ("" if bad is None else f", first non-finite in shard {bad}"))
-                for (_, p), grad in zip(params.items(), views(total)):
-                    p.grad = grad
                 lr = lr_at(step, cfg.learning_rate, cfg.warmup_steps, cfg.total_steps)
-                adamw_step(params, state, lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                           eps=cfg.eps, weight_decay=cfg.weight_decay)
+                round_([("C", bank, span, step, lr) for span in spans])
+                bank = 1 - bank  # the commit
+                hold(bank)
                 rows.append(row_type(step=step, lr=lr, **row))
                 if on_step is not None:
                     on_step(rows[-1])
     finally:
         for _, p in params.items():  # the model leaves the call holding arrays of its own
             p.values = np.array(p.values)
+        if shadow is not None:
+            for (name, _), average in zip(params.items(), views(banks[bank, 3])):
+                shadow[name][...] = average
     return rows
 
 
@@ -350,10 +388,5 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
         credit = choice_credit(np.concatenate([summary[1] for summary in summaries]))
         return loss, {"loss": loss, "accuracy": float(np.mean(credit))}
 
-    def on_step(row):  # the average follows each update, before the caller sees the step
-        ema_update(shadow, model.params, train_cfg.ema_rate)
-        if step_callback is not None:
-            step_callback(row)
-
-    metrics = _optimise(model, train_cfg, draw, shard_loss, columns, FinetuneMetrics, on_step)
+    metrics = _optimise(model, train_cfg, draw, shard_loss, columns, FinetuneMetrics, step_callback, shadow)
     return FinetuneResult(model=model, ema_values=shadow, metrics=metrics)

@@ -279,8 +279,8 @@ def test_tape_nodes_per_shard_stay_at_the_benchmark_counts(monkeypatch):
 
 def record_updates(monkeypatch) -> list:
     calls = []
-    monkeypatch.setattr(loop, "adamw_step", lambda *args, **kwargs: calls.append("adamw"))
-    monkeypatch.setattr(loop, "ema_update", lambda *args: calls.append("ema"))
+    monkeypatch.setattr(loop, "adamw_range", lambda *args, **kwargs: calls.append("adamw"))
+    monkeypatch.setattr(loop, "ema_range", lambda *args: calls.append("ema"))
     return calls
 
 
@@ -303,6 +303,34 @@ def test_a_non_finite_gradient_names_its_step_and_first_shard_before_any_update(
                            InterBert.create(fixture[2], seed=5).params.clone_values(), step_callback=steps.append)
     assert calls == ["adamw", "ema"] and [row.step for row in steps] == [1]
     assert no_child_left() and os.sched_getaffinity(0) == mask
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_that_diverges_leaves_the_model_at_its_last_committed_values(fixture, monkeypatch, workers):
+    """Step 2's gradient goes non-finite: the model holds step 1's values, so
+    no update of step 2 reached the bank the model reads."""
+    start, models, committed = InterBert.create(fixture[2], seed=5).params.clone_values(), [], []
+    backward, parent, shard_calls, from_values = nt.backward, os.getpid(), [], InterBert.from_values
+
+    def kept(*args, **kwargs):
+        models.append(from_values(*args, **kwargs))
+        return models[-1]
+
+    def poisons_shard_one_of_step_two(loss, params=None):
+        backward(loss, params)
+        shard_calls.append(1)
+        if (len(shard_calls) == 4) if workers == 1 else (os.getpid() != parent and len(shard_calls) == 2):
+            next(iter(params.items()))[1].grad.flat[0] = np.inf
+
+    at_workers(monkeypatch, workers)
+    monkeypatch.setattr(InterBert, "from_values", kept)
+    monkeypatch.setattr(nt, "backward", poisons_shard_one_of_step_two)
+    with pytest.raises(TrainingDiverged, match="non-finite gradient norm at step 2, first non-finite in shard 1$"):
+        finetune_retrieval(fixture[0], fixture[2], TrainConfig(**FINETUNE, shards=2), start,
+                           step_callback=lambda row: committed.append(digest(models[0].params.clone_values().items())))
+    assert len(models) == 1 and len(committed) == 1
+    assert digest(models[0].params.clone_values().items()) == committed[0]
+    assert digest(models[0].params.clone_values().items()) != digest(start.items())
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +418,43 @@ def test_a_killed_worker_has_its_shards_run_again_in_the_caller(fixture, monkeyp
 
     monkeypatch.setattr(loop, "_batch_losses", dies_on_its_second_shard)
     assert run_pretrain(fixture) == want and len(forked) == 1
+
+
+def test_a_worker_killed_in_its_first_gradient_sum_has_its_range_summed_in_the_caller(fixture, monkeypatch,
+                                                                                       two_workers):
+    want, forked = two_workers
+    parent, sum_shards = os.getpid(), loop._sum_shards
+
+    def dies_after_its_first_sum(*args):
+        total = sum_shards(*args)
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return total
+
+    monkeypatch.setattr(loop, "_sum_shards", dies_after_its_first_sum)
+    assert run_pretrain(fixture) == want and len(forked) == 1
+
+
+@pytest.mark.parametrize("kernel", ["adamw_range", "ema_range"])
+def test_a_worker_killed_in_its_first_update_has_its_range_run_again_from_the_intact_bank(fixture, monkeypatch,
+                                                                                          two_workers, kernel):
+    """The child writes its range of the next bank, then dies before it
+    answers; the caller updates that range again from the current bank."""
+    want, forked = two_workers
+    train = run_pretrain if kernel == "adamw_range" else run_finetune
+    if train is run_finetune:
+        at_workers(monkeypatch, 1)
+        want = run_finetune(fixture)
+        at_workers(monkeypatch, 2)
+    parent, update = os.getpid(), getattr(loop, kernel)
+
+    def dies_after_its_first_range(*args, **kwargs):
+        update(*args, **kwargs)
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(loop, kernel, dies_after_its_first_range)
+    assert train(fixture) == want and len(forked) == 1
 
 
 def test_a_failed_fork_runs_every_shard_in_the_caller(fixture, monkeypatch, two_workers):

@@ -30,7 +30,7 @@ from interbert.training import (
     total_loss,
     write_metrics_csv,
 )
-from interbert.training import loop
+from interbert.training import loop, optim
 from interbert.training.loop import _batch_losses
 from reference_ops import sum_all
 
@@ -257,6 +257,88 @@ def test_ema_update_cases():
     ema_update(shadow, ps, rate=0.9)
     want = 0.9 * (0.1 * np.array([2.0, 4.0])) + 0.1 * np.array([2.0, 4.0])
     np.testing.assert_allclose(shadow["p"], want, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the range kernels behind adamw_step and ema_update
+# ---------------------------------------------------------------------------
+
+# adjacent rank-2 tensors, then rank-1 tensors between rank-2 ones
+KERNEL_SHAPES = {"w0": (3, 4), "w1": (2, 5), "b1": (5,), "g": (1,), "w2": (4, 2), "b2": (3,)}
+
+
+def flat(arrays) -> np.ndarray:
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def written_out_adamw(values, m, v, g, t, lr, beta1, beta2, eps, weight_decay):
+    """One parameter's AdamW update as the per-parameter expressions state it, in place."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    update = (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+    if weight_decay != 0.0 and values.ndim >= 2:
+        update = update + weight_decay * values
+    values -= lr * update
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_the_range_kernels_equal_adamw_step_and_ema_update_bit_for_bit(monkeypatch, dtype, weight_decay, chunk):
+    """Over several steps, out of place between two banks, at every way of
+    cutting the flat rows into ranges and at chunks of 1, 3 and the default."""
+    if chunk is not None:
+        monkeypatch.setattr(optim, "_CHUNK", chunk)
+    rng = np.random.default_rng(7)
+    ps = ParameterSet()
+    for name, shape in KERNEL_SHAPES.items():
+        ps.add(name, Tensor(rng.normal(size=shape).astype(dtype)))
+    bounds = np.cumsum([0] + [t.values.size for _, t in ps.items()]).tolist()
+    n = bounds[-1]
+    cuts = {"whole": [0, n], "every parameter boundary": bounds, "inside rank-2 tensors": [0, 5, 17, 25, 31, n],
+            "single elements": list(range(n + 1))}
+    state, shadow = AdamWState.for_params(ps), ps.clone_values()
+    written = {name: [a.copy() for a in (t.values, t.values * 0, t.values * 0)] for name, t in ps.items()}
+    banks = {how: np.zeros((2, 4, n), dtype) for how in cuts}  # values, moments, average
+    for bank in banks.values():
+        bank[0, 0] = bank[0, 3] = flat(t.values for _, t in ps.items())
+    decay = optim.decay_runs([t.values for _, t in ps.items()])
+    assert decay == [(0, 12), (12, 22), (28, 36)]
+    for step in range(1, 5):
+        lr = 0.01 * step
+        hyper = dict(beta1=0.9, beta2=0.999, eps=1e-6, weight_decay=weight_decay)
+        for name, t in ps.items():
+            t.grad = rng.normal(size=t.values.shape).astype(dtype)
+            written_out_adamw(*written[name], t.grad, step, lr, **hyper)
+        grad = flat(t.grad for _, t in ps.items())
+        for how, points in cuts.items():
+            src, dst = banks[how][(step - 1) % 2], banks[how][step % 2]
+            for a, b in zip(points, points[1:]):
+                optim.adamw_range(src[:3], dst[:3], grad, slice(a, b), decay, lr, step, **hyper)
+                optim.ema_range(src[3], dst[3], dst[0], slice(a, b), 0.9)
+        adamw_step(ps, state, lr, **hyper)
+        ema_update(shadow, ps, 0.9)
+        want = np.stack([flat(t.values for _, t in ps.items()), flat(state.first_moment.values()),
+                         flat(state.second_moment.values()), flat(shadow.values())])
+        assert want.dtype == dtype and state.step_count == step
+        assert want[:3].tobytes() == np.stack([flat(w[i] for w in written.values()) for i in range(3)]).tobytes()
+        for how in cuts:
+            assert banks[how][step % 2].tobytes() == want.tobytes(), how
+
+
+def test_adamw_step_and_ema_update_write_through_arrays_that_are_not_c_contiguous():
+    values = np.arange(6.0).reshape(2, 3)
+    ps, fortran = ParameterSet(), ParameterSet()
+    for params, array in ((ps, values.copy()), (fortran, np.asfortranarray(values))):
+        params.add("w", Tensor(array)).grad = np.full((2, 3), 0.5)
+        adamw_step(params, AdamWState.for_params(params), lr=0.1)
+    assert not fortran["w"].values.flags.c_contiguous
+    assert fortran["w"].values.tobytes("C") == ps["w"].values.tobytes()
+    shadow = {"w": np.asfortranarray(np.ones((2, 3)))}
+    ema_update(shadow, ps, 0.5)
+    np.testing.assert_array_equal(shadow["w"], 0.5 + 0.5 * ps["w"].values)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +624,8 @@ def test_finetune_accuracy_of_constant_scorer_is_chance():
 def record_updates(monkeypatch) -> list:
     """Swap the loops' AdamW update and parameter average for recorders."""
     calls = []
-    monkeypatch.setattr(loop, "adamw_step", lambda *args, **kwargs: calls.append("adamw"))
-    monkeypatch.setattr(loop, "ema_update", lambda *args: calls.append("ema"))
+    monkeypatch.setattr(loop, "adamw_range", lambda *args, **kwargs: calls.append("adamw"))
+    monkeypatch.setattr(loop, "ema_range", lambda *args: calls.append("ema"))
     return calls
 
 
