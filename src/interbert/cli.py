@@ -85,7 +85,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
     manifest = {
         "command": command,
         "config": config,
-        "seed": config.get("seed", config.get("train", {}).get("seed") if isinstance(config.get("train"), dict) else None),
+        "seed": config.get("train", config).get("seed"),
         "git_describe": _git_describe(),
         "started": started,
         "finished": _utc_now(),
@@ -101,35 +101,43 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _check_section(section, defaults: dict, source, where: str = "") -> None:
+def _check(section, schema: dict, source, where: str = "") -> None:
     """Refuse a section of the config file ``source`` unless it is an object
-    whose keys are among ``defaults``, each value of its default's JSON type
-    (an int may stand for a float, and null for a null default)."""
+    whose keys are among ``schema``'s, each value of its default's JSON type
+    (an int may stand for a float, and null for a null default) and each
+    value under a dict default a section that passes in turn."""
     if not isinstance(section, dict):
         raise CommandError(f"config file {source}: expected an object{where}, got {json.dumps(section)}")
-    unknown = set(section) - set(defaults)
+    unknown = set(section) - set(schema)
     if unknown:
         raise CommandError(f"unknown config keys{where}: {sorted(unknown)} in config file {source}")
     for key, value in section.items():
-        kind = _kind(key, defaults[key])
+        kind = _kind(key, schema[key])
         fits = (isinstance(value, (int, float) if kind is float else kind)
                 and (kind is bool) == isinstance(value, bool))
-        if not (fits or value is None and defaults[key] is None):
+        if kind is dict:
+            _check(value, schema[key], source, f" in {key}")
+        elif not (fits or value is None and schema[key] is None):
             raise CommandError(f"config file {source}: {key}{where} must be {kind.__name__}, "
                                f"got {json.dumps(value)}")
 
 
-def _merge(defaults: dict, file_section: dict | None, flags: dict,
-           where: str = "", source: str | None = None) -> dict:
-    """``defaults`` updated by the config file's section, which
-    ``_check_section`` must pass, then by the flags given."""
-    merged = dict(defaults)
-    if file_section:
-        _check_section(file_section, defaults, source, where)
-        merged.update(file_section)
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
+def _missing(section: dict, schema: dict) -> list[str]:
+    """The keys of ``schema`` that ``section``, which ``_check`` passed,
+    leaves out, then those its sections leave out, dotted (``masking.anchor_prob``)."""
+    return [key for key in schema if key not in section] + [
+        f"{key}.{inner}" for key, default in schema.items() if isinstance(default, dict) and key in section
+        for inner in _missing(section[key], default)]
+
+
+def _merge(schema: dict, file_section: dict, args: argparse.Namespace) -> dict:
+    """``schema`` updated by the config file's section (``_check`` passed it),
+    then by each flag given, applied by its key's name at any depth."""
+    merged = {}
+    for key, default in schema.items():
+        flag = getattr(args, key, None)
+        merged[key] = (_merge(default, file_section.get(key, {}), args) if isinstance(default, dict)
+                       else file_section.get(key, default) if flag is None else flag)
     return merged
 
 
@@ -175,19 +183,7 @@ def _resolve_model_config(model_cfg: dict, corpus=None) -> dict:
 def run_synth_data(config: dict, out_dir: Path) -> list[str]:
     from .data import save_corpus, synth_corpus
 
-    corpus = synth_corpus(
-        seed=config["seed"],
-        num_images=config["num_images"],
-        captions_per_image=config["captions_per_image"],
-        num_classes=config["num_classes"],
-        feature_dim=config["feature_dim"],
-        noise_std=config["noise_std"],
-        min_objects=config["min_objects"],
-        max_objects=config["max_objects"],
-        max_fillers=config["max_fillers"],
-        image_size=config["image_size"],
-    )
-    save_corpus(corpus, out_dir / "corpus.jsonl", out_dir / "vocab.json")
+    save_corpus(synth_corpus(**config), out_dir / "corpus.jsonl", out_dir / "vocab.json")
     return ["corpus.jsonl", "vocab.json"]
 
 
@@ -254,7 +250,7 @@ def _model_config_for_checkpoint(config: dict, corpus=None):
         path = str(sibling)
     stored = _load_config_file(path)
     model_section = stored.get("model", stored)
-    _check_section(model_section, TOY_MODEL_PRESET, path)  # a missing key keeps ModelConfig's default
+    _check(model_section, TOY_MODEL_PRESET, path)  # a missing key keeps ModelConfig's default
     return ModelConfig.from_dict(_resolve_model_config(model_section, corpus))
 
 
@@ -436,7 +432,8 @@ def _execute(command: str, config: dict, out: str) -> None:
 
 # Each command's help line and defaults; a --config key outside them is an
 # error. A plain key is also the command's flag (num_images is --num-images),
-# typed by its default; "model" and "train" are sections set by SECTION_FLAGS.
+# typed by its default; "model" and "train" are sections that ``_schema``
+# fills and whose flags are SECTION_FLAGS.
 COMMANDS = {
     "synth-data": ("generate a synthetic paired corpus", {
         "num_images": 200, "captions_per_image": 1, "num_classes": 12, "feature_dim": 16, "noise_std": 0.1,
@@ -468,17 +465,19 @@ def _kind(key: str, default) -> type:
     return type(default) if default is not None else str if key in PATH_KEYS else int
 
 
-# The flags of each section (masking sits inside train): key -> type, or a
-# tuple of choices. Types are spelled out because TrainConfig imports numpy,
-# which must wait until --threads has set the BLAS variables.
+# The flags of each section, train's including those of its masking: key ->
+# type, or a tuple of choices. A flag sets its key wherever the key sits, so
+# no key repeats in a command's schema. Types are spelled out because
+# TrainConfig imports numpy, which must wait until --threads has set the
+# BLAS variables.
 SECTION_FLAGS = {
     "model": {"hidden_size": int, "num_heads": int, "ffn_size": int, "num_interaction_layers": int,
               "num_extraction_layers": int, "architecture_variant": ("interbert", "single_stream"),
               "tie_msm_weights": bool},
     "train": {"total_steps": int, "warmup_steps": int, "batch_size": int, "learning_rate": float,
               "beta2": float, "weight_decay": float, "ema_rate": float, "hard_negative_prob": float,
-              "precision": ("float64", "float32")},
-    "masking": {"anchor_prob": float, "max_extension": int, "iou_threshold": float},
+              "precision": ("float64", "float32"),
+              "anchor_prob": float, "max_extension": int, "iou_threshold": float},
 }
 
 # flags named otherwise than their key's dashed form
@@ -529,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--paper-scale", action="store_true", help=HELP["paper_scale"])
                 flags = SECTION_FLAGS["model"]
             elif key == "train":
-                flags = {**SECTION_FLAGS["train"], **SECTION_FLAGS["masking"], "action_mix": str}
+                flags = {**SECTION_FLAGS["train"], "action_mix": str}
             elif key == "seed":
                 flags = {}
             else:
@@ -552,36 +551,33 @@ def _action_mix(text: str | None) -> dict:
     return {"action_mask_prob": mask_p, "action_random_prob": random_p, "action_keep_prob": keep_p}
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """The command's full config: its defaults (``--paper-scale`` ones for
-    the sections), then the --config file, then flags. The seed comes from
-    --seed, else the file, else IBT_SEED, else 0."""
-    file_cfg = _load_config_file(args.config)
-    defaults = COMMANDS[args.command][1]
-    flags = {key: getattr(args, key) for key in defaults if key not in ("seed", "model", "train")}
-    config = _merge(defaults, file_cfg, flags, source=args.config)
-    config.update({key: str(Path(config[key]).resolve()) for key in PATH_KEYS if config.get(key)})
-    paper = getattr(args, "paper_scale", False)
-
-    def section(name: str, base: dict, from_file) -> dict:
-        flagged = {key: getattr(args, key) for key in SECTION_FLAGS[name]}
-        return _merge(base, from_file, flagged, where=f" in {name}", source=args.config)
-
-    if "model" in defaults:
-        config["model"] = section("model", {**TOY_MODEL_PRESET, **(PAPER_MODEL_OVERRIDES if paper else {})},
-                                  file_cfg.get("model"))
-    if "train" in defaults:
+def _schema(command: str, paper: bool = False, replay: bool = False) -> dict:
+    """Every key of the command's config with its default: its ``COMMANDS``
+    defaults, the ``model`` section the desk-scale preset (full-scale under
+    ``paper``), ``train`` a ``TrainConfig``'s, and under ``replay`` the
+    ``model`` section a finetune or eval manifest records."""
+    schema = dict(COMMANDS[command][1])
+    if "model" in schema or replay and "model_config" in schema:
+        schema["model"] = {**TOY_MODEL_PRESET, **(PAPER_MODEL_OVERRIDES if paper else {})}
+    if "train" in schema:
         from .training import TrainConfig
 
-        base = {**TrainConfig().to_dict(), **(PAPER_TRAIN_OVERRIDES if paper else {})}
-        from_file = file_cfg.get("train", {})
-        train = section("train", base, from_file)
-        masking = {**section("masking", base["masking"], from_file.get("masking")),
-                   **_action_mix(args.action_mix)}
-        config["train"] = {**train, "masking": masking,
-                           "seed": _seed_default(args.seed, from_file.get("seed"))}
-    else:
-        config["seed"] = _seed_default(args.seed, file_cfg.get("seed"))
+        schema["train"] = {**TrainConfig().to_dict(), **(PAPER_TRAIN_OVERRIDES if paper else {})}
+    return schema
+
+
+def resolve_config(args: argparse.Namespace) -> dict:
+    """The command's full config: its schema (``--paper-scale``'s sections
+    when given), then the --config file, then flags. The seed comes from
+    --seed, else the file, else IBT_SEED, else 0."""
+    file_cfg = _load_config_file(args.config)
+    schema = _schema(args.command, getattr(args, "paper_scale", False))
+    _check(file_cfg, schema, args.config)
+    config = _merge(schema, file_cfg, args)
+    config.update({key: str(Path(config[key]).resolve()) for key in PATH_KEYS if config.get(key)})
+    if "train" in config:
+        config["train"]["masking"].update(_action_mix(args.action_mix))
+    config.get("train", config)["seed"] = _seed_default(args.seed, file_cfg.get("train", file_cfg).get("seed"))
     if args.command == "knn" and config["trigger"] is None:
         raise CommandError("knn needs a trigger: --trigger or 'trigger' in the config file")
     return config
@@ -595,24 +591,16 @@ def _dispatch(args: argparse.Namespace) -> None:
     command = manifest.get("command")
     if command not in RUNNERS:
         raise CommandError(f"manifest names unknown command {command!r}")
-    config, defaults = manifest.get("config"), COMMANDS[command][1]
-    # a command reading a checkpoint's model config records it under "model"
-    _check_section(config, {"model": {}, **defaults} if "model_config" in defaults else defaults,
-                   args.manifest, " in config")
-    missing = set(defaults) - set(config)
-    if missing:
-        raise CommandError(f"config file {args.manifest}: config lacks keys {sorted(missing)}")
-    if "train" in defaults:  # a key left out would replay at today's default, not at what ran
-        from .training import TrainConfig
-
-        full = TrainConfig().to_dict()
-        train = config["train"]
-        missing = [key for key in full if key not in train] + [
-            f"masking.{key}" for key in full["masking"] if isinstance(train.get("masking"), dict)
-            and key not in train["masking"]]
-        if missing:
-            raise CommandError(f"config file {args.manifest}: the train section lacks keys {missing}; "
-                               "a manifest written before a key existed does not replay")
+    config, schema = manifest.get("config"), _schema(command, replay=True)
+    _check(config, schema, args.manifest, " in config")
+    lacking = {}  # a key left out would replay at today's default, not at what ran
+    for key in _missing(config, schema):
+        section, _, inner = key.partition(".")
+        lacking.setdefault(f"the {section} section" if inner else "config", []).append(inner or key)
+    if lacking:
+        raise CommandError(f"config file {args.manifest}: " + "; ".join(
+            f"{where} lacks keys {keys}" for where, keys in lacking.items())
+            + "; a manifest written before a key existed does not replay")
     _execute(command, config, args.out)
 
 

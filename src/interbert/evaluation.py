@@ -55,13 +55,10 @@ def _score_batches(model: InterBert, batches: list, logits: np.ndarray, products
     without the tape, and write its matching logits to ``logits[index]`` and,
     given ``products``, its pooled image x text products to ``products[index]``.
     The batches run as contiguous shares of at least two batches, one per
-    forked child (see ``workers.forked``), into shared arrays copied out at the
-    end; under four batches or at one worker they run in the caller. A caller
-    that forks only waits, so its heap takes no copy-on-write faults. No
-    batch's arithmetic depends on the process it runs in."""
-    outs = [array for array in (logits, products) if array is not None]
-    views = [shared_array(array.shape, array.dtype) for array in outs]
-
+    forked child (see ``workers.forked``), writing in place, as both arrays
+    are ``shared_array``s; under four batches or at one worker they run in
+    the caller. A caller that forks only waits, so its heap takes no
+    copy-on-write faults. No batch's arithmetic depends on the process it runs in."""
     def run(share: slice) -> None:
         for index, captions, images in batches[share]:
             with nt.no_grad():
@@ -69,16 +66,13 @@ def _score_batches(model: InterBert, batches: list, logits: np.ndarray, products
                                                       for tokens, image in zip(captions, images)]),
                                     image_rows=[], text_rows=[])
                 if products is not None:
-                    views[1][index] = out.pooled_image.values * out.pooled_text.values
-                views[0][index] = model.itm_score(out.pooled_image, out.pooled_text).values[:, 0]
+                    products[index] = out.pooled_image.values * out.pooled_text.values
+                logits[index] = model.itm_score(out.pooled_image, out.pooled_text).values[:, 0]
 
     workers = min(score_workers(), len(batches) // 2)
     shares = [slice(0, 0), *_even_slices(len(batches), workers)] if workers > 1 else [slice(0, len(batches))]
     with forked(len(shares), run) as round_:  # a child finds its batches in the memory it was forked with
         round_(shares)
-    for index, _, _ in batches:
-        for out, view in zip(outs, views):
-            out[index] = view[index]
 
 
 def score_pairs(model: InterBert, captions: Sequence[np.ndarray],
@@ -92,8 +86,8 @@ def score_pairs(model: InterBert, captions: Sequence[np.ndarray],
     if n != len(images):
         raise ValueError(f"{n} captions for {len(images)} images")
     _check_pool_limits(model, captions, images)
-    logits = np.empty(n)
-    products = np.empty((n, model.config.hidden_size))
+    logits = shared_array(n, np.float64)
+    products = shared_array((n, model.config.hidden_size), np.float64)
     _score_batches(model, [(rows, captions[rows], images[rows]) for rows in _even_slices(n, -(-n // SCORE_BATCH))],
                    logits, products)
     return logits, products
@@ -107,7 +101,7 @@ def score_all(model: InterBert, captions: Sequence[tuple[np.ndarray, int]],
     against the model's limits before the first forward."""
     tokens = [caption for caption, _ in captions]
     _check_pool_limits(model, tokens, images)
-    scores = np.empty((len(captions), len(images)))
+    scores = shared_array((len(captions), len(images)), np.float64)
     plan = _even_slices(len(tokens), -(-len(tokens) // SCORE_BATCH))
     _score_batches(model, [((rows, col), tokens[rows], repeat(entry)) for col, entry in enumerate(images)
                            for rows in plan], scores)

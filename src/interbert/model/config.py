@@ -15,8 +15,10 @@ TEXT_SEGMENT = 1
 
 @dataclass
 class ModelConfig:
-    """Network dimensions. Defaults are the full-scale configuration; the
-    CLI substitutes desk-scale values unless --paper-scale is passed."""
+    """Network dimensions. Widths, depths, vocabulary and feature width
+    default to the full-scale configuration, but max_objects (16; 100 under
+    --paper-scale) and num_object_classes (the CLI reads it off the corpus)
+    do not. The CLI substitutes desk-scale values unless --paper-scale is passed."""
 
     hidden_size: int = 768
     num_heads: int = 12

@@ -26,7 +26,6 @@ from ..negatives import check_table, make_itm_batch
 from ..numerics import IGNORE_INDEX
 from ..workers import _even_slices, forked, score_workers, shared_array
 from .losses import itm_loss, mrm_loss, msm_loss, total_loss
-from .optim import AdamWState, adamw_step, ema_update  # noqa: F401  (the per-parameter forms, importable here)
 from .optim import adamw_range, decay_runs, ema_range, lr_at
 
 

@@ -1,5 +1,6 @@
 """The paired-run comparison of tools/bench_pairs.py."""
 
+import argparse
 import importlib.util
 import json
 import subprocess
@@ -153,3 +154,30 @@ def test_the_closing_summary_prints_each_side_median_tree_peak_per_workload():
     assert lines[0].split()[:2] == ["w", "step_ms.p50"] and lines[0].endswith("within bound")
     assert lines[1].split() == ["w", "tree_peak_rss_mb", "median", "parent", "62.00", "change", "71.50",
                                 "(starter", "floor", "up", "to", "31.50)"]
+
+
+TREES = {"parent": {"src/interbert/a.py": "x\ny\n", "src/interbert/sub/b.py": "z\n", "src/other.py": "w\n",
+                    "src/interbert/sub/deep/c.py": "v\n", "src/interbert/notes.txt": "u\n"},
+         "change": {"src/interbert/a.py": "x\n", "src/interbert/sub/b.py": "p\nq\nr\ns"}}  # no final newline
+
+
+def test_the_record_holds_each_side_src_lines_as_wc_counts_them(monkeypatch, tmp_path):
+    def write(side, dest):
+        for name, text in TREES[side].items():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            (dest / name).write_text(text)
+
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda rev, dest: write("parent", dest))
+    monkeypatch.setattr(bench_pairs, "export_checkout", lambda dest: write("change", dest))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, command, workload: {
+        "metrics": {"m": {"value": 1.0}}, "usable_cpus": 1, "steal_share": None,
+        "tree_peak_rss_mb": 1.0, "starter_rss_mb": 1.0})
+    benchmark = {"run_seconds": 1, "command": ["python3", "perfbench/run.py"], "workloads": [{"name": "w"}],
+                 "end_to_end": [{"name": "m", "unit": "ms", "better": "lower", "bound": 0.25}]}
+    args = argparse.Namespace(parent="HEAD", pairs=1)
+    record = bench_pairs.measure(args, benchmark, tmp_path / "trees")
+    assert record["src_lines"] == {"parent": 3, "change": 4}
+    for side, want in record["src_lines"].items():
+        wc = subprocess.run("wc -l src/interbert/*.py src/interbert/*/*.py", shell=True, capture_output=True,
+                            cwd=tmp_path / "trees" / side, text=True, check=True).stdout
+        assert int(wc.splitlines()[-1].split()[0]) == want

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import interbert
-from interbert import evaluation, numerics
+from interbert import cli, evaluation, numerics
 from interbert.cli import build_parser, main, resolve_config
 from interbert.data import load_corpus
 
@@ -556,6 +556,93 @@ def test_replay_refuses_a_train_section_that_lacks_a_key(tmp_path, capsys, pretr
     err = capsys.readouterr().err.strip()
     assert f"the train section lacks keys {named}" in err and str(path) in err and "\n" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def eval_dir(tmp_path_factory, data_dir, pretrain_dir):
+    out = tmp_path_factory.mktemp("eval")
+    assert run_cli("eval", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.json",
+                   "--checkpoint", pretrain_dir / "checkpoint.ibt", "--out", out) == 0
+    return out
+
+
+def edited_manifest(tmp_path, run_dir, keys, value=None):
+    """``run_dir``'s manifest with the config value at the path ``keys`` set
+    to ``value``, or deleted when ``value`` is None, written under ``tmp_path``."""
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    section = manifest["config"]
+    for key in keys[:-1]:
+        section = section[key]
+    if value is None:
+        del section[keys[-1]]
+    else:
+        section[keys[-1]] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+def assert_replay_refused(tmp_path, capsys, path, named):
+    capsys.readouterr()
+    assert run_cli("replay", "--manifest", path, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err.strip()
+    assert named in err and str(path) in err and "\n" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("run, keys, named", [
+    ("pretrain", ("model", "hidden_size"), "the model section lacks keys ['hidden_size']"),
+    ("eval", ("model", "num_heads"), "the model section lacks keys ['num_heads']"),
+    ("eval", ("model",), "config lacks keys ['model']"),
+], ids=["pretrain-model-key", "eval-model-key", "eval-model"])
+def test_replay_refuses_a_model_section_that_lacks_a_key(tmp_path, capsys, request, run, keys, named):
+    # the model would be built at ModelConfig's default, not at what ran
+    path = edited_manifest(tmp_path, request.getfixturevalue(f"{run}_dir"), keys)
+    assert_replay_refused(tmp_path, capsys, path, named)
+
+
+@pytest.mark.parametrize("keys, value, named", [
+    (("train", "learning_rate"), "x", 'learning_rate in train must be float, got "x"'),
+    (("train", "masking", "anchor_prob"), "0.3", 'anchor_prob in masking must be float, got "0.3"'),
+    (("model", "hidden_size"), "16", 'hidden_size in model must be int, got "16"'),
+], ids=["train", "masking", "model"])
+def test_replay_refuses_a_nested_value_of_the_wrong_type(tmp_path, capsys, pretrain_dir, keys, value, named):
+    assert_replay_refused(tmp_path, capsys, edited_manifest(tmp_path, pretrain_dir, keys, value), named)
+
+
+def leaf_keys(schema: dict) -> list[str]:
+    return [leaf for key, value in schema.items()
+            for leaf in (leaf_keys(value) if isinstance(value, dict) else [key])]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@pytest.mark.parametrize("paper, replay", [(False, False), (True, False), (False, True)],
+                         ids=["desk", "paper", "replay"])
+def test_each_schema_key_names_one_value_and_no_global_flag(command, paper, replay):
+    # a flag sets its key by name wherever the key sits in the schema
+    leaves = leaf_keys(cli._schema(command, paper, replay))
+    assert len(leaves) == len(set(leaves))
+    assert not set(leaves) & {"out", "config", "threads", "paper_scale", "action_mix", "command"}
+
+
+def test_section_flags_are_config_fields_of_the_type_they_declare():
+    from dataclasses import fields
+    from typing import get_type_hints
+
+    from interbert.masking import MaskingConfig
+    from interbert.model import ModelConfig
+    from interbert.training import TrainConfig
+
+    assert set(cli._schema("pretrain")["model"]) == {f.name for f in fields(ModelConfig)}
+    owners = {"model": (ModelConfig,), "train": (TrainConfig, MaskingConfig)}
+    for section, flags in cli.SECTION_FLAGS.items():
+        for key, kind in flags.items():
+            owner = next(cls for cls in owners[section] if key in {f.name for f in fields(cls)})
+            declared = get_type_hints(owner)[key]
+            if isinstance(kind, tuple):  # a choice of strings, the default among them
+                assert declared is str and getattr(owner(), key) in kind, key
+            else:
+                assert declared is kind, key
 
 
 def test_config_values_may_widen_int_to_float_and_fill_null_defaults(tmp_path):

@@ -22,6 +22,7 @@ from interbert.numerics import finite_diff_check
 from interbert.training import TrainConfig, TrainingDiverged, finetune_retrieval, pretrain, total_loss
 from interbert.training import loop
 from interbert.training.loop import _batch_losses, _target_counts
+from interbert.training.optim import AdamWState, adamw_step, ema_update
 from interbert.workers import _even_slices
 
 
@@ -82,7 +83,7 @@ def serial_pretrain(fixture, cfg):
     AdamW, from the same generator draws, as the loop ran before shards."""
     corpus, table, model_cfg = fixture
     model = InterBert.create(model_cfg, seed=cfg.seed, dtype=cfg.dtype)
-    rng, state, rows = np.random.default_rng(cfg.seed), loop.AdamWState.for_params(model.params), []
+    rng, state, rows = np.random.default_rng(cfg.seed), AdamWState.for_params(model.params), []
     for step in range(1, cfg.total_steps + 1):
         batch = make_itm_batch(corpus, table, rng, cfg.batch_size, cfg.masking, cfg.hard_negative_prob)
         l_msm, l_mrm, l_itm, correct = _batch_losses(model, batch, cfg)
@@ -90,8 +91,8 @@ def serial_pretrain(fixture, cfg):
         model.params.zero_grad()
         nt.backward(loss, model.params)
         lr = loop.lr_at(step, cfg.learning_rate, cfg.warmup_steps, cfg.total_steps)
-        loop.adamw_step(model.params, state, lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
-                        weight_decay=cfg.weight_decay)
+        adamw_step(model.params, state, lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
+                   weight_decay=cfg.weight_decay)
         rows.append(loop.StepMetrics(step, lr, l_msm.item(), l_mrm.item(), l_itm.item(), loss.item(),
                                      correct / cfg.batch_size))
     return digest((n, p.values) for n, p in model.params.items()), rows
@@ -102,7 +103,7 @@ def serial_finetune(fixture, cfg):
     start = InterBert.create(model_cfg, seed=5).params.clone_values()
     model = InterBert.from_values(model_cfg, {n: np.array(v, dtype=cfg.dtype) for n, v in start.items()})
     shadow = model.params.clone_values()
-    rng, state, rows = np.random.default_rng(cfg.seed), loop.AdamWState.for_params(model.params), []
+    rng, state, rows = np.random.default_rng(cfg.seed), AdamWState.for_params(model.params), []
     image_index = np.array(corpus.image_ids())
     for step in range(1, cfg.total_steps + 1):
         items = []
@@ -117,9 +118,9 @@ def serial_finetune(fixture, cfg):
         model.params.zero_grad()
         nt.backward(loss, model.params)
         lr = loop.lr_at(step, cfg.learning_rate, cfg.warmup_steps, cfg.total_steps)
-        loop.adamw_step(model.params, state, lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
-                        weight_decay=cfg.weight_decay)
-        loop.ema_update(shadow, model.params, cfg.ema_rate)
+        adamw_step(model.params, state, lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
+                   weight_decay=cfg.weight_decay)
+        ema_update(shadow, model.params, cfg.ema_rate)
         credit = float(np.mean(loop.choice_credit(stacked.values)))
         rows.append(loop.FinetuneMetrics(step, lr, loss.item(), credit))
     return digest((n, p.values) for n, p in model.params.items()), digest(shadow.items()), rows

@@ -24,6 +24,10 @@ exec keeps its starter's peak RSS as a floor of its own, so each run also
 records this process's own peak just before it started, as ``starter_rss_mb``;
 the closing summary prints each side's median tree peak per workload.
 
+The file also records each side's ``src_lines``, the line count of its
+``src/interbert/*.py`` and ``src/interbert/*/*.py`` as ``wc -l`` gives it,
+so the size of the program sits next to its numbers.
+
 Per workload and end-to-end metric the file records both sides' medians
 and quartiles, the pairs the change won (ties count for neither), and the
 parent's spread (interquartile range over median) against the bound
@@ -76,6 +80,12 @@ def export_checkout(dest: Path) -> None:
         if source.is_file():  # a tracked file deleted in the checkout is left out
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, dest / name)
+
+
+def src_lines(tree: Path) -> int:
+    """The newlines in ``tree``'s ``src/interbert/*.py`` and ``src/interbert/*/*.py``: their ``wc -l`` total."""
+    files = [*tree.glob("src/interbert/*.py"), *tree.glob("src/interbert/*/*.py")]
+    return sum(path.read_bytes().count(b"\n") for path in files)
 
 
 def usable_cpus() -> int:
@@ -247,6 +257,7 @@ def measure(args, benchmark: dict, scratch: Path) -> dict:
                   + (" with uncommitted changes" if git("status", "--porcelain").strip() else ""),
         "command": " ".join([*benchmark["command"], "--workload <workload>", *flags]),
         "pairs": args.pairs,
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "order": "pair i runs the parent first when i is even, the change first when it is odd",
         "workloads": summarize(runs, benchmark),
         "contention": contention(runs),
