@@ -16,44 +16,20 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-TOY_MODEL_PRESET = {
-    "hidden_size": 96,
-    "num_heads": 4,
-    "ffn_size": 192,
-    "num_interaction_layers": 3,
-    "num_extraction_layers": 1,
-    "max_text_len": 40,
-    "max_objects": 16,
-    "ln_eps": 1e-12,
-    "init_std": 0.02,
-    "architecture_variant": "interbert",
-    "tie_msm_weights": False,
-    # resolved from the corpus when left unset
-    "vocab_size": None,
-    "object_feature_dim": None,
-    "num_object_classes": None,
-}
+from .config import MaskingConfig, ModelConfig, TrainConfig
 
-PAPER_MODEL_OVERRIDES = {
-    "hidden_size": 768,
-    "num_heads": 12,
-    "ffn_size": 3072,
-    "num_interaction_layers": 12,
-    "num_extraction_layers": 6,
-    "vocab_size": 30522,
-    "object_feature_dim": 2048,
-    "max_text_len": 40,
-    "max_objects": 100,
-}
-
-PAPER_TRAIN_OVERRIDES = {
-    "batch_size": 512,
-    "warmup_steps": 10000,
-    "total_steps": 100000,
-}
+# What the model section changes of ModelConfig's defaults: desk-scale sizes,
+# or under --paper-scale the object limit; None is resolved from the corpus.
+# --paper-scale also changes TrainConfig's schedule.
+TOY_MODEL_PRESET = {"hidden_size": 96, "num_heads": 4, "ffn_size": 192, "num_interaction_layers": 3,
+                    "num_extraction_layers": 1, "vocab_size": None, "object_feature_dim": None,
+                    "num_object_classes": None}
+PAPER_MODEL_OVERRIDES = {"max_objects": 100, "num_object_classes": None}
+PAPER_TRAIN_OVERRIDES = {"batch_size": 512, "warmup_steps": 10000, "total_steps": 100000}
 
 
 class CommandError(RuntimeError):
@@ -205,10 +181,9 @@ def run_mine_negatives(config: dict, out_dir: Path) -> list[str]:
 
 def run_pretrain(config: dict, out_dir: Path) -> list[str]:
     from .data import CorpusError, load_corpus
-    from .model import ModelConfig
     from .negatives import check_table, load_table
     from .numerics import save_checkpoint
-    from .training import TrainConfig, pretrain, write_metrics_csv
+    from .training import pretrain, write_metrics_csv
 
     corpus = load_corpus(config["corpus"], config["vocab"])
     if not corpus.pairs:
@@ -218,8 +193,8 @@ def run_pretrain(config: dict, out_dir: Path) -> list[str]:
         check_table(table, corpus)
     except CorpusError as exc:
         raise CommandError(f"{config['negatives']}: {exc}") from None
-    config["model"] = _resolve_model_config(config["model"], corpus)
-    model_cfg = ModelConfig.from_dict(config["model"])
+    model_cfg = _model_config(config, corpus)
+    config["model"] = model_cfg.to_dict()
     _check_corpus(config, corpus, **model_cfg.limits, num_classes=model_cfg.num_object_classes)
     train_cfg = TrainConfig.from_dict(config["train"])
     result = pretrain(corpus, table, model_cfg, train_cfg)
@@ -239,32 +214,32 @@ def _check_corpus(config: dict, corpus, **limits) -> None:
         raise CommandError(f"{config['corpus']}: {exc}") from None
 
 
-def _model_config_for_checkpoint(config: dict, corpus=None):
-    from .model import ModelConfig
-
-    path = config.get("model_config")
-    if path is None:
-        sibling = Path(config["checkpoint"]).parent / "config.json"
-        if not sibling.exists():
-            raise CommandError("no --model-config given and no config.json beside the checkpoint")
-        path = str(sibling)
-    stored = _load_config_file(path)
-    model_section = stored.get("model", stored)
-    _check(model_section, TOY_MODEL_PRESET, path)  # a missing key keeps ModelConfig's default
-    return ModelConfig.from_dict(_resolve_model_config(model_section, corpus))
+def _model_config(config: dict, corpus=None) -> ModelConfig:
+    """The model a command builds: its ``model`` section (pretrain's, or the
+    one a replayed manifest records), else the checkpoint's config.json,
+    which must hold every key of the model schema."""
+    section = config.get("model")
+    if section is None:
+        path = config.get("model_config")
+        if path is None:
+            sibling = Path(config["checkpoint"]).parent / "config.json"
+            if not sibling.exists():
+                raise CommandError("no --model-config given and no config.json beside the checkpoint")
+            path = str(sibling)
+        stored = _load_config_file(path)
+        section, schema = stored.get("model", stored), _schema("pretrain")["model"]
+        _check(section, schema, path)
+        if lacking := _missing(section, schema):
+            raise CommandError(f"config file {path}: the model section lacks keys {lacking}")
+    return ModelConfig.from_dict(_resolve_model_config(section, corpus))
 
 
 def _check_configs(config: dict) -> None:
     """Build and validate the model and training configs a command reads,
     with the sizes resolved from the corpus left at their defaults, so that
     a value they refuse stops the command before --out is created."""
-    from .model import ModelConfig
-    from .training import TrainConfig
-
-    if "model_config" in config:
-        _model_config_for_checkpoint(config).validate()
-    elif "model" in config:
-        ModelConfig.from_dict(_resolve_model_config(config["model"])).validate()
+    if "model" in config or "model_config" in config:
+        _model_config(config).validate()
     if "train" in config:
         TrainConfig.from_dict(config["train"])
 
@@ -272,10 +247,10 @@ def _check_configs(config: dict) -> None:
 def run_finetune(config: dict, out_dir: Path) -> list[str]:
     from .data import load_corpus
     from .numerics import load_checkpoint, save_checkpoint
-    from .training import TrainConfig, finetune_retrieval, write_metrics_csv
+    from .training import finetune_retrieval, write_metrics_csv
 
     corpus = load_corpus(config["corpus"], config["vocab"])
-    model_cfg = _model_config_for_checkpoint(config, corpus)
+    model_cfg = _model_config(config, corpus)
     config["model"] = model_cfg.to_dict()
     _check_corpus(config, corpus, **model_cfg.limits)
     train_cfg = TrainConfig.from_dict(config["train"])
@@ -295,7 +270,7 @@ def run_eval(config: dict, out_dir: Path) -> list[str]:
     corpus = load_corpus(config["corpus"], config["vocab"])
     if not corpus.pairs:
         raise CommandError("empty corpus")
-    model_cfg = _model_config_for_checkpoint(config, corpus)
+    model_cfg = _model_config(config, corpus)
     config["model"] = model_cfg.to_dict()
     _check_corpus(config, corpus, **model_cfg.limits)
     model = InterBert.from_checkpoint(model_cfg, config["checkpoint"])
@@ -327,10 +302,10 @@ def run_gradcheck(config: dict, out_dir: Path) -> list[str]:
 
     from . import numerics as nt
     from .data import synth_corpus
-    from .masking import MaskingConfig, mask_pair
-    from .model import InterBert, ModelConfig
+    from .masking import mask_pair
+    from .model import InterBert
     from .numerics import finite_diff_check
-    from .training import TrainConfig, total_loss
+    from .training import total_loss
     from .training.loop import _batch_losses, _target_counts
     from .workers import _even_slices
 
@@ -433,7 +408,7 @@ def _execute(command: str, config: dict, out: str) -> None:
 # Each command's help line and defaults; a --config key outside them is an
 # error. A plain key is also the command's flag (num_images is --num-images),
 # typed by its default; "model" and "train" are sections that ``_schema``
-# fills and whose flags are SECTION_FLAGS.
+# fills and whose flags are those their SECTIONS' fields declare.
 COMMANDS = {
     "synth-data": ("generate a synthetic paired corpus", {
         "num_images": 200, "captions_per_image": 1, "num_classes": 12, "feature_dim": 16, "noise_std": 0.1,
@@ -465,27 +440,9 @@ def _kind(key: str, default) -> type:
     return type(default) if default is not None else str if key in PATH_KEYS else int
 
 
-# The flags of each section, train's including those of its masking: key ->
-# type, or a tuple of choices. A flag sets its key wherever the key sits, so
-# no key repeats in a command's schema. Types are spelled out because
-# TrainConfig imports numpy, which must wait until --threads has set the
-# BLAS variables.
-SECTION_FLAGS = {
-    "model": {"hidden_size": int, "num_heads": int, "ffn_size": int, "num_interaction_layers": int,
-              "num_extraction_layers": int, "architecture_variant": ("interbert", "single_stream"),
-              "tie_msm_weights": bool},
-    "train": {"total_steps": int, "warmup_steps": int, "batch_size": int, "learning_rate": float,
-              "beta2": float, "weight_decay": float, "ema_rate": float, "hard_negative_prob": float,
-              "precision": ("float64", "float32"),
-              "anchor_prob": float, "max_extension": int, "iou_threshold": float},
-}
-
-# flags named otherwise than their key's dashed form
-FLAG_ALIASES = {
-    "total_steps": "--steps", "warmup_steps": "--warmup", "learning_rate": "--lr",
-    "hard_negative_prob": "--hard-neg-prob", "num_interaction_layers": "--interaction-layers",
-    "num_extraction_layers": "--extraction-layers", "architecture_variant": "--variant",
-}
+# The config classes of each section, train's including its masking. A flag
+# sets its key wherever the key sits, so no key repeats in a command's schema.
+SECTIONS = {"model": (ModelConfig,), "train": (TrainConfig, MaskingConfig)}
 
 HELP = {
     "out": "output directory (all files land here)",
@@ -497,22 +454,18 @@ HELP = {
     "export_embeddings": "also write fused item embeddings (embeddings.bin)",
     "trigger": "row of the trigger item (required here or in --config)",
     "k": "neighbours to return (default: 5)",
-    "anchor_prob": "masking anchor probability",
-    "max_extension": "max tokens a text anchor extends over",
-    "iou_threshold": "region-linking overlap threshold",
     "action_mix": "mask,random,keep probabilities, e.g. 0.8,0.1,0.1",
     "paper_scale": "swap in the full-scale architecture and schedule defaults",
 }
 
 
-def _add_flag(parser: argparse.ArgumentParser, key: str, kind, required: bool = False) -> None:
-    """The flag of ``key``: a switch for bool, a choice for a tuple, else a
-    value of type ``kind`` (str is argparse's own default)."""
+def _add_flag(parser: argparse.ArgumentParser, key: str, kind, required: bool = False,
+              flag: str | None = None, help: str | None = None, choices: tuple | None = None) -> None:
+    """The flag of ``key``, spelled ``flag`` or as the dashed key: a switch
+    for bool, else a value of type ``kind`` (str is argparse's own default)."""
     options = ({"action": "store_true", "default": None} if kind is bool
-               else {"choices": kind} if isinstance(kind, tuple)
-               else {"type": None if kind is str else kind, "required": required})
-    parser.add_argument(FLAG_ALIASES.get(key, "--" + key.replace("_", "-")), dest=key,
-                        help=HELP.get(key), **options)
+               else {"type": None if kind is str else kind, "required": required, "choices": choices})
+    parser.add_argument(flag or "--" + key.replace("_", "-"), dest=key, help=help or HELP.get(key), **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,15 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
         for key, default in defaults.items():
             if key == "model":
                 p.add_argument("--paper-scale", action="store_true", help=HELP["paper_scale"])
-                flags = SECTION_FLAGS["model"]
-            elif key == "train":
-                flags = {**SECTION_FLAGS["train"], "action_mix": str}
-            elif key == "seed":
-                flags = {}
-            else:
-                flags = {key: _kind(key, default)}
-            for name, kind in flags.items():
-                _add_flag(p, name, kind, required=name in PATH_KEYS and name != "model_config")
+            for f in (f for cls in SECTIONS.get(key, ()) for f in fields(cls) if f.metadata):
+                _add_flag(p, f.name, _kind(f.name, f.default), **f.metadata)
+            if key == "train":
+                _add_flag(p, "action_mix", str)
+            elif key not in (*SECTIONS, "seed"):
+                _add_flag(p, key, _kind(key, default), required=key in PATH_KEYS and key != "model_config")
     p = sub.add_parser("replay", help="re-run a command from its manifest")
     _add_flag(p, "manifest", str, required=True)
     _add_flag(p, "out", str, required=True)
@@ -553,15 +503,13 @@ def _action_mix(text: str | None) -> dict:
 
 def _schema(command: str, paper: bool = False, replay: bool = False) -> dict:
     """Every key of the command's config with its default: its ``COMMANDS``
-    defaults, the ``model`` section the desk-scale preset (full-scale under
-    ``paper``), ``train`` a ``TrainConfig``'s, and under ``replay`` the
-    ``model`` section a finetune or eval manifest records."""
+    defaults, the ``model`` section ``ModelConfig``'s at desk scale (full
+    scale under ``paper``), ``train`` a ``TrainConfig``'s, and under ``replay``
+    the ``model`` section a finetune or eval manifest records."""
     schema = dict(COMMANDS[command][1])
     if "model" in schema or replay and "model_config" in schema:
-        schema["model"] = {**TOY_MODEL_PRESET, **(PAPER_MODEL_OVERRIDES if paper else {})}
+        schema["model"] = {**ModelConfig().to_dict(), **(PAPER_MODEL_OVERRIDES if paper else TOY_MODEL_PRESET)}
     if "train" in schema:
-        from .training import TrainConfig
-
         schema["train"] = {**TrainConfig().to_dict(), **(PAPER_TRAIN_OVERRIDES if paper else {})}
     return schema
 

@@ -14,39 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import MaskingConfig
 from .data import ImageTextPair, Vocabulary
 from .numerics import IGNORE_INDEX
 
 ACTION_MASK = "mask_token"
 ACTION_RANDOM = "random_token"
 ACTION_KEEP = "keep"
-
-
-@dataclass
-class MaskingConfig:
-    anchor_prob: float = 0.1
-    max_extension: int = 2
-    iou_threshold: float = 0.4
-    action_mask_prob: float = 0.8
-    action_random_prob: float = 0.1
-    action_keep_prob: float = 0.1
-
-    def validate(self) -> None:
-        if not 0.0 <= self.anchor_prob <= 1.0:
-            raise ValueError("anchor_prob must be a probability")
-        if self.max_extension < 0:
-            raise ValueError("max_extension must be non-negative")
-        if self.iou_threshold < 0.0:
-            raise ValueError("iou_threshold must be non-negative")
-        mix = (self.action_mask_prob, self.action_random_prob, self.action_keep_prob)
-        if any(p < 0 for p in mix) or abs(sum(mix) - 1.0) > 1e-9:
-            raise ValueError("action mix must be non-negative and sum to 1")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MaskingConfig":
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
 
 
 def iou(box_a, box_b) -> float:

@@ -1,14 +1,7 @@
 """Network definition: configuration, layout, parameters, forward passes."""
 
-from .config import (
-    IMAGE_SEGMENT,
-    TEXT_SEGMENT,
-    VARIANT_INTERBERT,
-    VARIANT_SINGLE_STREAM,
-    ModelConfig,
-    SequenceLayout,
-    build_layout,
-)
+from ..config import VARIANT_INTERBERT, VARIANT_SINGLE_STREAM, ModelConfig
+from .config import IMAGE_SEGMENT, TEXT_SEGMENT, SequenceLayout, build_layout
 from .network import (
     GEOMETRY_DIM,
     InterBert,

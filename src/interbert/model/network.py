@@ -22,15 +22,9 @@ from typing import Iterator
 import numpy as np
 
 from .. import numerics as nt
+from ..config import VARIANT_INTERBERT, VARIANT_SINGLE_STREAM, ModelConfig
 from ..numerics import ParameterSet, Tensor, load_checkpoint
-from .config import (
-    IMAGE_SEGMENT,
-    TEXT_SEGMENT,
-    VARIANT_INTERBERT,
-    VARIANT_SINGLE_STREAM,
-    ModelConfig,
-    PackedBatch,
-)
+from .config import IMAGE_SEGMENT, TEXT_SEGMENT, PackedBatch
 
 GEOMETRY_DIM = 5  # x1/W, y1/H, x2/W, y2/H, box area / image area
 

@@ -1,12 +1,12 @@
 """Loss assembly, optimization, and the training loops."""
 
+from ..config import TrainConfig
 from .losses import itm_loss, mrm_loss, msm_loss, total_loss
 from .loop import (
     FinetuneMetrics,
     FinetuneResult,
     PretrainResult,
     StepMetrics,
-    TrainConfig,
     TrainingDiverged,
     finetune_retrieval,
     pretrain,

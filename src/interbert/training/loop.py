@@ -13,15 +13,16 @@ checkpoints included.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .. import numerics as nt
+from ..config import ModelConfig, TrainConfig
 from ..data import Corpus, check_limits, make_batch
 from ..evaluation import choice_credit, choice_images
-from ..masking import MaskedSample, MaskingConfig
-from ..model import InterBert, ModelConfig
+from ..masking import MaskedSample
+from ..model import InterBert
 from ..negatives import check_table, make_itm_batch
 from ..numerics import IGNORE_INDEX
 from ..workers import _even_slices, forked, score_workers, shared_array
@@ -32,78 +33,6 @@ from .optim import adamw_range, decay_runs, ema_range, lr_at
 class TrainingDiverged(RuntimeError):
     """The loss or the summed gradient went non-finite; ``_optimise`` checks
     both before each update."""
-
-
-@dataclass
-class TrainConfig:
-    """Optimization hyperparameters. Loss weights default to 1 each; the
-    hard-negative share stays at 0.2 because pushing it higher makes the
-    matching task hard enough to stall early training. ``shards`` is how many
-    contiguous shards each step's batch is cut into; it fixes the arithmetic,
-    while the number of processes that run them follows the machine."""
-
-    lambda_msm: float = 1.0
-    lambda_mrm: float = 1.0
-    lambda_itm: float = 1.0
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.9999
-    eps: float = 1e-6
-    weight_decay: float = 0.01
-    warmup_steps: int = 100
-    total_steps: int = 500
-    batch_size: int = 16
-    seed: int = 0
-    ema_rate: float = 0.9999
-    hard_negative_prob: float = 0.2
-    mgm_on_negatives: bool = False
-    itm_on_masked: bool = True
-    num_distractors: int = 3
-    precision: str = "float64"
-    shards: int = 2
-    masking: MaskingConfig = field(default_factory=MaskingConfig)
-
-    def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        if self.warmup_steps < 0 or self.total_steps < 1 or self.warmup_steps > self.total_steps:
-            raise ValueError("need 0 <= warmup_steps <= total_steps and total_steps >= 1")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2")
-        if not 0.0 <= self.hard_negative_prob <= 1.0:
-            raise ValueError("hard_negative_prob must be a probability")
-        if not 0.0 <= self.ema_rate <= 1.0:
-            raise ValueError("ema_rate must lie in [0, 1]")
-        if self.precision not in ("float64", "float32"):
-            raise ValueError("precision must be float64 or float32")
-        if self.num_distractors < 1:
-            raise ValueError("need at least one distractor image")
-        if not 1 <= self.shards <= self.batch_size:
-            raise ValueError("shards must lie in [1, batch_size]")
-        self.masking.validate()
-
-    @property
-    def dtype(self):
-        return np.float64 if self.precision == "float64" else np.float32
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        data = dict(data)
-        if "masking" in data and isinstance(data["masking"], dict):
-            data["masking"] = MaskingConfig.from_dict(data["masking"])
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
 
 
 @dataclass

@@ -169,6 +169,7 @@ def test_the_record_holds_each_side_src_lines_as_wc_counts_them(monkeypatch, tmp
 
     monkeypatch.setattr(bench_pairs, "export_commit", lambda rev, dest: write("parent", dest))
     monkeypatch.setattr(bench_pairs, "export_checkout", lambda dest: write("change", dest))
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")  # no revision to resolve outside a checkout
     monkeypatch.setattr(bench_pairs, "run_once", lambda tree, command, workload: {
         "metrics": {"m": {"value": 1.0}}, "usable_cpus": 1, "steal_share": None,
         "tree_peak_rss_mb": 1.0, "starter_rss_mb": 1.0})

@@ -3,9 +3,12 @@
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ import pytest
 import interbert
 from interbert import cli, evaluation, numerics
 from interbert.cli import build_parser, main, resolve_config
+from interbert.config import MaskingConfig, ModelConfig, TrainConfig
 from interbert.data import load_corpus
 
 
@@ -610,6 +614,49 @@ def test_replay_refuses_a_nested_value_of_the_wrong_type(tmp_path, capsys, pretr
     assert_replay_refused(tmp_path, capsys, edited_manifest(tmp_path, pretrain_dir, keys, value), named)
 
 
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+def test_a_checkpoint_config_that_lacks_a_model_key_is_refused_before_any_work(
+        tmp_path, data_dir, pretrain_dir, capsys, command):
+    # the key would keep ModelConfig's full-scale default, which the checkpoint does not fit
+    stored = json.loads((pretrain_dir / "config.json").read_text())
+    del stored["model"]["hidden_size"]
+    model_config = tmp_path / "config.json"
+    model_config.write_text(json.dumps(stored))
+    capsys.readouterr()
+    assert run_cli(command, "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.json",
+                   "--checkpoint", pretrain_dir / "checkpoint.ibt", "--model-config", model_config,
+                   "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: config file {model_config}: the model section lacks keys ['hidden_size']")
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_replay_builds_the_model_its_manifest_records(tmp_path, data_dir, pretrain_dir):
+    shutil.copytree(pretrain_dir, tmp_path / "pre")
+    first, second = tmp_path / "ev1", tmp_path / "ev2"
+    assert run_cli("eval", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.json",
+                   "--checkpoint", tmp_path / "pre" / "checkpoint.ibt", "--out", first,
+                   "--export-embeddings") == 0
+    stored = json.loads((tmp_path / "pre" / "config.json").read_text())
+    stored["model"]["ln_eps"] = 1e-5  # edited after the run: replay must not read it
+    (tmp_path / "pre" / "config.json").write_text(json.dumps(stored))
+    assert run_cli("replay", "--manifest", first / "manifest.json", "--out", second) == 0
+    assert dir_digest(second) == dir_digest(first)
+    recorded = json.loads((first / "manifest.json").read_text())["config"]["model"]
+    assert json.loads((second / "manifest.json").read_text())["config"]["model"] == recorded
+
+
+def test_replay_builds_an_edited_model_section_and_refuses_the_checkpoint(tmp_path, capsys, eval_dir):
+    manifest = json.loads((eval_dir / "manifest.json").read_text())
+    manifest["config"]["model"].update(hidden_size=32, num_heads=4)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("replay", "--manifest", path, "--out", tmp_path / "out") == 1
+    assert "shape mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def leaf_keys(schema: dict) -> list[str]:
     return [leaf for key, value in schema.items()
             for leaf in (leaf_keys(value) if isinstance(value, dict) else [key])]
@@ -625,24 +672,25 @@ def test_each_schema_key_names_one_value_and_no_global_flag(command, paper, repl
     assert not set(leaves) & {"out", "config", "threads", "paper_scale", "action_mix", "command"}
 
 
-def test_section_flags_are_config_fields_of_the_type_they_declare():
-    from dataclasses import fields
-    from typing import get_type_hints
+def flag_fields() -> list:
+    return [(cls, f) for cls in (ModelConfig, TrainConfig, MaskingConfig) for f in fields(cls) if f.metadata]
 
-    from interbert.masking import MaskingConfig
-    from interbert.model import ModelConfig
-    from interbert.training import TrainConfig
 
+def test_flag_fields_are_annotated_with_their_defaults_type():
+    # the parser types each section flag by its field's default
     assert set(cli._schema("pretrain")["model"]) == {f.name for f in fields(ModelConfig)}
-    owners = {"model": (ModelConfig,), "train": (TrainConfig, MaskingConfig)}
-    for section, flags in cli.SECTION_FLAGS.items():
-        for key, kind in flags.items():
-            owner = next(cls for cls in owners[section] if key in {f.name for f in fields(cls)})
-            declared = get_type_hints(owner)[key]
-            if isinstance(kind, tuple):  # a choice of strings, the default among them
-                assert declared is str and getattr(owner(), key) in kind, key
-            else:
-                assert declared is kind, key
+    assert flag_fields()
+    for cls, f in flag_fields():
+        assert get_type_hints(cls)[f.name] is type(f.default), f.name
+
+
+@pytest.mark.parametrize("cls, key", [(cls, f.name) for cls, f in flag_fields() if f.metadata["choices"]],
+                         ids=lambda value: getattr(value, "__name__", value))
+def test_each_choice_holds_its_default_and_validate_refuses_another(cls, key):
+    choices = next(f.metadata["choices"] for f in fields(cls) if f.name == key)
+    assert getattr(cls(), key) in choices
+    with pytest.raises(ValueError, match=key):
+        replace(cls(), **{key: "float16"}).validate()
 
 
 def test_config_values_may_widen_int_to_float_and_fill_null_defaults(tmp_path):
