@@ -170,11 +170,7 @@ def run_mine_negatives(config: dict, out_dir: Path) -> list[str]:
     corpus = load_corpus(config["corpus"], config["vocab"])
     if len(corpus) < 2:
         raise CommandError("mining needs at least two captions")
-    table = build_hard_negative_table(
-        build_tfidf(corpus),
-        sim_threshold=config["sim_threshold"],
-        max_negatives=config["max_negatives"],
-    )
+    table = build_hard_negative_table(build_tfidf(corpus), config["sim_threshold"], config["max_negatives"])
     save_table(out_dir / "negatives.jsonl", table)
     return ["negatives.jsonl"]
 

@@ -17,13 +17,15 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import MALFORMED, Corpus, CorpusError, jsonl_lines
 from .masking import MaskedSample, MaskingConfig, mask_pair
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_SIM_THRESHOLD = 0.5
 DEFAULT_MAX_NEGATIVES = 30
@@ -43,6 +45,7 @@ class TfIdfIndex:
     @classmethod
     def build(cls, caption_terms: Mapping[int, Sequence[Hashable]],
               caption_image: Mapping[int, int]) -> "TfIdfIndex":
+        import scipy.sparse as sp  # here, not at module import: only mining loads scipy
         columns: dict[Hashable, int] = {}
         caption_ids, indices, tf, indptr = [], [], [], [0]
         for caption_id, terms in caption_terms.items():
@@ -73,10 +76,15 @@ class TfIdfIndex:
             out.setdefault(image_id, []).append(caption_id)
         return out
 
+    @cached_property
+    def rows(self) -> dict[int, int]:
+        """Caption id -> its row."""
+        return {caption_id: row for row, caption_id in enumerate(self.caption_ids.tolist())}
+
     def similarities(self, caption_id: int) -> np.ndarray:
         """Every row's cosine similarity to the caption (rows are unit length,
         so dots): one CSR mat-vec, adding each row's products in stored order."""
-        (row,) = np.flatnonzero(self.caption_ids == caption_id)
+        row = self.rows[caption_id]
         lo, hi = self.matrix.indptr[row:row + 2]
         dense = np.zeros(self.matrix.shape[1])
         dense[self.matrix.indices[lo:hi]] = self.matrix.data[lo:hi]
@@ -84,8 +92,7 @@ class TfIdfIndex:
 
     def similarity(self, caption_a: int, caption_b: int) -> float:
         """Caption a's entry of ``similarities(caption_b)``, bit for bit as mining sees it."""
-        (row,) = np.flatnonzero(self.caption_ids == caption_a)
-        return float(self.similarities(caption_b)[row])
+        return float(self.similarities(caption_b)[self.rows[caption_a]])
 
 
 def build_tfidf(corpus: Corpus) -> TfIdfIndex:

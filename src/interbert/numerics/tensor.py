@@ -23,7 +23,6 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 DEFAULT_DTYPE = np.float64
 
@@ -428,14 +427,64 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
     ])
 
 
+# Cephes' erf and erfc (ndtr.c; Moshier 1989), the rational approximations
+# scipy.special.erf evaluates for doubles; _erf takes the same steps in the
+# same order, so it gives the same bits.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _horner(x: np.ndarray, coef: tuple, monic: bool = False) -> np.ndarray:
+    """Cephes' polevl, or with ``monic`` its p1evl (leading 1 left out of ``coef``), step for step."""
+    ans = x + coef[0] if monic else coef[0] * x + coef[1]
+    for c in coef[1 if monic else 2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """scipy.special.erf's bits: x * T(x²) / U(x²) for |x| <= 1, else
+    ±(1 - (exp(-x²) * P(|x|)) / Q(|x|)). Float32 is evaluated in float64
+    and rounded once, as scipy's float32 loop does."""
+    v = np.asarray(x, np.float64).ravel()
+    tail = v.size and not (-1.0 <= v.min() and v.max() <= 1.0)  # NaN fails both tests
+    near = np.clip(v, -1.0, 1.0) if tail else v  # tail entries are overwritten below
+    z = near * near
+    out = _horner(z, _ERF_T)
+    out *= near
+    out /= _horner(z, _ERF_U, monic=True)
+    if tail:
+        far = np.flatnonzero(np.abs(v) > 1.0)  # NaN stays near, where it gives NaN
+        # from 6 on, every Cephes branch (P/Q below 8, R/S from 8, erfc 0 once a * a > MAXLOG)
+        # gives erfc(a) < 2**-54, so erf exactly 1; clipped to 6, P/Q gives the same 1
+        a = np.minimum(np.abs(v[far]), 6.0)
+        p, q, arg = _horner(a, _ERFC_P), _horner(a, _ERFC_Q, monic=True), -a * a
+        z = np.exp(arg)
+        # np.exp is within one ulp of libm's exp, which Cephes calls, and 1 - z * p / q falls
+        # as z (> 0) rises: where both neighbours of z give one result, so does libm's z
+        bits = z.view(np.int64)
+        below, above = (bits - 1).view(np.float64), (bits + 1).view(np.float64)
+        unsure = np.flatnonzero(1.0 - below * p / q != 1.0 - above * p / q)
+        z[unsure] = np.fromiter(map(math.exp, arg[unsure].tolist()), np.float64, unsure.size)
+        out[far] = np.copysign(1.0 - z * p / q, v[far])
+    return out.reshape(x.shape).astype(x.dtype, copy=False)
+
+
 def gelu(x) -> Tensor:
     """Exact Gaussian-CDF form: x * Phi(x). A tracked output saves only its
     slope, Phi(x) + x * pdf(x), computed in the forward; an untracked one is
     computed in one array."""
     x = as_tensor(x)
     v = x.values
-    cdf = v * _INV_SQRT2
-    erf(cdf, out=cdf)
+    cdf = _erf(v * _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
     if not _grad_mode.enabled or x._node is None:

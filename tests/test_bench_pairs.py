@@ -182,3 +182,22 @@ def test_the_record_holds_each_side_src_lines_as_wc_counts_them(monkeypatch, tmp
         wc = subprocess.run("wc -l src/interbert/*.py src/interbert/*/*.py", shell=True, capture_output=True,
                             cwd=tmp_path / "trees" / side, text=True, check=True).stdout
         assert int(wc.splitlines()[-1].split()[0]) == want
+
+
+@pytest.mark.parametrize("argv, seed", [([], 0), (["--seed", "7"], 7)])
+def test_the_seed_reaches_every_run_and_the_record(monkeypatch, tmp_path, argv, seed):
+    benchmark = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    commands = []
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "export_checkout", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, command, workload: commands.append(command) or {
+        "metrics": {m["name"]: {"value": 1.0} for m in benchmark["end_to_end"]}, "usable_cpus": 1,
+        "steal_share": None, "tree_peak_rss_mb": 1.0, "starter_rss_mb": 1.0})
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--pairs", "2", "--out", str(out),
+                             "--scratch", str(tmp_path / "trees"), *argv]) == 0
+    record = json.loads(out.read_text())
+    assert len(commands) == 4 * len(benchmark["workloads"])
+    assert all(command[command.index("--seed") + 1] == str(seed) for command in commands)
+    assert record["seed"] == seed and f"--seed {seed} " in record["command"]

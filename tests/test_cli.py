@@ -712,6 +712,29 @@ def test_building_the_parser_leaves_numpy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+NO_SCIPY_UNTIL_MINING = """
+import sys
+import numpy as np
+import interbert.cli, interbert.evaluation, interbert.training
+from interbert import data, negatives
+import interbert.numerics as nt
+x = nt.Tensor(np.linspace(-6.0, 6.0, 48).reshape(6, 8), requires_grad=True)
+nt.backward(nt.matmul(nt.matmul(np.ones((1, 6)), nt.gelu(x)), np.ones((8, 1))))  # a tail on both sides
+assert x.grad is not None
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+negatives.build_tfidf(data.synth_corpus(seed=3, num_images=6))
+print("scipy.sparse" in sys.modules)
+"""
+
+
+def test_the_runners_load_no_scipy_until_mining_builds_an_index():
+    # gelu's erf is computed in numpy; TfIdfIndex.build is the one place that imports scipy
+    env = {**os.environ, "PYTHONPATH": str(Path(interbert.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_UNTIL_MINING], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.split("\n")[:2] == ["[]", "True"]
+
+
 # One fixed invocation per command, run in order in one working directory:
 # (IBT_SEED or None, --config file body or None, arguments). CLI_FIXTURE holds
 # the manifest config each resolved to, with that directory written as $WORK,

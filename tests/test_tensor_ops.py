@@ -17,7 +17,7 @@ from interbert.numerics import (
     backward,
     finite_diff_check,
 )
-from interbert.numerics.tensor import _row_max
+from interbert.numerics.tensor import _erf, _row_max
 from reference_ops import mean_all, sum_all
 
 
@@ -399,6 +399,83 @@ def test_gelu_gradient_is_the_saved_slope_times_the_upstream_gradient(rng):
     slope *= g
     assert out.values.tobytes() == (v * cdf).tobytes()
     assert x.grad.tobytes() == slope.tobytes()
+
+
+def erf_bits_differ(got, want):
+    """Positions where two float arrays differ bit for bit (NaN against NaN agrees)."""
+    ints = np.int64 if got.dtype == np.float64 else np.int32
+    assert got.dtype == want.dtype and got.shape == want.shape
+    return np.flatnonzero((got.view(ints) != want.view(ints)) & ~(np.isnan(got) & np.isnan(want)))
+
+
+def test_erf_gives_scipys_bits_on_ten_million_seeded_values():
+    """Half the chunks log-uniform in |x| (40 down to 1e-2.5, so both
+    branches and the tail's edge near 1), half uniform on [-40, 40]."""
+    rng = np.random.default_rng(28)
+    for chunk in range(10):
+        if chunk % 2:
+            x = rng.uniform(-40.0, 40.0, 1_000_000)
+        else:
+            x = 40.0 * 2.0 ** -rng.uniform(0.0, 12.0, 1_000_000) * rng.choice([-1.0, 1.0], 1_000_000)
+        bad = erf_bits_differ(_erf(x), erf(x))
+        assert bad.size == 0, (chunk, x[bad[:5]])
+
+
+MAXLOG = 7.09782712893383996843e2  # Cephes' ln(DBL_MAX)
+
+
+def test_erf_gives_scipys_bits_at_branch_edges_and_special_values():
+    # Cephes' branch edges (1; erfc's R/S from 8; erfc 0 once a * a > MAXLOG) and 6, where _erf clips
+    edges = [1.0, 8.0, math.sqrt(MAXLOG), 6.0, 1e308, np.finfo(np.float64).tiny, 5e-324]
+    points = [0.0, np.inf, np.nan]
+    for edge in edges:
+        points += [edge, np.nextafter(edge, np.inf), np.nextafter(edge, 0.0)]
+    x = np.array(points + [-p for p in points])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = _erf(x)
+    assert erf_bits_differ(got, erf(x)).size == 0
+    assert np.signbit(_erf(np.array([-0.0])))[0] and not np.signbit(_erf(np.array([0.0])))[0]
+    assert _erf(np.array([np.inf, -np.inf, 1e308])).tolist() == [1.0, -1.0, 1.0]
+    assert np.isnan(_erf(np.array([np.nan, -np.nan]))).all()
+    subnormals = np.array([5e-324, -5e-324, 1e-310, -2e-320])
+    assert erf_bits_differ(_erf(subnormals), erf(subnormals)).size == 0
+    assert _erf(np.zeros((0, 3))).shape == (0, 3)
+    for scalar in (0.5, -2.0, 7.0):
+        got = _erf(np.array(scalar))
+        assert got.shape == () and got.tobytes() == erf(np.array(scalar)).tobytes()
+    past = np.linspace(6.0, 30.0, 100_001)  # where _erf clips |x|, scipy's erf is exactly 1 already
+    assert (erf(past) == 1.0).all() and (_erf(past) == 1.0).all() and (_erf(-past) == -1.0).all()
+
+
+def test_erf_of_float32_is_scipys_float32_loop():
+    """SciPy's float32 erf evaluates in float64 and rounds once; so does _erf."""
+    x = (np.random.default_rng(29).standard_normal(1_000_000) * 3.0).astype(np.float32)
+    got = _erf(x)
+    assert got.dtype == np.float32 and erf_bits_differ(got, erf(x)).size == 0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_gelu_gives_the_scipy_erf_gelus_bytes_tracked_and_untracked(rng, dtype):
+    """Forward and slope bytes against gelu's steps with scipy's erf in the
+    cdf; std 2 puts a third of the inputs on erf's tail."""
+    v = rng.normal(0.0, 2.0, size=(64, 48)).astype(dtype)
+    g = rng.normal(size=v.shape).astype(dtype)
+    cdf = v * (1.0 / math.sqrt(2.0))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    slope = -0.5 * v
+    slope *= v
+    np.exp(slope, out=slope)
+    slope *= 1.0 / math.sqrt(2.0 * math.pi)
+    slope *= v
+    slope += cdf
+    x = Tensor(v.copy(), requires_grad=True)
+    out = nt.gelu(x)
+    backward(sum_all(nt.mul(out, g)))
+    assert out.values.dtype == dtype and out.values.tobytes() == (v * cdf).tobytes()
+    assert x.grad.tobytes() == (g * slope).tobytes()
+    assert nt.gelu(Tensor(v)).values.tobytes() == (v * cdf).tobytes()
 
 
 # ---------------------------------------------------------------------------

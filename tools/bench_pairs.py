@@ -9,9 +9,11 @@ exported with ``git archive`` into a fresh directory under ``--scratch``
 files as they are, tracked and untracked but not ignored, copied into a
 second fresh directory, so both sides run from the same layout with no
 leftover ``perfbench/_work``. Each run is one process of the unchanged
-``perfbench/run.py`` with ``--seed 0 --trace 0`` at the run length
+``perfbench/run.py`` with ``--seed N --trace 0`` at the run length
 ``BENCHMARK.json`` sets, over every workload it lists; the pairs alternate
-which side runs first. The last line of each run's output is its JSON result.
+which side runs first. ``N`` is ``--seed`` (default 0), recorded in the file
+as ``seed``, so a claim can be checked again on a seed not used while making
+it. The last line of each run's output is its JSON result.
 Since scoring runs on every usable CPU, host contention can decide a pair, so
 each run also records the CPUs this process may use and the share of the
 machine's CPU time stolen by the hypervisor while it ran (the ``steal``
@@ -228,8 +230,9 @@ def closing_summary(record: dict) -> list[str]:
     return lines
 
 
-def measure(args, benchmark: dict, scratch: Path) -> dict:
-    """Export both trees into ``scratch`` and run the pairs: the record to write."""
+def measure(args, benchmark: dict, scratch: Path, seed: int = 0) -> dict:
+    """Export both trees into ``scratch`` and run the pairs, each run at
+    ``seed``: the record to write."""
     trees = {side: scratch / side for side in SIDES}
     for tree in trees.values():
         if tree.exists():
@@ -239,7 +242,7 @@ def measure(args, benchmark: dict, scratch: Path) -> dict:
     export_commit(parent, trees["parent"])
     export_checkout(trees["change"])
 
-    flags = ["--seed", "0", "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
+    flags = ["--seed", str(seed), "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
     command = [sys.executable, *benchmark["command"][1:], *flags]
     runs = {w["name"]: {side: [] for side in SIDES} for w in benchmark["workloads"]}
     for pair in range(args.pairs):
@@ -257,6 +260,7 @@ def measure(args, benchmark: dict, scratch: Path) -> dict:
                   + (" with uncommitted changes" if git("status", "--porcelain").strip() else ""),
         "command": " ".join([*benchmark["command"], "--workload <workload>", *flags]),
         "pairs": args.pairs,
+        "seed": seed,
         "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "order": "pair i runs the parent first when i is even, the change first when it is odd",
         "workloads": summarize(runs, benchmark),
@@ -272,6 +276,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Paired benchmark runs of a parent commit against the change.")
     parser.add_argument("--parent", required=True, help="the parent commit")
     parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=0, help="the seed every run.py process gets (default 0)")
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     parser.add_argument("--scratch", help="where the two trees go; default a new temporary directory")
     args = parser.parse_args(argv)
@@ -279,10 +284,10 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     if args.scratch:
-        record = measure(args, benchmark, Path(args.scratch))
+        record = measure(args, benchmark, Path(args.scratch), args.seed)
     else:
         with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
-            record = measure(args, benchmark, Path(scratch))
+            record = measure(args, benchmark, Path(scratch), args.seed)
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print("\n".join(closing_summary(record)))
     return 0
