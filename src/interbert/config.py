@@ -150,7 +150,10 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
         if self.warmup_steps < 0 or self.total_steps < 1 or self.warmup_steps > self.total_steps:
-            raise ValueError("need 0 <= warmup_steps <= total_steps and total_steps >= 1")
+            flags = {f.name: f.metadata.get("flag") for f in fields(self)}
+            raise ValueError("need 0 <= warmup_steps <= total_steps and total_steps >= 1, got "
+                             f"warmup_steps {self.warmup_steps} ({flags['warmup_steps']}) and "
+                             f"total_steps {self.total_steps} ({flags['total_steps']})")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
         if not 0.0 <= self.hard_negative_prob <= 1.0:

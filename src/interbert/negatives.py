@@ -7,7 +7,9 @@ tf = count / length and idf = ln(N / df) + 1; the 0.5 ceiling and top-30
 cut are interpreted against exactly this formula, so changing it moves the
 thresholds' meaning.
 
-Corpora carry token ids, so index terms are the content token ids.
+Corpora carry token ids, so index terms are the content token ids. The
+index is a CSR matrix in NumPy arrays, its sums taken in a CSR mat-vec's
+order; mining scores blocks of images and sorts only the likely best.
 """
 
 from __future__ import annotations
@@ -17,35 +19,36 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from .data import MALFORMED, Corpus, CorpusError, jsonl_lines
 from .masking import MaskedSample, MaskingConfig, mask_pair
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 DEFAULT_SIM_THRESHOLD = 0.5
 DEFAULT_MAX_NEGATIVES = 30
 DEFAULT_HARD_PROB = 0.2
+BLOCK_CELLS = 1 << 19  # similarities per mining block (rows x images, 4 MB), whatever the corpus size
 
 
 @dataclass
 class TfIdfIndex:
-    """One CSR matrix: row i is caption ``caption_ids[i]`` of image
-    ``image_ids[i]``, its entries the caption's L2-normalized TF-IDF weights
-    over term columns, stored in the order the terms first occur."""
+    """A CSR matrix in arrays: row i is caption ``caption_ids[i]`` of image
+    ``image_ids[i]``, its entries ``data[indptr[i]:indptr[i + 1]]`` the
+    caption's L2-normalized TF-IDF weights over the term columns ``indices``
+    (``num_terms`` of them), stored in the order the terms first occur."""
 
-    matrix: sp.csr_matrix
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    num_terms: int
     caption_ids: np.ndarray
     image_ids: np.ndarray
 
     @classmethod
     def build(cls, caption_terms: Mapping[int, Sequence[Hashable]],
               caption_image: Mapping[int, int]) -> "TfIdfIndex":
-        import scipy.sparse as sp  # here, not at module import: only mining loads scipy
         columns: dict[Hashable, int] = {}
         caption_ids, indices, tf, indptr = [], [], [], [0]
         for caption_id, terms in caption_terms.items():
@@ -61,11 +64,10 @@ class TfIdfIndex:
         if len(caption_ids) < 2:
             raise ValueError("need at least two non-empty captions to index")
 
-        indices = np.asarray(indices)
+        indices, indptr = np.asarray(indices), np.asarray(indptr)
         weights = np.asarray(tf) * (np.log(len(caption_ids) / np.bincount(indices)) + 1.0)[indices]
-        # a CSR mat-vec adds each row's squares in stored order, as a plain loop would
-        norms = np.sqrt(sp.csr_matrix((weights * weights, indices, indptr)) @ np.ones(len(columns)))
-        return cls(sp.csr_matrix((weights / np.repeat(norms, np.diff(indptr)), indices, indptr)),
+        norms = np.sqrt(_csr_product(weights * weights, indices, indptr, np.ones((len(columns), 1)))[:, 0])
+        return cls(weights / np.repeat(norms, np.diff(indptr)), indices, indptr, len(columns),
                    np.asarray(caption_ids), np.asarray([caption_image[c] for c in caption_ids]))
 
     @cached_property
@@ -81,18 +83,45 @@ class TfIdfIndex:
         """Caption id -> its row."""
         return {caption_id: row for row, caption_id in enumerate(self.caption_ids.tolist())}
 
-    def similarities(self, caption_id: int) -> np.ndarray:
-        """Every row's cosine similarity to the caption (rows are unit length,
-        so dots): one CSR mat-vec, adding each row's products in stored order."""
-        row = self.rows[caption_id]
-        lo, hi = self.matrix.indptr[row:row + 2]
-        dense = np.zeros(self.matrix.shape[1])
-        dense[self.matrix.indices[lo:hi]] = self.matrix.data[lo:hi]
-        return self.matrix @ dense
+    def similarities(self, caption_ids: Sequence[int]) -> np.ndarray:
+        """Every row's cosine similarity to each caption (rows are unit length,
+        so dots): rows x captions, one CSR product."""
+        queries = np.zeros((self.num_terms, len(caption_ids)))
+        for column, caption_id in enumerate(caption_ids):
+            terms, weights = self._entries(caption_id)
+            queries[terms, column] = weights
+        return _csr_product(self.data, self.indices, self.indptr, queries)
 
     def similarity(self, caption_a: int, caption_b: int) -> float:
-        """Caption a's entry of ``similarities(caption_b)``, bit for bit as mining sees it."""
-        return float(self.similarities(caption_b)[self.rows[caption_a]])
+        """Caption a's cell of ``similarities([caption_b])``, bit for bit: a's
+        stored products with b's weights, added in stored order from 0.0."""
+        weights_b = dict(zip(*self._entries(caption_b)))
+        total = 0.0
+        for term, weight in zip(*self._entries(caption_a)):
+            total += weight * weights_b.get(term, 0.0)
+        return total
+
+    def _entries(self, caption_id: int) -> tuple[list[int], list[float]]:
+        lo, hi = self.indptr[self.rows[caption_id]:][:2].tolist()
+        return self.indices[lo:hi].tolist(), self.data[lo:hi].tolist()
+
+
+def _csr_product(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """The CSR matrix times ``dense`` (terms x columns). Each cell adds its
+    row's products in stored order from 0.0, as a CSR mat-vec does: rank by
+    rank, the rows taken longest first so that each rank's are one slice."""
+    lengths = np.diff(indptr)
+    order = np.argsort(-lengths, kind="stable")
+    starts, longest_first = indptr[order], lengths[order]
+    sums, out = np.zeros((order.size, dense.shape[1])), np.empty((order.size, dense.shape[1]))
+    for rank in range(lengths.max(initial=0)):  # out holds each rank's products until the sums are done
+        at = starts[:np.count_nonzero(longest_first > rank)] + rank
+        # mode "clip" writes into out directly, where the default mode would buffer a copy
+        products = np.take(dense, indices[at], axis=0, out=out[:at.size], mode="clip")
+        products *= data[at, None]
+        sums[:at.size] += products
+    out[order] = sums
+    return out
 
 
 def build_tfidf(corpus: Corpus) -> TfIdfIndex:
@@ -114,23 +143,40 @@ def mine_hard_negatives(index: TfIdfIndex, image_id: int,
     image's first caption is strictly below the ceiling; the most similar
     max_negatives survive, ties broken by ascending caption id.
     """
-    own = index.image_captions.get(image_id)
-    if not own:
+    if not index.image_captions.get(image_id):
         raise KeyError(f"image {image_id} has no indexed caption")
-    sims = index.similarities(own[0])
-    keep = np.flatnonzero((index.image_ids != image_id) & (sims < sim_threshold))
-    best = keep[np.lexsort((index.caption_ids[keep], -sims[keep]))][:max_negatives]
-    return list(zip(index.caption_ids[best].tolist(), sims[best].tolist()))
+    return _mine(index, [image_id], sim_threshold, max_negatives)[0]
 
 
 def build_hard_negative_table(index: TfIdfIndex,
                               sim_threshold: float = DEFAULT_SIM_THRESHOLD,
                               max_negatives: int = DEFAULT_MAX_NEGATIVES) -> dict[int, list[tuple[int, float]]]:
-    """Mine every image; keys in ascending image id, fully deterministic."""
-    return {
-        image_id: mine_hard_negatives(index, image_id, sim_threshold, max_negatives)
-        for image_id in sorted(index.image_captions)
-    }
+    """Mine every image, a block at a time; keys in ascending image id, fully deterministic."""
+    images = sorted(index.image_captions)
+    step = max(1, BLOCK_CELLS // len(index.caption_ids))
+    return dict(zip(images, (row for start in range(0, len(images), step)
+                             for row in _mine(index, images[start:start + step], sim_threshold, max_negatives))))
+
+
+def _mine(index: TfIdfIndex, images: list[int], sim_threshold: float,
+          max_negatives: int) -> list[list[tuple[int, float]]]:
+    """``mine_hard_negatives`` of each image, one column of a block each.
+    Only the candidates at or above the column's max_negatives-th largest
+    eligible similarity, ties included, reach the sort."""
+    if max_negatives < 0:
+        raise ValueError(f"max_negatives must be non-negative, got {max_negatives}")
+    sims = index.similarities([index.image_captions[image_id][0] for image_id in images])
+    eligible = (sims < sim_threshold) & (index.image_ids[:, None] != np.asarray(images))
+    if 0 < max_negatives < len(sims):
+        floor = np.where(eligible, sims, -np.inf)
+        floor.partition(-max_negatives, axis=0)
+        eligible &= sims >= floor[-max_negatives]
+    table = []
+    for column, candidates in enumerate(eligible.T):
+        keep = np.flatnonzero(candidates)
+        best = keep[np.lexsort((index.caption_ids[keep], -sims[keep, column]))][:max_negatives]
+        table.append(list(zip(index.caption_ids[best].tolist(), sims[best, column].tolist())))
+    return table
 
 
 def save_table(path, table: dict[int, list[tuple[int, float]]]) -> None:

@@ -712,7 +712,7 @@ def test_building_the_parser_leaves_numpy_unloaded():
     assert done.stdout.strip() == "False"
 
 
-NO_SCIPY_UNTIL_MINING = """
+NO_SCIPY = """
 import sys
 import numpy as np
 import interbert.cli, interbert.evaluation, interbert.training
@@ -721,18 +721,27 @@ import interbert.numerics as nt
 x = nt.Tensor(np.linspace(-6.0, 6.0, 48).reshape(6, 8), requires_grad=True)
 nt.backward(nt.matmul(nt.matmul(np.ones((1, 6)), nt.gelu(x)), np.ones((8, 1))))  # a tail on both sides
 assert x.grad is not None
+negatives.build_hard_negative_table(negatives.build_tfidf(data.synth_corpus(seed=3, num_images=6)))
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-negatives.build_tfidf(data.synth_corpus(seed=3, num_images=6))
-print("scipy.sparse" in sys.modules)
 """
 
 
-def test_the_runners_load_no_scipy_until_mining_builds_an_index():
-    # gelu's erf is computed in numpy; TfIdfIndex.build is the one place that imports scipy
+def test_no_runner_loads_scipy_not_even_to_mine():
+    # gelu's erf and the TF-IDF index are computed in numpy
     env = {**os.environ, "PYTHONPATH": str(Path(interbert.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", NO_SCIPY_UNTIL_MINING], env=env, capture_output=True, text=True,
-                          check=True)
-    assert done.stdout.split("\n")[:2] == ["[]", "True"]
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_mine_negatives_runs_where_scipy_cannot_be_imported(tmp_path):
+    assert run_cli("synth-data", "--out", tmp_path / "data", "--num-images", 12) == 0
+    code = 'import sys; sys.modules["scipy"] = None; from interbert.cli import main; sys.exit(main(sys.argv[1:]))'
+    env = {**os.environ, "PYTHONPATH": str(Path(interbert.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, "mine-negatives", "--corpus", str(tmp_path / "data/corpus.jsonl"),
+                           "--vocab", str(tmp_path / "data/vocab.json"), "--out", str(tmp_path / "neg")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert len((tmp_path / "neg/negatives.jsonl").read_text().splitlines()) == 12
 
 
 # One fixed invocation per command, run in order in one working directory:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
+from interbert import negatives
 from interbert.data import CorpusError, synth_corpus
 from interbert.masking import MaskingConfig
 from interbert.negatives import (
@@ -45,6 +47,13 @@ def reference_similarity(va, vb):
     return sum(w * vb.get(t, 0.0) for t, w in va.items())
 
 
+def dense_rows(index: TfIdfIndex) -> np.ndarray:
+    """The index's rows as a dense (captions x terms) matrix."""
+    dense = np.zeros((len(index.caption_ids), index.num_terms))
+    dense[np.repeat(np.arange(len(index.caption_ids)), np.diff(index.indptr)), index.indices] = index.data
+    return dense
+
+
 def index_of(captions: dict[int, str]) -> TfIdfIndex:
     """Index whitespace-split captions, caption i showing image i."""
     return TfIdfIndex.build({cid: text.split() for cid, text in captions.items()},
@@ -76,7 +85,7 @@ def test_empty_caption_skipped_with_warning():
     with pytest.warns(UserWarning, match="caption 1"):
         index = index_of({0: "red dress", 1: "", 2: "blue sky"})
     assert 1 not in index.caption_ids
-    assert index.matrix.shape[0] == 2
+    assert len(index.indptr) - 1 == 2
 
 
 def test_index_requires_two_captions():
@@ -87,8 +96,8 @@ def test_index_requires_two_captions():
 def test_vectors_are_unit_length():
     corpus = synth_corpus(seed=8, num_images=30)
     index = build_tfidf(corpus)
-    assert np.all(np.abs(np.linalg.norm(index.matrix.toarray(), axis=1) - 1.0) < 1e-12)
-    assert np.all(np.bincount(index.matrix.indices, minlength=index.matrix.shape[1]) >= 1)
+    assert np.all(np.abs(np.linalg.norm(dense_rows(index), axis=1) - 1.0) < 1e-12)
+    assert np.all(np.bincount(index.indices, minlength=index.num_terms) >= 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,6 +125,117 @@ def test_csr_index_matches_reference_and_brute_force(captions, images, max_negat
 
 
 # ---------------------------------------------------------------------------
+# the CSR arithmetic against scipy.sparse, bit for bit
+# ---------------------------------------------------------------------------
+
+def scipy_data(caption_terms: dict) -> np.ndarray:
+    """The index's stored weights as a scipy.sparse build makes them: each
+    row's norm from a CSR mat-vec of its squared weights with ones."""
+    columns, indices, tf, indptr = {}, [], [], [0]
+    for terms in caption_terms.values():
+        if terms:
+            counts = Counter(terms)
+            indices.extend(columns.setdefault(term, len(columns)) for term in counts)
+            tf.extend(count / len(terms) for count in counts.values())
+            indptr.append(len(indices))
+    indices = np.asarray(indices)
+    weights = np.asarray(tf) * (np.log((len(indptr) - 1) / np.bincount(indices)) + 1.0)[indices]
+    norms = np.sqrt(csr_matrix((weights * weights, indices, indptr)) @ np.ones(len(columns)))
+    return weights / np.repeat(norms, np.diff(indptr))
+
+
+def scipy_similarities(index: TfIdfIndex, caption_ids) -> np.ndarray:
+    """Rows x captions, one scipy CSR mat-vec per caption."""
+    matrix = csr_matrix((index.data, index.indices, index.indptr), shape=(len(index.caption_ids), index.num_terms))
+    out = np.empty((len(index.caption_ids), len(caption_ids)))
+    for column, caption_id in enumerate(caption_ids):
+        row = index.rows[caption_id]
+        lo, hi = index.indptr[row:row + 2]
+        query = np.zeros(index.num_terms)
+        query[index.indices[lo:hi]] = index.data[lo:hi]
+        out[:, column] = matrix @ query
+    return out
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(captions=st.lists(st.lists(st.sampled_from(["red", "dress", "blue", "sky", "a", "shoe", "photo"]),
+                                  max_size=9), min_size=2, max_size=14))
+def test_index_and_similarities_give_scipys_bits(captions):
+    """Empty captions and repeated terms included: the stored weights, the
+    block of every caption and each ``similarity`` cell of it."""
+    caption_terms = dict(enumerate(captions))
+    assume(sum(1 for terms in captions if terms) >= 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        index = TfIdfIndex.build(caption_terms, {cid: cid for cid in caption_terms})
+    assert np.array_equal(bits(index.data), bits(scipy_data(caption_terms)))
+    ids = index.caption_ids.tolist()
+    block = index.similarities(ids)
+    assert np.array_equal(bits(block), bits(scipy_similarities(index, ids)))
+    assert np.array_equal(bits([[index.similarity(a, b) for b in ids] for a in ids]), bits(block))
+
+
+def scipy_table(index: TfIdfIndex, block: np.ndarray, images: list[int]) -> dict:
+    """Every eligible candidate sorted by (-sim, caption id), as the scipy
+    build mined them, from a block whose column j is image ``images[j]``."""
+    table = {}
+    for column, image_id in enumerate(images):
+        sims = block[:, column]
+        keep = np.flatnonzero((index.image_ids != image_id) & (sims < 0.5))
+        best = keep[np.lexsort((index.caption_ids[keep], -sims[keep]))][:30]
+        table[image_id] = list(zip(index.caption_ids[best].tolist(), sims[best].tolist()))
+    return table
+
+
+@pytest.mark.parametrize("num_images, captions_per_image", [(200, 1), (200, 2), (1000, 1)])
+def test_corpus_index_similarities_and_table_match_scipys(num_images, captions_per_image):
+    corpus = synth_corpus(seed=0, num_images=num_images, captions_per_image=captions_per_image)
+    index = build_tfidf(corpus)
+    special = corpus.vocab.special_ids()
+    caption_terms = {p.caption_id: [int(t) for t in p.tokens if int(t) not in special] for p in corpus.pairs}
+    images = sorted(index.image_captions)
+    block = index.similarities([index.image_captions[image_id][0] for image_id in images])
+    assert np.array_equal(bits(index.data), bits(scipy_data(caption_terms)))
+    assert np.array_equal(bits(block), bits(scipy_similarities(index, [index.image_captions[i][0] for i in images])))
+    sampled = np.random.default_rng(num_images).integers(0, len(images), size=(300, 2))
+    cells = [index.similarity(int(index.caption_ids[row]), index.image_captions[images[column]][0])
+             for row, column in sampled]
+    assert np.array_equal(bits(cells), bits(block[sampled[:, 0], sampled[:, 1]]))
+    assert build_hard_negative_table(index) == scipy_table(index, block, images)
+
+
+@pytest.mark.parametrize("images_per_block", [1, 7])
+def test_table_does_not_depend_on_the_block_size(monkeypatch, images_per_block):
+    corpus = synth_corpus(seed=4, num_images=200, captions_per_image=2)
+    index = build_tfidf(corpus)
+    whole = build_hard_negative_table(index)
+    assert 2 * 200 * 200 <= negatives.BLOCK_CELLS  # one block by default
+    monkeypatch.setattr(negatives, "BLOCK_CELLS", images_per_block * len(index.caption_ids))
+    assert build_hard_negative_table(index) == whole
+    assert build_hard_negative_table(index, 0.3, 5) == {
+        image_id: mine_hard_negatives(index, image_id, 0.3, 5) for image_id in sorted(index.image_captions)}
+
+
+def test_a_tie_across_the_cut_keeps_the_lower_caption_ids():
+    """Image 0's 30th and 31st candidates tie on similarity and differ in
+    caption id; rows hold the tied captions in descending id order."""
+    captions = {0: "red dress shoe"}
+    captions.update({cid: "red sky photo blue" for cid in range(40, 10, -1)})  # 30 ties, rows in falling id
+    captions.update({cid: "red dress sky photo blue" for cid in range(1, 6)})  # 5 closer candidates
+    index = index_of(captions)
+    row = mine_hard_negatives(index, 0)
+    sims = [sim for _, sim in row]
+    closer, tied = index.similarity(1, 0), index.similarity(11, 0)
+    assert tied < closer < 0.5 and sims == [closer] * 5 + [tied] * 25
+    assert [cid for cid, _ in row] == list(range(1, 6)) + list(range(11, 36))
+    assert bits(index.similarities([0])[:, 0]).tolist() == bits(scipy_similarities(index, [0])[:, 0]).tolist()
+
+
+# ---------------------------------------------------------------------------
 # mining
 # ---------------------------------------------------------------------------
 
@@ -131,6 +251,13 @@ def test_mining_returns_fewer_when_few_eligible():
     assert 3 not in ids  # similarity 1.0 is over the ceiling
     assert set(ids) == {1, 2}
     assert row[0][1] >= row[1][1]
+
+
+def test_mining_keeps_none_at_zero_and_refuses_a_negative_count():
+    index = index_of({0: "red dress photo", 1: "red shoe", 2: "blue sky"})
+    assert mine_hard_negatives(index, 0, max_negatives=0) == []
+    with pytest.raises(ValueError, match="max_negatives must be non-negative, got -1"):
+        build_hard_negative_table(index, max_negatives=-1)
 
 
 def test_mining_matches_brute_force_oracle():

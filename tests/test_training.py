@@ -355,6 +355,13 @@ def test_train_config_round_trip():
         TrainConfig(warmup_steps=10, total_steps=5).validate()
 
 
+@pytest.mark.parametrize("warmup, total", [(100, 60), (-1, 5), (0, 0)])
+def test_a_refused_schedule_names_both_values_and_their_flags(warmup, total):
+    # (100, 60) is a finetune run of --steps 60 left at the default warmup
+    with pytest.raises(ValueError, match=rf"warmup_steps {warmup} \(--warmup\) and total_steps {total} \(--steps\)"):
+        TrainConfig(warmup_steps=warmup, total_steps=total).validate()
+
+
 # ---------------------------------------------------------------------------
 # loops
 # ---------------------------------------------------------------------------
