@@ -242,7 +242,8 @@ def _check_configs(config: dict) -> None:
 
 def run_finetune(config: dict, out_dir: Path) -> list[str]:
     from .data import load_corpus
-    from .numerics import load_checkpoint, save_checkpoint
+    from .model import InterBert
+    from .numerics import save_checkpoint
     from .training import finetune_retrieval, write_metrics_csv
 
     corpus = load_corpus(config["corpus"], config["vocab"])
@@ -250,7 +251,8 @@ def run_finetune(config: dict, out_dir: Path) -> list[str]:
     config["model"] = model_cfg.to_dict()
     _check_corpus(config, corpus, **model_cfg.limits)
     train_cfg = TrainConfig.from_dict(config["train"])
-    result = finetune_retrieval(corpus, model_cfg, train_cfg, load_checkpoint(config["checkpoint"]))
+    start = InterBert.from_checkpoint(model_cfg, config["checkpoint"]).params.clone_values()
+    result = finetune_retrieval(corpus, model_cfg, train_cfg, start)
     save_checkpoint(out_dir / "checkpoint_ema.ibt", result.ema_values)
     save_checkpoint(out_dir / "checkpoint_raw.ibt", result.model.params)
     write_metrics_csv(out_dir / "metrics.csv", result.metrics)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .. import numerics as nt
 from ..config import VARIANT_INTERBERT, VARIANT_SINGLE_STREAM, ModelConfig
-from ..numerics import ParameterSet, Tensor, load_checkpoint
+from ..numerics import NumericsError, ParameterSet, Tensor, load_checkpoint
 from .config import IMAGE_SEGMENT, TEXT_SEGMENT, PackedBatch
 
 GEOMETRY_DIM = 5  # x1/W, y1/H, x2/W, y2/H, box area / image area
@@ -170,7 +170,11 @@ class InterBert:
     def from_checkpoint(cls, config: ModelConfig, path) -> "InterBert":
         """The network holding a checkpoint's parameters in the arrays they were read into."""
         config.validate()
-        return cls.from_values(config, load_checkpoint(path))
+        values = load_checkpoint(path)
+        try:
+            return cls.from_values(config, values)
+        except NumericsError as exc:  # names or shapes that do not fit ``config``: say which file
+            raise NumericsError(f"{path}: {exc}") from None
 
     # -- embeddings ----------------------------------------------------
 

@@ -1,14 +1,13 @@
 """Pretraining and retrieval-finetuning loops.
 
-Both loops draw every random decision in the caller from one seeded
-generator, then cut each step's batch into ``TrainConfig.shards`` contiguous
-shards whose forward and backward run on up to that many processes
-(``workers.forked``). Each process then sums the shards' gradients in shard
-order over one even range of the parameters and, once the sum is checked,
-updates that range (AdamW, and finetuning's average) into a second bank that
-the step commits by a flip. Every operation is elementwise or in shard order,
-so a repeated run with the same config is bit-identical at any worker count,
-checkpoints included.
+Both loops draw every random decision in the caller from one seeded generator,
+then cut each step's batch into ``TrainConfig.shards`` contiguous shards whose
+forward and backward run on up to that many processes (``workers.forked``).
+Each process then sums the shards' gradients in shard order over one even
+range of the parameters and, if that sum is finite, updates the range (AdamW,
+and finetuning's average) into a second bank, which the step commits by a
+flip. Every operation is elementwise or in shard order, so a repeated run with
+the same config is bit-identical at any worker count, checkpoints included.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .optim import adamw_range, decay_runs, ema_range, lr_at
 
 class TrainingDiverged(RuntimeError):
     """The loss or the summed gradient went non-finite; ``_optimise`` checks
-    both before each update."""
+    both before each commit."""
 
 
 @dataclass
@@ -87,16 +86,16 @@ def _optimise(model: InterBert, cfg: TrainConfig, draw, shard_loss, columns, row
     One shared store holds two banks each of the values, both AdamW moments
     and, given ``shadow`` (name -> average, kept at ``cfg.ema_rate`` and
     written back on exit), the average; then the summed gradient and one
-    gradient row per shard. Each step runs three rounds of ``workers.forked``
-    on ``min(score_workers(), shards)`` processes, forked once per call: A,
-    each shard's forward and backward on the current bank into its row; B,
-    each process sums the rows in shard order over one even range of the
-    elements and returns its sum of squares; C, each process updates its
-    range from the current bank into the other, AdamW then the average. A
-    non-finite loss or sum raises ``TrainingDiverged`` before C; the caller
-    commits C by flipping the bank, so a dead worker's range re-runs in the
-    caller from intact inputs. The ``row_type`` row then goes to ``on_step``
-    (when given) and out."""
+    gradient row per shard. Each step runs two rounds of ``workers.forked`` on
+    ``min(score_workers(), shards)`` processes, forked once per call: A, each
+    shard's forward and backward on the current bank into its row; B, each
+    process sums the rows in shard order over one even range of the elements,
+    updates that range from the current bank into the other (AdamW, then the
+    average) if its sum of squares is finite, and returns that sum. A
+    non-finite loss or sum raises ``TrainingDiverged`` before the caller
+    commits by flipping the bank, so a diverged step leaves the model as it
+    was, and a dead worker's range re-runs in the caller from intact inputs.
+    The ``row_type`` row then goes to ``on_step`` (when given) and out."""
     params = model.params
     bounds = np.cumsum([0] + [p.values.size for _, p in params.items()])
     kinds, n = (3 if shadow is None else 4), int(bounds[-1])  # values, first and second moments, average
@@ -132,14 +131,16 @@ def _optimise(model: InterBert, cfg: TrainConfig, draw, shard_loss, columns, row
             summaries.append(summary)
         return summaries
 
-    def update(bank, span, step, lr) -> None:  # the current bank's range into the other bank
-        src, dst = banks[bank], banks[1 - bank]
-        adamw_range(src[:3], dst[:3], total, span, decay, lr, step, beta1=cfg.beta1, beta2=cfg.beta2,
-                    eps=cfg.eps, weight_decay=cfg.weight_decay)
-        if shadow is not None:
-            ema_range(src[3], dst[3], dst[0], span, cfg.ema_rate)
+    def sum_and_update(bank, span, step, lr) -> float:  # the range's sum, then its update into the other bank
+        src, dst, squares = banks[bank], banks[1 - bank], _sum_shards(grads, total, span)
+        if np.isfinite(squares):  # else the caller raises before the flip
+            adamw_range(src[:3], dst[:3], total, span, decay, lr, step, beta1=cfg.beta1, beta2=cfg.beta2,
+                        eps=cfg.eps, weight_decay=cfg.weight_decay)
+            if shadow is not None:
+                ema_range(src[3], dst[3], dst[0], span, cfg.ema_rate)
+        return squares
 
-    rounds = {"A": shard_grads, "B": lambda span: _sum_shards(grads, total, span), "C": update}
+    rounds = {"A": shard_grads, "B": sum_and_update}
     workers = min(score_workers(), cfg.shards)
     plan, spans = _even_slices(cfg.shards, workers), _even_slices(n, workers)
     bank, rows = 0, []
@@ -152,12 +153,11 @@ def _optimise(model: InterBert, cfg: TrainConfig, draw, shard_loss, columns, row
                 loss, row = columns([summary for part in parts for summary in part])
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"non-finite loss at step {step}")
-                if not np.isfinite(sum(round_([("B", span) for span in spans]))):
+                lr = lr_at(step, cfg.learning_rate, cfg.warmup_steps, cfg.total_steps)
+                if not np.isfinite(sum(round_([("B", bank, span, step, lr) for span in spans]))):
                     bad = next((i for i, g in enumerate(grads) if not np.isfinite(g).all()), None)
                     raise TrainingDiverged(f"non-finite gradient norm at step {step}"
                                            + ("" if bad is None else f", first non-finite in shard {bad}"))
-                lr = lr_at(step, cfg.learning_rate, cfg.warmup_steps, cfg.total_steps)
-                round_([("C", bank, span, step, lr) for span in spans])
                 bank = 1 - bank  # the commit
                 hold(bank)
                 rows.append(row_type(step=step, lr=lr, **row))

@@ -150,10 +150,12 @@ def test_the_closing_summary_prints_each_side_median_tree_peak_per_workload():
     runs = {"w": {"parent": [{"tree_peak_rss_mb": v, "starter_rss_mb": 30.0} for v in (60.0, 62.0, 90.0)],
                   "change": [{"tree_peak_rss_mb": v, "starter_rss_mb": s} for v, s in ((70.5, 30.0), (71.5, 31.5),
                                                                                        (72.5, 30.0))]}}
-    lines = bench_pairs.closing_summary({"workloads": {"w": {"step_ms.p50": metric}}, "runs": runs})
+    lines = bench_pairs.closing_summary({"workloads": {"w": {"step_ms.p50": metric}}, "runs": runs,
+                                         "src_lines": {"parent": 3849, "change": 3843}})
     assert lines[0].split()[:2] == ["w", "step_ms.p50"] and lines[0].endswith("within bound")
     assert lines[1].split() == ["w", "tree_peak_rss_mb", "median", "parent", "62.00", "change", "71.50",
                                 "(starter", "floor", "up", "to", "31.50)"]
+    assert lines[2].split() == ["src_lines", "parent", "3849", "change", "3843", "(-6)"]
 
 
 TREES = {"parent": {"src/interbert/a.py": "x\ny\n", "src/interbert/sub/b.py": "z\n", "src/other.py": "w\n",

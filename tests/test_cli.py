@@ -657,6 +657,31 @@ def test_replay_builds_an_edited_model_section_and_refuses_the_checkpoint(tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("run", ["eval-replay", "finetune"])
+def test_a_checkpoint_the_model_section_does_not_fit_is_refused_by_name(tmp_path, capsys, data_dir, pretrain_dir,
+                                                                        eval_dir, run):
+    """A replayed eval manifest edited to another width, or a finetune
+    --model-config whose width disagrees with the checkpoint: one error line
+    names the checkpoint, and no --out is left behind."""
+    checkpoint = pretrain_dir / "checkpoint.ibt"
+    if run == "eval-replay":
+        manifest = json.loads((eval_dir / "manifest.json").read_text())
+        manifest["config"]["model"].update(hidden_size=32, num_heads=4)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        argv = ("replay", "--manifest", tmp_path / "manifest.json")
+    else:
+        stored = json.loads((pretrain_dir / "config.json").read_text())
+        stored["model"]["hidden_size"] = 32
+        (tmp_path / "model.json").write_text(json.dumps(stored))
+        argv = ("finetune", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.json",
+                "--checkpoint", checkpoint, "--model-config", tmp_path / "model.json", "--steps", 1, "--warmup", 0)
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {checkpoint}: shape mismatch for embed.") and "\n" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def leaf_keys(schema: dict) -> list[str]:
     return [leaf for key, value in schema.items()
             for leaf in (leaf_keys(value) if isinstance(value, dict) else [key])]

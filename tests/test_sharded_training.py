@@ -7,6 +7,8 @@ import hashlib
 import os
 import signal
 import threading
+import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import reduce
 
@@ -275,7 +277,8 @@ def test_tape_nodes_per_shard_stay_at_the_benchmark_counts(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the summed gradient is checked before any update
+# each range's summed gradient is checked before its update, and every
+# range's before the commit
 # ---------------------------------------------------------------------------
 
 def record_updates(monkeypatch) -> list:
@@ -332,6 +335,66 @@ def test_a_run_that_diverges_leaves_the_model_at_its_last_committed_values(fixtu
     assert len(models) == 1 and len(committed) == 1
     assert digest(models[0].params.clone_values().items()) == committed[0]
     assert digest(models[0].params.clone_values().items()) != digest(start.items())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_non_finite_gradient_in_the_childs_range_leaves_the_model_at_step_one_without_a_warning(
+        fixture, monkeypatch, tmp_path, workers):
+    """Step 2's last gradient element goes non-finite in shard 1. At two
+    workers it lies in the child's range, so the caller's finite range is
+    updated into the bank that is never committed; the run still stops at
+    step 1's values, and no process updates a range holding that element."""
+    start, models, committed = InterBert.create(fixture[2], seed=5).params.clone_values(), [], []
+    backward, parent, shard_calls, from_values = nt.backward, os.getpid(), [], InterBert.from_values
+    adamw_range, seen = loop.adamw_range, tmp_path / "a non-finite range was updated"
+
+    def checked(src, dst, grad, span, *args, **kwargs):
+        if not np.isfinite(grad[span]).all():
+            seen.touch()  # a file, so a note made in the child reaches the caller
+        adamw_range(src, dst, grad, span, *args, **kwargs)
+
+    def kept(*args, **kwargs):
+        models.append(from_values(*args, **kwargs))
+        return models[-1]
+
+    def poisons_the_last_element_in_shard_one_of_step_two(loss, params=None):
+        backward(loss, params)
+        shard_calls.append(1)
+        if (len(shard_calls) == 4) if workers == 1 else (os.getpid() != parent and len(shard_calls) == 2):
+            list(params.items())[-1][1].grad.flat[-1] = np.inf
+
+    at_workers(monkeypatch, workers)
+    monkeypatch.setattr(InterBert, "from_values", kept)
+    monkeypatch.setattr(nt, "backward", poisons_the_last_element_in_shard_one_of_step_two)
+    monkeypatch.setattr(loop, "adamw_range", checked)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TrainingDiverged, match="non-finite gradient norm at step 2, first non-finite in shard 1$"):
+            finetune_retrieval(fixture[0], fixture[2], TrainConfig(**FINETUNE, shards=2), start,
+                               step_callback=lambda row: committed.append(
+                                   digest(models[0].params.clone_values().items())))
+    assert not seen.exists() and len(models) == 1 and len(committed) == 1
+    assert digest(models[0].params.clone_values().items()) == committed[0]
+    assert digest(models[0].params.clone_values().items()) != digest(start.items())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_step_runs_two_rounds(fixture, monkeypatch, workers):
+    """Each step forks one round of forwards and backwards, then one round in
+    which every process sums, checks and updates its range."""
+    rounds, forked = [], loop.forked
+
+    @contextmanager
+    def counted(count, run):
+        with forked(count, run) as round_:
+            yield lambda tasks: rounds.append(len(tasks)) or round_(tasks)
+
+    at_workers(monkeypatch, workers)
+    monkeypatch.setattr(loop, "forked", counted)
+    for train, steps in ((run_pretrain, PRETRAIN["total_steps"]), (run_finetune, FINETUNE["total_steps"])):
+        rounds.clear()
+        train(fixture)
+        assert rounds == [workers] * 2 * steps
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ the closing summary prints each side's median tree peak per workload.
 
 The file also records each side's ``src_lines``, the line count of its
 ``src/interbert/*.py`` and ``src/interbert/*/*.py`` as ``wc -l`` gives it,
-so the size of the program sits next to its numbers.
+so the size of the program sits next to its numbers; the closing summary
+prints both counts and their difference.
 
 Per workload and end-to-end metric the file records both sides' medians
 and quartiles, the pairs the change won (ties count for neither), and the
@@ -218,7 +219,8 @@ def tree_peaks(runs: dict, key: str = "tree_peak_rss_mb") -> dict:
 
 def closing_summary(record: dict) -> list[str]:
     """One line per workload and end-to-end metric, then one per workload with
-    each side's median process-tree peak RSS beside the largest starter floor."""
+    each side's median process-tree peak RSS beside the largest starter floor,
+    then one with each side's ``src_lines`` and their difference."""
     lines = [f"{workload:14s} {name:12s} parent {m['parent']['median']:.4g}  change {m['change']['median']:.4g}"
              f"  won {m['pairs_won']}/{m['pairs']}  spread {m['parent_spread']:.1%}  {m['verdict']}"
              for workload, metrics in record["workloads"].items() for name, m in metrics.items()]
@@ -227,6 +229,9 @@ def closing_summary(record: dict) -> list[str]:
         floor = max(r["starter_rss_mb"] for side in SIDES for r in sides[side])
         lines.append(f"{workload:14s} tree_peak_rss_mb median parent {peaks['parent']:.2f}  "
                      f"change {peaks['change']:.2f}  (starter floor up to {floor:.2f})")
+    counts = record["src_lines"]
+    lines.append(f"src_lines      parent {counts['parent']}  change {counts['change']}  "
+                 f"({counts['change'] - counts['parent']:+d})")
     return lines
 
 
