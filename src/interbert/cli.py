@@ -329,12 +329,12 @@ def run_gradcheck(config: dict, out_dir: Path) -> list[str]:
     negative = mask_pair(corpus.pairs[1], corpus.vocab, gen, MaskingConfig(anchor_prob=0.4),
                          itm_label=0, tokens_override=corpus.pairs[2].tokens)
 
-    train_cfg, batch = TrainConfig(), [positive, negative]
-    totals = _target_counts(batch, train_cfg)
+    batch = [positive, negative]
+    totals = _target_counts(batch)
 
     def loss_fn():  # the trainer's own shard losses of a two-sample batch, summed
-        shards = [total_loss(*_batch_losses(model, batch[rows], train_cfg, totals)[:3])
-                  for rows in _even_slices(len(batch), train_cfg.shards)]
+        shards = [total_loss(*_batch_losses(model, batch[rows], totals)[:3])
+                  for rows in _even_slices(len(batch), TrainConfig().shards)]
         return functools.reduce(nt.add, shards)
 
     error = finite_diff_check(loss_fn, model.params, step=config["step"],

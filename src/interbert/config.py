@@ -50,7 +50,6 @@ class ModelConfig:
     init_std: float = 0.02
     architecture_variant: str = flag(VARIANT_INTERBERT, "--variant", "two-stream or single-stream network",
                                      VARIANTS)
-    tie_msm_weights: bool = flag(False, "--tie-msm-weights", "tie the token head to the token embeddings")
 
     def validate(self) -> None:
         if self.architecture_variant not in VARIANTS:
@@ -135,8 +134,6 @@ class TrainConfig:
     seed: int = 0
     ema_rate: float = flag(0.9999, "--ema-rate", "decay of finetuning's parameter average")
     hard_negative_prob: float = flag(0.2, "--hard-neg-prob", "share of mismatched pairs drawn hard")
-    mgm_on_negatives: bool = False
-    itm_on_masked: bool = True
     num_distractors: int = 3
     precision: str = flag("float64", "--precision", "floating-point type of parameters and arithmetic",
                           PRECISIONS)

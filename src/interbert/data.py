@@ -131,17 +131,18 @@ class Corpus:
     vocab: Vocabulary
     image_captions: dict[int, list[int]] = field(init=False, repr=False)
     _pair_by_caption: dict[int, ImageTextPair] = field(init=False, repr=False)
-    _other_captions: dict[int, np.ndarray] = field(init=False, repr=False)
+    _positions: dict[int, list[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.image_captions = {}
         self._pair_by_caption = {}
-        self._other_captions = {}
-        for pair in self.pairs:
+        self._positions = {}
+        for position, pair in enumerate(self.pairs):
             if pair.caption_id in self._pair_by_caption:
                 raise CorpusError(f"duplicate caption id {pair.caption_id}")
             self._pair_by_caption[pair.caption_id] = pair
             self.image_captions.setdefault(pair.image_id, []).append(pair.caption_id)
+            self._positions.setdefault(pair.image_id, []).append(position)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -157,12 +158,20 @@ class Corpus:
         return self._pair_by_caption[self.image_captions[image_id][0]]
 
     def other_caption_ids(self, image_id: int) -> np.ndarray:
-        """Caption ids belonging to every other image (cached)."""
-        cached = self._other_captions.get(image_id)
-        if cached is None:
-            cached = np.array([p.caption_id for p in self.pairs if p.image_id != image_id], dtype=np.int64)
-            self._other_captions[image_id] = cached
-        return cached
+        """Caption ids belonging to every other image, in corpus order."""
+        return np.array([p.caption_id for p in self.pairs if p.image_id != image_id], dtype=np.int64)
+
+    def draw_other_caption(self, image_id: int, rng) -> int:
+        """``other_caption_ids(image_id)[rng.integers(0, size)]`` without
+        building that array: the draw skips the image's own pair positions."""
+        own = self._positions.get(image_id, [])
+        if len(own) == len(self.pairs):
+            raise ValueError("corpus needs captions from at least two images")
+        position = int(rng.integers(0, len(self.pairs) - len(own)))
+        for taken in own:  # ascending, so each one at or below the position shifts it up by one
+            if taken <= position:
+                position += 1
+        return self.pairs[position].caption_id
 
     def validate(self, num_classes: int | None = None) -> None:
         for pair in self.pairs:

@@ -157,8 +157,7 @@ def itm_accuracy(model: InterBert, corpus: Corpus, rng, num_samples: int = 200) 
         pair = corpus.pairs[int(rng.integers(0, len(corpus.pairs)))]
         tokens = pair.tokens
         if i % 2 == 0:  # even draws are mismatched
-            others = corpus.other_caption_ids(pair.image_id)
-            tokens = corpus.pair_by_caption(int(others[int(rng.integers(0, others.size))])).tokens
+            tokens = corpus.pair_by_caption(corpus.draw_other_caption(pair.image_id, rng)).tokens
         captions.append(tokens)
         images.append(pair)
     logits = score_pairs(model, captions, images)[0]

@@ -157,7 +157,6 @@ class MaskedSample:
     itm_label: int
     plan: MaskPlan
     raw_tokens: np.ndarray = field(repr=False, default=None)
-    raw_features: np.ndarray = field(repr=False, default=None)
 
     def model_inputs(self) -> dict:
         return {
@@ -191,5 +190,4 @@ def mask_pair(pair: ImageTextPair, vocab: Vocabulary, rng, config: MaskingConfig
         itm_label=itm_label,
         plan=plan,
         raw_tokens=np.array(tokens, dtype=np.int64, copy=True),
-        raw_features=np.array(pair.features, dtype=np.float64, copy=True),
     )

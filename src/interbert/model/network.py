@@ -71,8 +71,7 @@ def parameter_spec(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...], 
     yield "heads.itm.b1", (h,), "bias"
     yield "heads.itm.w2", (h, 1), "weight"
     yield "heads.itm.b2", (1,), "bias"
-    if not config.tie_msm_weights:
-        yield "heads.msm.w", (h, config.vocab_size), "weight"
+    yield "heads.msm.w", (h, config.vocab_size), "weight"
     yield "heads.msm.b", (config.vocab_size,), "bias"
     yield "heads.mrm.w", (h, config.num_object_classes), "weight"
     yield "heads.mrm.b", (config.num_object_classes,), "bias"
@@ -324,11 +323,7 @@ class InterBert:
 
     def msm_logits(self, h_text: Tensor) -> Tensor:
         """Vocabulary logits at every row of ``h_text``."""
-        if self.config.tie_msm_weights:
-            weight = nt.transpose(self.params["embed.token_table"])
-        else:
-            weight = self.params["heads.msm.w"]
-        return nt.linear(h_text, weight, self.params["heads.msm.b"])
+        return nt.linear(h_text, self.params["heads.msm.w"], self.params["heads.msm.b"])
 
     def mrm_logits(self, h_image: Tensor, rows=None) -> Tensor:
         """Object-class logits at the given rows of ``h_image``; by default

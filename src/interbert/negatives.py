@@ -228,14 +228,10 @@ def sample_negative(pair, table: dict[int, list[tuple[int, float]]],
     """A mismatched caption id for the pair's image: a mined hard negative
     with probability hard_prob (random fallback when the row is empty),
     otherwise uniform over every other image's captions."""
-    others = corpus.other_caption_ids(pair.image_id)
-    if others.size == 0:
-        raise ValueError("corpus needs captions from at least two images")
     row = table.get(pair.image_id, [])
-    use_hard = rng.random() < hard_prob
-    if use_hard and row:
+    if rng.random() < hard_prob and row:
         return int(row[int(rng.integers(0, len(row)))][0])
-    return int(others[int(rng.integers(0, others.size))])
+    return corpus.draw_other_caption(pair.image_id, rng)
 
 
 def make_itm_batch(corpus: Corpus, table: dict[int, list[tuple[int, float]]],

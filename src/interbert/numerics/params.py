@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -36,15 +36,6 @@ class ParameterSet:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)

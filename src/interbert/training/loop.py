@@ -172,25 +172,25 @@ def _optimise(model: InterBert, cfg: TrainConfig, draw, shard_loss, columns, row
     return rows
 
 
-def _target_counts(batch: list[MaskedSample], cfg: TrainConfig) -> tuple[int, int, int]:
+def _target_counts(batch: list[MaskedSample]) -> tuple[int, int, int]:
     """What the three pretraining losses average over: the masked tokens and
-    regions of the samples ``_batch_losses`` keeps MGM targets for, and the samples."""
-    kept = [s for s in batch if s.itm_label == 1 or cfg.mgm_on_negatives]
+    regions of the matched pairs, and the samples."""
+    kept = [s for s in batch if s.itm_label == 1]
     return (sum(int(np.count_nonzero(s.msm_targets != IGNORE_INDEX)) for s in kept),
             sum(int(np.count_nonzero(s.mrm_targets != IGNORE_INDEX)) for s in kept), len(batch))
 
 
-def _batch_losses(model: InterBert, batch: list[MaskedSample], cfg: TrainConfig, totals=None):
-    """Forward the batch as one packed batch (plus its unmasked inputs when
-    matching reads those), computing only the rows the losses read, and
-    assemble the three loss components and the count of correct matching
-    predictions. Given ``totals``, the ``_target_counts`` of a whole batch
-    this one is a shard of, each loss's mean is scaled by the shard's share of
-    its count, so the shards' losses sum to the batch's."""
+def _batch_losses(model: InterBert, batch: list[MaskedSample], totals=None):
+    """Forward the masked batch once, as one packed batch computing only the
+    rows the losses read, and assemble the three loss components (masked groups
+    of the matched pairs only; matching on that same forward) and the count of
+    correct matching predictions. Given ``totals``, the ``_target_counts`` of a
+    whole batch this one is a shard of, each loss's mean is scaled by the
+    shard's share of its count, so the shards' losses sum to the batch's."""
     packed = make_batch(batch, **model.config.limits)
 
     # MGM targets as packed rows per stream: a sample's tokens; its summary row, then its objects
-    keep = [sample.itm_label == 1 or cfg.mgm_on_negatives for sample in batch]
+    keep = [sample.itm_label == 1 for sample in batch]
     text_targets = np.concatenate([np.where(k, s.msm_targets, IGNORE_INDEX) for k, s in zip(keep, batch)])
     image_targets = np.concatenate([np.where(k, np.r_[IGNORE_INDEX, s.mrm_targets], IGNORE_INDEX)
                                     for k, s in zip(keep, batch)])
@@ -200,13 +200,8 @@ def _batch_losses(model: InterBert, batch: list[MaskedSample], cfg: TrainConfig,
     scales = [count / max(total, 1) for count, total in zip(counts, totals or counts)]
 
     out = model.forward(batch=packed, image_rows=region_rows, text_rows=token_rows)
-    if cfg.itm_on_masked:
-        itm_out = out
-    else:
-        raw = [replace(s, tokens=s.raw_tokens, features=s.raw_features) for s in batch]
-        itm_out = model.forward(batch=make_batch(raw, **model.config.limits), image_rows=[], text_rows=[])
     itm_labels = [float(sample.itm_label) for sample in batch]
-    logit_vec = nt.reshape(model.itm_score(itm_out.pooled_image, itm_out.pooled_text), (len(batch),))
+    logit_vec = nt.reshape(model.itm_score(out.pooled_image, out.pooled_text), (len(batch),))
 
     l_itm = itm_loss(logit_vec, itm_labels, scales[2])
     l_msm = msm_loss(model.msm_logits(out.h_text), text_targets[token_rows], scales[0])
@@ -245,12 +240,12 @@ def pretrain(corpus: Corpus, table: dict, model_cfg: ModelConfig, train_cfg: Tra
     def draw():
         batch = make_itm_batch(corpus, table, rng, train_cfg.batch_size,
                                train_cfg.masking, train_cfg.hard_negative_prob)
-        totals = _target_counts(batch, train_cfg)
+        totals = _target_counts(batch)
         return [(batch[rows], totals) for rows in _even_slices(len(batch), train_cfg.shards)]
 
     def shard_loss(shard):
         samples, totals = shard
-        l_msm, l_mrm, l_itm, correct = _batch_losses(model, samples, train_cfg, totals)
+        l_msm, l_mrm, l_itm, correct = _batch_losses(model, samples, totals)
         loss = total_loss(l_msm, l_mrm, l_itm, weights)
         return loss, (l_msm.item(), l_mrm.item(), l_itm.item(), loss.item(), correct)
 

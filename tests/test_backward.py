@@ -66,7 +66,7 @@ def test_repeated_backward_through_one_graph_adds_once_per_call(rng):
         backward(inner[-1], ps)
         sweeps.append({name: t.grad.copy() for name, t in ps.items()})
         assert all(t.grad is None and t._node._backward_fn is not None for t in inner)
-    for name in ps:
+    for name in ps.names():
         np.testing.assert_array_equal(sweeps[1][name], 2.0 * sweeps[0][name])
 
 

@@ -418,7 +418,8 @@ def test_replay_from_another_directory_bit_identical(tmp_path, monkeypatch):
     ("pretrain", {"train": {"total_step": 2}}, ("total_step",)),
     ("pretrain", {"train": {"masking": {"anchor_probability": 0.2}}}, ("anchor_probability",)),
     ("finetune", {"model": {"hidden_size": 16}, "bogus": 1}, ("model", "bogus")),
-], ids=["pretrain-top", "pretrain-train", "pretrain-masking", "finetune-top"])
+    ("pretrain", {"train": {"itm_on_masked": True, "mgm_on_negatives": False}}, ("itm_on_masked", "mgm_on_negatives")),
+], ids=["pretrain-top", "pretrain-train", "pretrain-masking", "finetune-top", "pretrain-retired"])
 def test_training_commands_refuse_unknown_config_keys(tmp_path, data_dir, negatives_dir, capsys,
                                                       command, file_cfg, named):
     config = tmp_path / "bad.json"
@@ -453,9 +454,10 @@ def test_config_values_of_the_wrong_type_are_refused(tmp_path, data_dir, negativ
 @pytest.mark.parametrize("command", ["eval", "finetune"])
 @pytest.mark.parametrize("stored, named", [
     ({"hidden_size": "16"}, 'hidden_size must be int, got "16"'),
-    ({"model": {"hidden_size": 16, "tie_msm_weights": 1}}, "tie_msm_weights must be bool, got 1"),
+    ({"model": {"hidden_size": True}}, "hidden_size must be int, got true"),
     ({"model": {"hidden_sise": 16}}, "unknown config keys: ['hidden_sise']"),
-], ids=["flat-str", "section-bool", "section-unknown"])
+    ({"model": {"hidden_size": 16, "tie_msm_weights": False}}, "unknown config keys: ['tie_msm_weights']"),
+], ids=["flat-str", "section-bool", "section-unknown", "section-retired"])
 def test_checkpoint_model_config_is_checked_naming_the_file(tmp_path, data_dir, capsys, command, stored, named):
     model_config = tmp_path / "model.json"
     model_config.write_text(json.dumps(stored))
@@ -465,6 +467,7 @@ def test_checkpoint_model_config_is_checked_naming_the_file(tmp_path, data_dir, 
                    "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err.strip()
     assert named in err and str(model_config) in err and "\n" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, flags, named", [
@@ -786,7 +789,7 @@ FIXED_INVOCATIONS = {
                                   "masking": {"anchor_prob": 0.3}}},
                  ["--corpus", "data/corpus.jsonl", "--vocab", "data/vocab.json",
                   "--negatives", "neg/negatives.jsonl", "--out", "pre", "--seed", 1, "--lr", 1e-3,
-                  "--action-mix", "0.7,0.2,0.1", "--tie-msm-weights"]),
+                  "--action-mix", "0.7,0.2,0.1"]),
     "finetune": (None, {"train": {"seed": 2}},
                  ["--corpus", "data/corpus.jsonl", "--vocab", "data/vocab.json",
                   "--checkpoint", "pre/checkpoint.ibt", "--out", "fine",

@@ -302,3 +302,20 @@ def test_other_caption_ids():
     assert len(others) == 8
     own = set(corpus.image_captions[2])
     assert not own & set(others.tolist())
+
+
+def test_draw_other_caption_picks_what_the_same_draw_picks_from_other_caption_ids():
+    full = synth_corpus(seed=4, num_images=6, captions_per_image=3)
+    gen = np.random.default_rng(0)  # one to three captions an image, in shuffled order
+    kept = [p for i, p in enumerate(full.pairs) if i % 3 == 0 or gen.random() < 0.5]
+    corpus = Corpus([kept[i] for i in gen.permutation(len(kept))], full.vocab)
+    assert len({len(ids) for ids in corpus.image_captions.values()}) == 3
+    for image_id in corpus.image_ids():
+        others = corpus.other_caption_ids(image_id)
+        drawn, picked = np.random.default_rng(image_id), np.random.default_rng(image_id)
+        for _ in range(300):
+            assert corpus.draw_other_caption(image_id, drawn) == others[int(picked.integers(0, others.size))]
+        assert drawn.random() == picked.random()  # the same draws were consumed
+    alone = Corpus([p for p in corpus.pairs if p.image_id == 0], corpus.vocab)
+    with pytest.raises(ValueError, match="at least two images"):
+        alone.draw_other_caption(0, drawn)

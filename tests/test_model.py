@@ -408,16 +408,6 @@ def test_msm_logits_shapes_and_zero_weights(rng):
     assert abs(loss.item() - math.log(cfg.vocab_size)) < 1e-12
 
 
-def test_msm_tied_weights(rng):
-    cfg = tiny_config(tie_msm_weights=True)
-    model = InterBert.create(cfg, seed=0)
-    assert "heads.msm.w" not in model.params
-    h = rng.normal(size=(4, cfg.hidden_size))
-    got = model.msm_logits(Tensor(h)).values
-    want = h @ model.params["embed.token_table"].values.T + model.params["heads.msm.b"].values
-    np.testing.assert_allclose(got, want, atol=1e-12)
-
-
 def test_mrm_logits_exclude_summary(rng):
     cfg = tiny_config()
     model = InterBert.create(cfg, seed=0)

@@ -88,7 +88,7 @@ def serial_pretrain(fixture, cfg):
     rng, state, rows = np.random.default_rng(cfg.seed), AdamWState.for_params(model.params), []
     for step in range(1, cfg.total_steps + 1):
         batch = make_itm_batch(corpus, table, rng, cfg.batch_size, cfg.masking, cfg.hard_negative_prob)
-        l_msm, l_mrm, l_itm, correct = _batch_losses(model, batch, cfg)
+        l_msm, l_mrm, l_itm, correct = _batch_losses(model, batch)
         loss = total_loss(l_msm, l_mrm, l_itm)
         model.params.zero_grad()
         nt.backward(loss, model.params)
@@ -145,15 +145,14 @@ def test_one_shard_is_the_serial_step_bit_for_bit(fixture, tmp_path, precision):
 # the shards' arithmetic does not depend on the process that runs them
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("precision, itm_on_masked", [("float64", True), ("float64", False),
-                                                       ("float32", True), ("float32", False)])
-def test_two_shards_give_the_same_bytes_at_one_and_two_workers(fixture, monkeypatch, precision, itm_on_masked):
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_two_shards_give_the_same_bytes_at_one_and_two_workers(fixture, monkeypatch, precision):
     got = []
     for workers in (1, 2):
         at_workers(monkeypatch, workers)
-        got.append(run_pretrain(fixture, shards=2, precision=precision, itm_on_masked=itm_on_masked))
+        got.append(run_pretrain(fixture, shards=2, precision=precision))
     assert got[0] == got[1]
-    assert got[0] != run_pretrain(fixture, shards=1, precision=precision, itm_on_masked=itm_on_masked)
+    assert got[0] != run_pretrain(fixture, shards=1, precision=precision)
 
 
 @pytest.mark.parametrize("shards", [2, 3])
@@ -194,10 +193,10 @@ def ragged_batch(anchor_prob=0.5):
     return model, batch
 
 
-def shard_losses(model, batch, cfg, shards):
+def shard_losses(model, batch, shards):
     """Each shard's three scaled losses, in shard order."""
-    totals = _target_counts(batch, cfg)
-    return [_batch_losses(model, batch[rows], cfg, totals)[:3] for rows in _even_slices(len(batch), shards)]
+    totals = _target_counts(batch)
+    return [_batch_losses(model, batch[rows], totals)[:3] for rows in _even_slices(len(batch), shards)]
 
 
 def gradient(model, loss) -> np.ndarray:
@@ -209,9 +208,8 @@ def gradient(model, loss) -> np.ndarray:
 @pytest.mark.parametrize("shards", [2, 3, 7])
 def test_sharded_losses_and_gradients_match_the_whole_batch(shards):
     model, batch = ragged_batch()
-    cfg = TrainConfig()
-    whole = _batch_losses(model, batch, cfg)[:3]
-    parts = shard_losses(model, batch, cfg, shards)
+    whole = _batch_losses(model, batch)[:3]
+    parts = shard_losses(model, batch, shards)
     want = [loss.item() for loss in whole]
     got = [sum(part[i].item() for part in parts) for i in range(3)]
     assert min(want) > 0
@@ -224,19 +222,17 @@ def test_sharded_losses_and_gradients_match_the_whole_batch(shards):
 
 def test_a_shard_without_masked_targets_adds_nothing_to_their_losses():
     model, batch = ragged_batch()
-    cfg = TrainConfig()
     negatives = batch[4:]  # MGM targets of negatives are ignored: their shard's MSM and MRM are exactly zero
-    l_msm, l_mrm, l_itm, _ = _batch_losses(model, negatives, cfg, _target_counts(batch, cfg))
+    l_msm, l_mrm, l_itm, _ = _batch_losses(model, negatives, _target_counts(batch))
     assert l_msm.item() == 0.0 and l_mrm.item() == 0.0 and l_itm.item() > 0
-    assert _target_counts(negatives, cfg)[:2] == (0, 0) and _target_counts(negatives, cfg)[2] == 3
+    assert _target_counts(negatives)[:2] == (0, 0) and _target_counts(negatives)[2] == 3
 
 
 def test_finite_differences_pass_through_the_summed_shard_losses():
     model, batch = ragged_batch()
-    cfg = TrainConfig()
 
     def loss_fn():
-        return reduce(nt.add, [total_loss(*part) for part in shard_losses(model, batch, cfg, 3)])
+        return reduce(nt.add, [total_loss(*part) for part in shard_losses(model, batch, 3)])
 
     err = finite_diff_check(loss_fn, model.params, step=1e-5, sample_count=200, seed=11)
     assert err < 1e-4, f"sharded training loss gradient mismatch: {err}"
@@ -555,10 +551,10 @@ def test_a_shard_that_raises_in_the_worker_reaches_the_caller_as_raised(fixture,
 
     batch_losses = loop._batch_losses
 
-    def fails_on_the_second_shard(model, batch, cfg, totals=None):
+    def fails_on_the_second_shard(model, batch, totals=None):
         if totals is not None and batch[0].itm_label == 0:
             raise ShardFailed("shard of negatives failed")
-        return batch_losses(model, batch, cfg, totals)
+        return batch_losses(model, batch, totals)
 
     monkeypatch.setattr(loop, "_batch_losses", fails_on_the_second_shard)
     with pytest.raises(ShardFailed, match="^shard of negatives failed$"):

@@ -385,7 +385,7 @@ def test_zero_step_size_leaves_params_unchanged():
     gen = np.random.default_rng(1)
     for _ in range(3):
         batch = make_itm_batch(corpus, table, gen, 4, train_cfg.masking)
-        l_msm, l_mrm, l_itm, _ = _batch_losses(model, batch, train_cfg)
+        l_msm, l_mrm, l_itm, _ = _batch_losses(model, batch)
         loss = total_loss(l_msm, l_mrm, l_itm)
         model.params.zero_grad()
         backward(loss, model.params)
@@ -428,14 +428,6 @@ def test_pretrain_single_precision_opt_in():
     result = pretrain(corpus, table, model_cfg, train_cfg)
     assert result.model.params["heads.itm.w1"].values.dtype == np.float32
     assert all(np.isfinite(m.total) for m in result.metrics)
-
-
-def test_pretrain_unmasked_itm_flag_runs():
-    corpus, table, model_cfg = small_fixture()
-    train_cfg = TrainConfig(total_steps=2, warmup_steps=1, batch_size=4, seed=5,
-                            itm_on_masked=False, mgm_on_negatives=True)
-    result = pretrain(corpus, table, model_cfg, train_cfg)
-    assert len(result.metrics) == 2
 
 
 def test_finetune_runs_and_tracks_ema():
@@ -505,18 +497,13 @@ def ragged_masked_batch():
     return model, batch
 
 
-@pytest.mark.parametrize("itm_on_masked", [True, False])
-def test_batch_losses_match_per_sample_reference(itm_on_masked):
+def test_batch_losses_match_per_sample_reference():
     model, batch = ragged_masked_batch()
-    cfg = TrainConfig(itm_on_masked=itm_on_masked)
     # reference: one unpadded forward per sample, masked rows picked per sample
     logits, token_logits, token_targets, region_logits, region_targets = [], [], [], [], []
     for sample in batch:
         out = model.forward(**sample.model_inputs())
-        itm_out = out if itm_on_masked else model.forward(
-            tokens=sample.raw_tokens, features=sample.raw_features, bboxes=sample.bboxes,
-            width=sample.width, height=sample.height)
-        logits.append(model.itm_score(itm_out.pooled_image, itm_out.pooled_text).item())
+        logits.append(model.itm_score(out.pooled_image, out.pooled_text).item())
         if sample.itm_label == 1:
             token_logits.append(model.msm_logits(out.h_text).values)
             token_targets.append(sample.msm_targets)
@@ -525,7 +512,7 @@ def test_batch_losses_match_per_sample_reference(itm_on_masked):
     want = [nt.cross_entropy_logits(np.concatenate(token_logits), np.concatenate(token_targets)).item(),
             nt.cross_entropy_logits(np.concatenate(region_logits), np.concatenate(region_targets)).item(),
             itm_loss(Tensor(np.array(logits)), [s.itm_label for s in batch]).item()]
-    got = [loss.item() for loss in _batch_losses(model, batch, cfg)[:3]]
+    got = [loss.item() for loss in _batch_losses(model, batch)[:3]]
     assert min(want) > 0
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -534,7 +521,7 @@ def test_batch_losses_gradcheck_on_ragged_batch():
     model, batch = ragged_masked_batch()
 
     def loss_fn():
-        return total_loss(*_batch_losses(model, batch, TrainConfig())[:3])
+        return total_loss(*_batch_losses(model, batch)[:3])
 
     err = finite_diff_check(loss_fn, model.params, step=1e-5, sample_count=200, seed=11)
     assert err < 1e-4, f"batched training loss gradient mismatch: {err}"
@@ -548,7 +535,7 @@ def test_tape_size_does_not_grow_with_batch():
     counts = []
     for size in (2, 8):
         batch = make_itm_batch(corpus, table, np.random.default_rng(size), size, MaskingConfig())
-        counts.append(count_tape_nodes(total_loss(*_batch_losses(model, batch, TrainConfig())[:3])))
+        counts.append(count_tape_nodes(total_loss(*_batch_losses(model, batch)[:3])))
     assert counts == [137, 137]
 
 
