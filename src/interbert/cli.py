@@ -251,7 +251,7 @@ def run_finetune(config: dict, out_dir: Path) -> list[str]:
     config["model"] = model_cfg.to_dict()
     _check_corpus(config, corpus, **model_cfg.limits)
     train_cfg = TrainConfig.from_dict(config["train"])
-    start = InterBert.from_checkpoint(model_cfg, config["checkpoint"]).params.clone_values()
+    start = {name: p.values for name, p in InterBert.from_checkpoint(model_cfg, config["checkpoint"]).params.items()}
     result = finetune_retrieval(corpus, model_cfg, train_cfg, start)
     save_checkpoint(out_dir / "checkpoint_ema.ibt", result.ema_values)
     save_checkpoint(out_dir / "checkpoint_raw.ibt", result.model.params)

@@ -75,7 +75,7 @@ def _sum_shards(grads: np.ndarray, total: np.ndarray, span: slice) -> float:
 
 
 def _optimise(model: InterBert, cfg: TrainConfig, draw, shard_loss, columns, row_type, on_step,
-              shadow=None) -> list:
+              averages=None) -> list:
     """The step both loops run ``cfg.total_steps`` times. ``draw()`` makes the
     step's ``cfg.shards`` shards in the caller, so every random draw keeps its
     order. ``shard_loss(shard)`` forwards one shard and returns its loss tensor,
@@ -84,21 +84,21 @@ def _optimise(model: InterBert, cfg: TrainConfig, draw, shard_loss, columns, row
     batch's loss and the row's other columns.
 
     One shared store holds two banks each of the values, both AdamW moments
-    and, given ``shadow`` (name -> average, kept at ``cfg.ema_rate`` and
-    written back on exit), the average; then the summed gradient and one
-    gradient row per shard. Each step runs two rounds of ``workers.forked`` on
+    and, given ``averages`` (a dict filled on return), the ``cfg.ema_rate``
+    average from the start values; then the summed gradient and one gradient
+    row per shard. Each step runs two rounds of ``workers.forked`` on
     ``min(score_workers(), shards)`` processes, forked once per call: A, each
-    shard's forward and backward on the current bank into its row; B, each
-    process sums the rows in shard order over one even range of the elements,
-    updates that range from the current bank into the other (AdamW, then the
-    average) if its sum of squares is finite, and returns that sum. A
-    non-finite loss or sum raises ``TrainingDiverged`` before the caller
-    commits by flipping the bank, so a diverged step leaves the model as it
-    was, and a dead worker's range re-runs in the caller from intact inputs.
-    The ``row_type`` row then goes to ``on_step`` (when given) and out."""
+    shard's forward and backward on the current bank, every ``.grad`` a view
+    of the shard's zeroed row; B, each process sums the rows in shard order
+    over one even range of the elements, updates that range from the current
+    bank into the other (AdamW, then the average) if its sum of squares is
+    finite, and returns that sum. A non-finite loss or sum raises
+    ``TrainingDiverged`` before the caller commits by flipping the bank, so a
+    diverged step leaves the model as it was; a dead worker's task re-runs in
+    the caller from intact inputs. Each ``row_type`` row goes to ``on_step`` and out."""
     params = model.params
     bounds = np.cumsum([0] + [p.values.size for _, p in params.items()])
-    kinds, n = (3 if shadow is None else 4), int(bounds[-1])  # values, first and second moments, average
+    kinds, n = (3 if averages is None else 4), int(bounds[-1])  # values, first and second moments, average
     store = shared_array((2 * kinds + (cfg.shards > 1) + cfg.shards, n), cfg.dtype)
     banks, total, grads = store[:2 * kinds].reshape(2, kinds, n), store[2 * kinds], store[-cfg.shards:]
 
@@ -108,25 +108,23 @@ def _optimise(model: InterBert, cfg: TrainConfig, draw, shard_loss, columns, row
     bank_values, grad_views = [views(bank[0]) for bank in banks], [views(row) for row in grads]
     for (_, p), values in zip(params.items(), bank_values[0]):
         values[...] = p.values
-    if shadow is not None:
-        for (name, _), average in zip(params.items(), views(banks[0, 3])):
-            average[...] = shadow[name]
     decay = decay_runs([p.values for _, p in params.items()])
 
     def hold(bank: int) -> None:  # point the model at a bank's values
         for (_, p), values in zip(params.items(), bank_values[bank]):
             p.values = values
 
-    def shard_grads(bank, task) -> list:  # forward and backward of each (shard, data)
+    def shard_grads(bank, task) -> list:  # forward and backward of each (shard, data) into its row
         hold(bank)
         summaries = []
         for shard, data in task:
             loss, summary = shard_loss(data)
             if np.isfinite(loss.item()):  # else the caller raises before reading the row
-                params.zero_grad()
-                nt.backward(loss, params)
+                grads[shard].fill(0.0)  # also clears what a child that died in this backward left
                 for (_, p), grad in zip(params.items(), grad_views[shard]):
-                    grad[...] = p.grad
+                    p.grad = grad  # backward adds each leaf's gradient into the row in place
+                nt.backward(loss, params)
+                params.zero_grad()
             del loss  # drop this shard's tape before the next forward
             summaries.append(summary)
         return summaries
@@ -136,8 +134,8 @@ def _optimise(model: InterBert, cfg: TrainConfig, draw, shard_loss, columns, row
         if np.isfinite(squares):  # else the caller raises before the flip
             adamw_range(src[:3], dst[:3], total, span, decay, lr, step, beta1=cfg.beta1, beta2=cfg.beta2,
                         eps=cfg.eps, weight_decay=cfg.weight_decay)
-            if shadow is not None:
-                ema_range(src[3], dst[3], dst[0], span, cfg.ema_rate)
+            if averages is not None:  # step 1 averages from the start values, which bank 0 holds
+                ema_range(src[3] if step > 1 else src[0], dst[3], dst[0], span, cfg.ema_rate)
         return squares
 
     rounds = {"A": shard_grads, "B": sum_and_update}
@@ -165,10 +163,9 @@ def _optimise(model: InterBert, cfg: TrainConfig, draw, shard_loss, columns, row
                     on_step(rows[-1])
     finally:
         for _, p in params.items():  # the model leaves the call holding arrays of its own
-            p.values = np.array(p.values)
-        if shadow is not None:
-            for (name, _), average in zip(params.items(), views(banks[bank, 3])):
-                shadow[name][...] = average
+            p.values, p.grad = np.array(p.values), None
+    if averages is not None:
+        averages.update((name, np.array(a)) for (name, _), a in zip(params.items(), views(banks[bank, 3])))
     return rows
 
 
@@ -283,9 +280,8 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
     image_ids = corpus.image_ids()
     if len(image_ids) < train_cfg.num_distractors + 1:
         raise ValueError(f"need at least {train_cfg.num_distractors + 1} images for multiple choice")
-    # copies: training never writes into the caller's arrays
-    model = InterBert.from_values(model_cfg, {n: np.array(v, dtype=train_cfg.dtype) for n, v in init_values.items()})
-    shadow = model.params.clone_values()
+    # training writes only into its store, never into the caller's arrays, so they are copied only to convert
+    model = InterBert.from_values(model_cfg, {n: np.asarray(v, dtype=train_cfg.dtype) for n, v in init_values.items()})
     rng = np.random.default_rng(train_cfg.seed)
     image_index = np.array(image_ids)
     choices = 1 + train_cfg.num_distractors
@@ -311,5 +307,5 @@ def finetune_retrieval(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainC
         credit = choice_credit(np.concatenate([summary[1] for summary in summaries]))
         return loss, {"loss": loss, "accuracy": float(np.mean(credit))}
 
-    metrics = _optimise(model, train_cfg, draw, shard_loss, columns, FinetuneMetrics, step_callback, shadow)
-    return FinetuneResult(model=model, ema_values=shadow, metrics=metrics)
+    metrics = _optimise(model, train_cfg, draw, shard_loss, columns, FinetuneMetrics, step_callback, averages := {})
+    return FinetuneResult(model=model, ema_values=averages, metrics=metrics)

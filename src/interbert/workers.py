@@ -14,6 +14,7 @@ import os
 import pickle
 import signal
 import threading
+import warnings
 from contextlib import contextmanager, suppress
 
 import numpy as np
@@ -61,9 +62,9 @@ def forked(count: int, run):
     Everything runs inline at ``count`` 1, without ``fork`` and while a second
     thread lives (a child would inherit locks that thread holds); a fork that
     raises ``OSError`` leaves its tasks to the caller. A child that fails or
-    dies has its task run again in the caller, and every later one too, so an
-    exception reaches the caller as raised. Every child is reaped on exit, and
-    SIGKILLed first if the block raised, ``KeyboardInterrupt`` included."""
+    dies has its task and every later one run in the caller, so an exception
+    arrives as raised, and a ``UserWarning`` names the child. Every child is
+    reaped on exit, SIGKILLed first if the block raised (``KeyboardInterrupt`` too)."""
     if count <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         yield lambda tasks: [run(task) for task in tasks]
         return
@@ -71,11 +72,14 @@ def forked(count: int, run):
     cpus = sorted(mask or ())
     children = {}  # worker -> (pid, task writer, result reader), in fork order
 
-    def drop(worker: int) -> None:
+    def drop(worker: int, lost: bool = False) -> None:
         pid, *pipes = children.pop(worker)
         with suppress(ProcessLookupError):
             os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if lost:  # a UserWarning, as the run goes on: a RuntimeWarning may be set to raise
+            warnings.warn(f"worker {worker} (pid {pid}) was lost with exit status {status}; "
+                          "its tasks now run in the caller", stacklevel=3)
         for pipe in pipes:
             with suppress(OSError):
                 pipe.close()
@@ -89,7 +93,7 @@ def forked(count: int, run):
                     children[worker][1].flush()
                     sent.add(worker)
                 except OSError:  # the child is gone
-                    drop(worker)
+                    drop(worker, lost=True)
         results = [run(tasks[0])]
         for worker, task in enumerate(tasks[1:], 1):
             if worker in sent:
@@ -97,7 +101,7 @@ def forked(count: int, run):
                     results.append(pickle.load(children[worker][2]))
                     continue
                 except (EOFError, OSError, pickle.UnpicklingError):  # it failed or was killed
-                    drop(worker)
+                    drop(worker, lost=True)
             results.append(run(task))  # raises here as it raised there, or runs through
         return results
 

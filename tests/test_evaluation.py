@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -557,7 +558,8 @@ def test_scoring_threads_end_with_the_call_and_a_failing_batch_reaches_the_calle
         return forward(*args, **kwargs)
 
     monkeypatch.setattr(model, "forward", fails_on_its_third_call)
-    with pytest.raises(BatchFailed) as failure:
+    with pytest.warns(UserWarning, match=r"^worker 1 \(pid \d+\) was lost with exit status 1; its tasks now run in "
+                                         r"the caller$"), pytest.raises(BatchFailed) as failure:
         score_all(model, captions, images)
     assert type(failure.value) is BatchFailed and str(failure.value) == "batch of call 3 failed"
     assert threading.active_count() == before and no_child_left()
@@ -653,10 +655,19 @@ def forked_pool(monkeypatch, forked):
     return model, captions, images, want.tobytes(), forked
 
 
+def warned(run) -> list[tuple]:
+    """Each warning ``run()`` gives, as (category, message)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    return [(w.category, str(w.message)) for w in caught]
+
+
 def test_a_scoring_call_reaps_every_child_it_forks(forked_pool):
     model, captions, images, want, forked = forked_pool
-    assert score_all(model, captions, images).scores.tobytes() == want
-    assert len(forked) == 2 and no_child_left()
+    scores = []
+    assert warned(lambda: scores.append(score_all(model, captions, images).scores.tobytes())) == []
+    assert scores == [want] and len(forked) == 2 and no_child_left()
 
 
 def test_the_share_of_a_killed_child_runs_again_in_the_caller(forked_pool, monkeypatch):
@@ -669,8 +680,10 @@ def test_the_share_of_a_killed_child_runs_again_in_the_caller(forked_pool, monke
         return forward(*args, **kwargs)
 
     monkeypatch.setattr(model, "forward", first_child_dies)
-    assert score_all(model, captions, images).scores.tobytes() == want
-    assert len(forked) == 2 and no_child_left()
+    scores = []
+    assert warned(lambda: scores.append(score_all(model, captions, images).scores.tobytes())) == [
+        (UserWarning, f"worker 1 (pid {forked[0]}) was lost with exit status -9; its tasks now run in the caller")]
+    assert scores == [want] and len(forked) == 2 and no_child_left()
 
 
 def test_a_failed_fork_runs_its_share_inline(forked_pool, monkeypatch):
@@ -719,8 +732,10 @@ def test_an_interrupted_caller_kills_and_reaps_its_children(forked_pool, monkeyp
 
     with monkeypatch.context() as patch:
         patch.setattr(os, "waitpid", interrupted_once)
-        with pytest.raises(KeyboardInterrupt):
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(KeyboardInterrupt):
+            warnings.simplefilter("always")
             score_all(model, captions, images)
+    assert caught == []  # killing the children on the way out loses no work
     assert len(forked) == 2 and waited == forked[:1] and no_child_left()
 
 

@@ -20,7 +20,7 @@ from interbert.data import synth_corpus
 from interbert.masking import MaskingConfig, mask_pair
 from interbert.model import InterBert, ModelConfig
 from interbert.negatives import build_hard_negative_table, build_tfidf, make_itm_batch
-from interbert.numerics import finite_diff_check
+from interbert.numerics import finite_diff_check, tensor
 from interbert.training import TrainConfig, TrainingDiverged, finetune_retrieval, pretrain, total_loss
 from interbert.training import loop
 from interbert.training.loop import _batch_losses, _target_counts
@@ -394,6 +394,99 @@ def test_a_step_runs_two_rounds(fixture, monkeypatch, workers):
 
 
 # ---------------------------------------------------------------------------
+# backward writes into the store, and the average starts from bank 0's values
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_backward_adds_each_shards_gradients_into_its_row_and_no_grad_outlives_the_round(fixture, monkeypatch,
+                                                                                       tmp_path, workers):
+    """In every process, each parameter's ``.grad`` is a view of its shard's
+    row of the store for the whole backward, and is unbound again before the
+    next forward and before the round that sums the rows."""
+    stores, models, log = [], [], tmp_path / "notes"
+    shared_array, backward, batch_losses, sum_shards = (loop.shared_array, nt.backward, loop._batch_losses,
+                                                        loop._sum_shards)
+
+    def note(line):  # a file, so a note made in the child reaches the caller
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {line}\n")
+
+    def kept_store(shape, dtype):
+        stores.append(shared_array(shape, dtype))
+        return stores[-1]
+
+    def unbound() -> bool:
+        return all(p.grad is None for _, p in models[-1].params.items())
+
+    def rows_held(params) -> list:  # the shard row each gradient lies in, -1 for none
+        rows = stores[0][-2:]
+        return sorted({next((i for i, row in enumerate(rows) if p.grad is not None and np.shares_memory(p.grad, row)),
+                            -1) for _, p in params.items()})
+
+    def checked_forward(model, *args):
+        models.append(model)
+        note(f"forward unbound={unbound()}")
+        return batch_losses(model, *args)
+
+    def checked_backward(loss, params=None):
+        before = rows_held(params)
+        backward(loss, params)
+        note(f"backward rows={before}->{rows_held(params)}")
+
+    def checked_sum(*args):
+        note(f"sum unbound={unbound()}")
+        return sum_shards(*args)
+
+    at_workers(monkeypatch, workers)
+    for name, patched in (("shared_array", kept_store), ("_batch_losses", checked_forward),
+                          ("_sum_shards", checked_sum)):
+        monkeypatch.setattr(loop, name, patched)
+    monkeypatch.setattr(nt, "backward", checked_backward)
+    corpus, table, model_cfg = fixture
+    result = pretrain(corpus, table, model_cfg, TrainConfig(**PRETRAIN, shards=2))
+    assert all(p.grad is None for _, p in result.model.params.items())
+    notes = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    by_process = {}
+    for pid, line in notes:
+        by_process.setdefault(int(pid), set()).add(line)
+
+    def expected(*shards):
+        return {"forward unbound=True", "sum unbound=True", *(f"backward rows=[{s}]->[{s}]" for s in shards)}
+
+    if workers == 1:
+        assert by_process == {os.getpid(): expected(0, 1)}
+    else:  # the caller runs shard 0, its child shard 1
+        assert by_process.pop(os.getpid()) == expected(0) and list(by_process.values()) == [expected(1)]
+    assert sum(note.startswith("backward") for _, note in notes) == 2 * PRETRAIN["total_steps"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_the_finetuning_average_is_the_serial_average_of_the_committed_values(fixture, monkeypatch, workers, steps):
+    """Step 1 averages from the start values, which bank 0 holds; each later
+    step from the last average; all as ``ema_update`` over the values each
+    step committed."""
+    corpus, _, model_cfg = fixture
+    start, from_values = InterBert.create(model_cfg, seed=5).params.clone_values(), InterBert.from_values
+    models, committed = [], []
+
+    def kept(*args, **kwargs):
+        models.append(from_values(*args, **kwargs))
+        return models[-1]
+
+    at_workers(monkeypatch, workers)
+    monkeypatch.setattr(InterBert, "from_values", kept)
+    cfg = TrainConfig(**{**FINETUNE, "total_steps": steps}, shards=2)
+    fine = finetune_retrieval(corpus, model_cfg, cfg, start,
+                              step_callback=lambda row: committed.append(models[0].params.clone_values()))
+    average = {name: values.copy() for name, values in start.items()}
+    for values in committed:
+        ema_update(average, from_values(model_cfg, values).params, cfg.ema_rate)
+    assert len(committed) == steps and list(fine.ema_values) == list(start)
+    assert digest(fine.ema_values.items()) == digest(average.items())  # at one step lr is 0: the values stay
+
+
+# ---------------------------------------------------------------------------
 # the workers' lifecycle
 # ---------------------------------------------------------------------------
 
@@ -404,6 +497,22 @@ def no_child_left() -> bool:
     except ChildProcessError:
         return True
     return False
+
+
+@contextmanager
+def recorded_warnings():
+    """Every warning the block gives, each time it is given."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield caught
+
+
+def lost_workers_warned(caught, lost: list, status: int = -9) -> bool:
+    """Whether the warnings ``caught`` are exactly one for each pid of a
+    worker 1 in ``lost``, in order, each ended with ``status`` (-9: SIGKILL)."""
+    return [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, f"worker 1 (pid {pid}) was lost with exit status {status}; its tasks now run in the caller")
+        for pid in lost]
 
 
 @pytest.fixture
@@ -435,7 +544,9 @@ def two_workers(fixture, monkeypatch, forked):
 
 def test_a_normal_run_forks_one_worker_per_call_and_reaps_it(fixture, two_workers):
     want, forked = two_workers
-    assert run_pretrain(fixture) == want and len(forked) == 1
+    with recorded_warnings() as caught:
+        assert run_pretrain(fixture) == want and len(forked) == 1
+    assert lost_workers_warned(caught, [])
 
 
 def test_the_caller_is_pinned_apart_from_its_worker_while_it_trains(fixture, monkeypatch, two_workers):
@@ -451,8 +562,9 @@ def test_the_caller_is_pinned_apart_from_its_worker_while_it_trains(fixture, mon
 def test_training_that_diverges_mid_run_reaps_its_worker(fixture, monkeypatch, two_workers):
     lr_at = loop.lr_at
     monkeypatch.setattr(loop, "lr_at", lambda step, *args: np.nan if step == 1 else lr_at(step, *args))
-    with pytest.raises(TrainingDiverged, match="non-finite loss at step 2$"):  # the worker read the NaN values
-        run_pretrain(fixture)
+    with recorded_warnings() as caught, pytest.raises(TrainingDiverged, match="non-finite loss at step 2$"):
+        run_pretrain(fixture)  # the worker read the NaN values
+    assert lost_workers_warned(caught, [])  # killing it on the way out loses nothing
 
 
 def test_an_interrupt_from_the_step_callback_reaps_the_worker(fixture, two_workers):
@@ -462,8 +574,9 @@ def test_an_interrupt_from_the_step_callback_reaps_the_worker(fixture, two_worke
         if row.step == 2:
             raise KeyboardInterrupt
 
-    with pytest.raises(KeyboardInterrupt):
+    with recorded_warnings() as caught, pytest.raises(KeyboardInterrupt):
         pretrain(corpus, table, model_cfg, TrainConfig(**PRETRAIN), step_callback=interrupt)
+    assert lost_workers_warned(caught, [])
 
 
 def test_a_killed_worker_has_its_shards_run_again_in_the_caller(fixture, monkeypatch, two_workers):
@@ -477,7 +590,29 @@ def test_a_killed_worker_has_its_shards_run_again_in_the_caller(fixture, monkeyp
         return batch_losses(*args, **kwargs)
 
     monkeypatch.setattr(loop, "_batch_losses", dies_on_its_second_shard)
-    assert run_pretrain(fixture) == want and len(forked) == 1
+    with recorded_warnings() as caught:
+        assert run_pretrain(fixture) == want and len(forked) == 1
+    assert lost_workers_warned(caught, forked)
+
+
+def test_a_worker_killed_in_backward_has_its_shard_run_again_in_the_caller_from_a_zeroed_row(fixture, monkeypatch,
+                                                                                              two_workers):
+    """The child adds its first non-zero leaf gradient into its shard's row,
+    then dies; the caller runs that shard again, zeroing the row first, to the
+    same bytes. (The child's shard holds the negatives, whose masked-group
+    heads get zero gradients.)"""
+    want, forked = two_workers
+    parent, accumulate = os.getpid(), tensor._Node.accumulate_grad
+
+    def dies_after_its_first_non_zero_leaf_gradient(node, g, fresh=False):
+        accumulate(node, g, fresh)
+        if os.getpid() != parent and node._backward_fn is None and np.any(g):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(tensor._Node, "accumulate_grad", dies_after_its_first_non_zero_leaf_gradient)
+    with recorded_warnings() as caught:
+        assert run_pretrain(fixture) == want and len(forked) == 1
+    assert lost_workers_warned(caught, forked)
 
 
 def test_a_worker_killed_in_its_first_gradient_sum_has_its_range_summed_in_the_caller(fixture, monkeypatch,
@@ -492,7 +627,9 @@ def test_a_worker_killed_in_its_first_gradient_sum_has_its_range_summed_in_the_c
         return total
 
     monkeypatch.setattr(loop, "_sum_shards", dies_after_its_first_sum)
-    assert run_pretrain(fixture) == want and len(forked) == 1
+    with recorded_warnings() as caught:
+        assert run_pretrain(fixture) == want and len(forked) == 1
+    assert lost_workers_warned(caught, forked)
 
 
 @pytest.mark.parametrize("kernel", ["adamw_range", "ema_range"])
@@ -514,7 +651,9 @@ def test_a_worker_killed_in_its_first_update_has_its_range_run_again_from_the_in
             os.kill(os.getpid(), signal.SIGKILL)
 
     monkeypatch.setattr(loop, kernel, dies_after_its_first_range)
-    assert train(fixture) == want and len(forked) == 1
+    with recorded_warnings() as caught:
+        assert train(fixture) == want and len(forked) == 1
+    assert lost_workers_warned(caught, forked)
 
 
 def test_a_failed_fork_runs_every_shard_in_the_caller(fixture, monkeypatch, two_workers):
@@ -546,6 +685,8 @@ def test_training_never_forks_beside_a_second_live_thread(fixture, monkeypatch, 
 
 
 def test_a_shard_that_raises_in_the_worker_reaches_the_caller_as_raised(fixture, monkeypatch, two_workers):
+    _, forked = two_workers
+
     class ShardFailed(RuntimeError):
         pass
 
@@ -557,5 +698,6 @@ def test_a_shard_that_raises_in_the_worker_reaches_the_caller_as_raised(fixture,
         return batch_losses(model, batch, totals)
 
     monkeypatch.setattr(loop, "_batch_losses", fails_on_the_second_shard)
-    with pytest.raises(ShardFailed, match="^shard of negatives failed$"):
+    with recorded_warnings() as caught, pytest.raises(ShardFailed, match="^shard of negatives failed$"):
         run_pretrain(fixture)
+    assert lost_workers_warned(caught, forked, status=1)  # the child exits 1 when its task raises
